@@ -178,6 +178,19 @@ def _parse_weights(args, default_lo: int = 3, default_hi: int = 8) -> list[int]:
     return ws
 
 
+def _require_truncation(trunc: int, ws: list[int]) -> None:
+    """Reject a series order that cuts off a requested weight.
+
+    exp_circle(f) at an order below the weight of f is the series 1, and
+    its group-likeness checks would pass without checking anything.
+    """
+    if trunc < max(ws):
+        raise UsageError(
+            f"--truncate {trunc} is below weight {max(ws)}; "
+            "the truncation order must be at least every requested weight"
+        )
+
+
 def _require_basis(n: int):
     res = ds_basis(n)
     return res
@@ -329,6 +342,7 @@ def cmd_exp(args) -> int:
     t0 = time.time()
     ws = _parse_weights(args, 3, 3)
     trunc = args.truncate
+    _require_truncation(trunc, ws)
     payload = {}
     lines = []
     ok = True
@@ -574,6 +588,7 @@ def _suite_propA3(args, ws, rng_seed):
 
 def _suite_group49(args, ws, rng_seed):
     """Group-likeness of exp for the shuffle pairing on basis elements."""
+    _require_truncation(args.truncate, ws)
     out = {}
     ok = True
     for n in ws:
@@ -590,6 +605,7 @@ def _suite_group49(args, ws, rng_seed):
 
 def _suite_group410(args, ws, rng_seed):
     """Group-likeness of the corrected series for the stuffle pairing."""
+    _require_truncation(args.truncate, ws)
     out = {}
     ok = True
     for n in ws:
@@ -607,6 +623,7 @@ def _suite_group410(args, ws, rng_seed):
 def _suite_thm42(args, ws, rng_seed):
     """Composite group-level certificate: group-like exponential, Lie
     logarithm roundtrip, automorphism fixing x + y."""
+    _require_truncation(args.truncate, ws)
     out = {}
     ok = True
     for n in ws:
@@ -692,7 +709,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--truncate",
         type=int,
         default=int(os.environ.get("DSKRV_TRUNCATE", groupexp.DEFAULT_TRUNCATION)),
-        help="series truncation order (env DSKRV_TRUNCATE)",
+        help="series truncation order, at least every weight for exp and the "
+        "group suites (env DSKRV_TRUNCATE)",
     )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", help="write the report to a file instead of stdout")

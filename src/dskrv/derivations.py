@@ -27,6 +27,7 @@ from .poly import (
     coeff_to_str,
     decompose_left,
     decompose_right,
+    derive,
     is_antipalindromic,
     is_push_invariant,
     negate_y,
@@ -136,18 +137,12 @@ class TangentialDerivation:
     def degree(self) -> int | None:
         return self.F.degree() if self.F else self.G.degree()
 
-    def apply(self, h: Poly) -> Poly:
-        """Apply the derivation to an arbitrary polynomial."""
-        img = (bracket(X, self.G), bracket(Y, self.F))
-        out = Poly.zero()
-        for w, c in h.terms.items():
-            n = words.degree(w)
-            for i in range(n):
-                pre = w >> (i + 1)
-                post = (1 << i) | (w & ((1 << i) - 1))
-                piece = Poly.word(pre) * img[(w >> i) & 1] * Poly.word(post)
-                out = out + piece.scale(c)
-        return out
+    def apply(self, h: Poly, trunc: int | None = None) -> Poly:
+        """Apply the derivation to an arbitrary polynomial.
+
+        With trunc given, terms of degree > trunc are never built.
+        """
+        return derive(h, bracket(X, self.G), bracket(Y, self.F), trunc)
 
     def special_residual(self) -> Poly:
         """[x, G] + [y, F]; zero exactly for special derivations."""

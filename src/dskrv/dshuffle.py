@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg, words
 from .lie import from_coords, is_lie, lyndon_basis
-from .poly import Coeff, Poly, pi_y
+from .poly import Coeff, Poly, Y, derive, pi_y
 from .words import EMPTY, WordLike, as_code
 
 # -- shuffle -----------------------------------------------------------------
@@ -33,6 +33,7 @@ def _strip_first(code: int) -> tuple[int, int]:
 
 
 def _sh(u: int, v: int) -> dict[int, int]:
+    """Shuffle of two word codes as {word: multiplicity}; cached, so never mutate it."""
     if u == EMPTY:
         return {v: 1}
     if v == EMPTY:
@@ -44,13 +45,15 @@ def _sh(u: int, v: int) -> dict[int, int]:
         return cached
     a, ru = _strip_first(u)
     b, rv = _strip_first(v)
+    # Both sub-shuffles hold words of one degree m; prepending the letter
+    # t to such a word adds (1 + t) << m to its code.
+    m = words.degree(u) + words.degree(v) - 1
     out: dict[int, int] = {}
-    for w, c in _sh(ru, v).items():
-        nw = words.concat_codes(2 | a, w)
-        out[nw] = out.get(nw, 0) + c
-    for w, c in _sh(u, rv).items():
-        nw = words.concat_codes(2 | b, w)
-        out[nw] = out.get(nw, 0) + c
+    for first, rest in ((a, _sh(ru, v)), (b, _sh(u, rv))):
+        shift = (1 + first) << m
+        for w, c in rest.items():
+            nw = w + shift
+            out[nw] = out.get(nw, 0) + c
     _sh_cache[(u, v)] = out
     return out
 
@@ -101,6 +104,7 @@ _st_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
 
 
 def _st(a: tuple[int, ...], b: tuple[int, ...]) -> dict[int, int]:
+    """Stuffle of two compositions as {word: multiplicity}; cached, so never mutate it."""
     if not a:
         return {word_of_composition(b): 1}
     if not b:
@@ -110,15 +114,14 @@ def _st(a: tuple[int, ...], b: tuple[int, ...]) -> dict[int, int]:
     cached = _st_cache.get((a, b))
     if cached is not None:
         return cached
+    # Prepending the block x^(h-1) y to a word of weight m turns its
+    # length prefix 1 << m into the block's y and adds a new prefix at
+    # m + h, which is the total weight n in each of the three branches.
+    shift = 1 << (sum(a) + sum(b))
     out: dict[int, int] = {}
-    for head, rec in (
-        (a[0], _st(a[1:], b)),
-        (b[0], _st(a, b[1:])),
-        (a[0] + b[0], _st(a[1:], b[1:])),
-    ):
-        block = (1 << head) | 1  # x^(head-1) y
+    for rec in (_st(a[1:], b), _st(a, b[1:]), _st(a[1:], b[1:])):
         for w, c in rec.items():
-            nw = words.concat_codes(block, w)
+            nw = w + shift
             out[nw] = out.get(nw, 0) + c
     _st_cache[(a, b)] = out
     return out
@@ -240,24 +243,12 @@ def is_ds(f: Poly, strict: bool = False, with_failures: bool = False):
 # -- derivations and the Poisson bracket -------------------------------------
 
 
-def d_f(f: Poly, g: Poly) -> Poly:
-    """The derivation sending x to 0 and y to [y, f], applied to g."""
-    image = Poly.word("y") * f - f * Poly.word("y")
-    out: dict[int, Coeff] = {}
-    for w, c in g.terms.items():
-        n = words.degree(w)
-        for i in range(n):
-            if (w >> i) & 1:  # y at bit position i
-                pre = w >> (i + 1)
-                post = (1 << i) | (w & ((1 << i) - 1))
-                for t, tc in image.terms.items():
-                    nw = words.concat_codes(words.concat_codes(pre, t), post)
-                    nc = out.get(nw, 0) + c * tc
-                    if nc:
-                        out[nw] = nc
-                    elif nw in out:
-                        del out[nw]
-    return Poly(out)
+def d_f(f: Poly, g: Poly, trunc: int | None = None) -> Poly:
+    """The derivation sending x to 0 and y to [y, f], applied to g.
+
+    With trunc given, terms of degree > trunc are never built.
+    """
+    return derive(g, Poly.zero(), Y * f - f * Y, trunc)
 
 
 def poisson(f: Poly, g: Poly) -> Poly:

@@ -24,11 +24,14 @@ degree truncation N, this module provides:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import factorial, lcm
+from operator import mul
 
 from . import words
-from .poly import Coeff, Poly, pi_y, poly_to_json
+from .poly import Coeff, Poly, poly_to_json, truncated_mul
 from .lie import NotLieError, bracket, is_lie
-from .dshuffle import d_f, shuffle, stuffle, is_ds
+from .dshuffle import _sh, _st, composition_of, d_f, is_ds
 from .derivations import TangentialDerivation, ds_to_krv
 
 DEFAULT_TRUNCATION = 12
@@ -36,6 +39,12 @@ DEFAULT_TRUNCATION = 12
 
 def _truncate(f: Poly, trunc: int) -> Poly:
     return Poly({w: c for w, c in f.terms.items() if words.degree(w) <= trunc})
+
+
+def _numerators(f: Poly) -> tuple[dict[int, int], int]:
+    """f as P/D: integer numerators P and the lcm D of the denominators."""
+    den = lcm(1, *(c.denominator for c in f.terms.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in f.terms.items()}, den
 
 
 class TruncSeries:
@@ -88,7 +97,7 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         t = min(self.trunc, other.trunc)
-        return TruncSeries(_truncate(self.poly, t) * _truncate(other.poly, t), t)
+        return TruncSeries(truncated_mul(self.poly, other.poly, t), t)
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,32 +127,45 @@ def circle(f: Poly, g: Poly, trunc: int | None = None) -> Poly:
 
     The left factor must be a Lie element (the formula computes the
     product in the enveloping algebra of the derivation algebra, where
-    it is only valid with a primitive left factor).
+    it is only valid with a primitive left factor).  With trunc given,
+    terms of degree > trunc are never built.
     """
     if not is_lie(f):
         raise NotLieError("left factor of the circled product must be Lie", f)
-    out = f * g + d_f(f, g)
-    return _truncate(out, trunc) if trunc is not None else out
+    if trunc is None:
+        return f * g + d_f(f, g)
+    return truncated_mul(f, g, trunc) + d_f(f, g, trunc)
 
 
 def exp_circle(f: Poly, trunc: int = DEFAULT_TRUNCATION) -> TruncSeries:
-    """exp of f for the circled product: sum of f^(.k) / k!."""
+    """exp of f for the circled product: sum of f^(.k) / k!.
+
+    The powers are computed on integer numerators: with d the lcm of
+    the denominators of f, the k-th circled power of d f is
+    P_k = d^k f^(.k), and Phi = sum P_k / (d^k k!) is put over one
+    denominator at the end.
+    """
     if f.terms.get(words.EMPTY, 0):
         raise ValueError("exp_circle requires vanishing constant term")
-    total = Poly.one()
-    power = Poly.one()
-    k = 0
-    kfact = 1
-    fcut = _truncate(f, trunc)
-    min_deg = min((words.degree(w) for w in fcut.terms), default=trunc + 1)
-    while k * min_deg <= trunc:
-        k += 1
-        kfact *= k
-        power = circle(fcut, power, trunc)
+    num, den = _numerators(_truncate(f, trunc))
+    scaled = Poly(num)
+    min_deg = min((words.degree(w) for w in num), default=trunc + 1)
+    powers = [Poly.one()]
+    # every term of the k-th power has degree >= k * min_deg
+    for _ in range(trunc // min_deg):
+        power = circle(scaled, powers[-1], trunc)
         if not power:
             break
-        total = total + power.scale(Fraction(1, kfact))
-    return TruncSeries(total, trunc)
+        powers.append(power)
+    top = len(powers) - 1
+    total: dict[int, int] = {}
+    weight = 1  # d^(top-k) top!/k!, the factor of P_k over the common denominator
+    for k in range(top, -1, -1):
+        for w, c in powers[k].terms.items():
+            total[w] = total.get(w, 0) + weight * c
+        weight *= den * k
+    common = den**top * factorial(top)
+    return TruncSeries(Poly({w: Fraction(c, common) for w, c in total.items()}), trunc)
 
 
 def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
@@ -157,10 +179,11 @@ def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
     """
     if phi.constant_term != 1:
         raise ValueError("log_circle requires constant term 1")
-    n = phi.trunc
     f = Poly.zero()
-    for d in range(1, n + 1):
-        delta = (phi.poly - exp_circle(f, n).poly).homogeneous_part(d)
+    for d in range(1, phi.trunc + 1):
+        # exp_circle never lowers degrees, so its degree-d part is the
+        # same at every truncation order >= d
+        delta = phi.homogeneous_part(d) - exp_circle(f, d).homogeneous_part(d)
         if not delta:
             continue
         if require_lie_parts and not is_lie(delta):
@@ -182,17 +205,19 @@ def grouplike_shuffle_check(phi: TruncSeries, max_degree: int | None = None) -> 
     n = max_degree if max_degree is not None else phi.trunc
     if n > phi.trunc:
         raise ValueError("cannot check beyond the truncation order")
+    # With Phi = P/D the identity reads D (P | sh(u, v)) = P(u) P(v).
+    num, den = _numerators(phi.poly)
+    get = num.get
     checked = 0
     for a in range(1, n // 2 + 1):
         for b in range(a, n - a + 1):
             for u in words.all_words(a):
-                for v in words.all_words(b):
-                    if a == b and v < u:
-                        continue
-                    lhs = sum(
-                        phi.poly.terms.get(w, 0) * c for w, c in shuffle(u, v).terms.items()
-                    )
-                    if lhs != phi.coeff(u) * phi.coeff(v):
+                pu = get(u, 0)
+                # when deg u = deg v, only v >= u
+                for v in range(u, 2 << b) if a == b else words.all_words(b):
+                    sh = _sh(u, v)
+                    lhs = sum(map(mul, sh.values(), map(get, sh, repeat(0))))
+                    if den * lhs != pu * get(v, 0):
                         return {
                             "verdict": False,
                             "witness": (words.str_from_code(u), words.str_from_code(v)),
@@ -217,7 +242,7 @@ def star_series(phi: TruncSeries) -> TruncSeries:
     power = Poly.one()
     kfact = 1
     for k in range(1, n + 1):
-        power = _truncate(power * corr, n)
+        power = truncated_mul(power, corr, n)
         if not power:
             break
         kfact *= k
@@ -240,21 +265,23 @@ def grouplike_stuffle_check(phi: TruncSeries, max_degree: int | None = None) -> 
     n = max_degree if max_degree is not None else phi.trunc
     if n > phi.trunc:
         raise ValueError("cannot check beyond the truncation order")
-    star = star_series(phi)
+    # With Phi_* = P/D the identity reads D (P | st(u, v)) = P(u) P(v).
+    num, den = _numerators(star_series(phi).poly)
+    get = num.get
+    # (code, composition) of the words ending in y, by degree
+    ywords = [
+        [(w, composition_of(w)) for w in words.all_words(d) if words.ends_in_y(w)]
+        for d in range(n + 1)
+    ]
     checked = 0
     for a in range(1, n // 2 + 1):
         for b in range(a, n - a + 1):
-            for u in words.all_words(a):
-                if not words.ends_in_y(u):
-                    continue
-                for v in words.all_words(b):
-                    if not words.ends_in_y(v) or (a == b and v < u):
-                        continue
-                    lhs = sum(
-                        star.poly.terms.get(w, 0) * c
-                        for w, c in stuffle(u, v).terms.items()
-                    )
-                    if lhs != star.coeff(u) * star.coeff(v):
+            for i, (u, cu) in enumerate(ywords[a]):
+                pu = get(u, 0)
+                for v, cv in ywords[b][i:] if a == b else ywords[b]:
+                    st = _st(cu, cv)
+                    lhs = sum(map(mul, st.values(), map(get, st, repeat(0))))
+                    if den * lhs != pu * get(v, 0):
                         return {
                             "verdict": False,
                             "witness": (words.str_from_code(u), words.str_from_code(v)),
@@ -276,7 +303,7 @@ def exp_derivation(d: TangentialDerivation, f: Poly, trunc: int = DEFAULT_TRUNCA
     while term:
         k += 1
         kfact *= k
-        term = _truncate(d.apply(term), trunc)
+        term = d.apply(term, trunc)
         if term:
             total = total + term.scale(Fraction(1, kfact))
     return total
@@ -293,7 +320,7 @@ def automorphism_check(d: TangentialDerivation, trunc: int = DEFAULT_TRUNCATION)
     ay = exp_derivation(d, Poly.word("y"), trunc)
     fixes = (ax + ay) == Poly.word("x") + Poly.word("y")
     lhs = exp_derivation(d, bracket(Poly.word("x"), Poly.word("y")), trunc)
-    rhs = _truncate(bracket(ax, ay), trunc)
+    rhs = truncated_mul(ax, ay, trunc) - truncated_mul(ay, ax, trunc)
     return {
         "special": d.is_special(),
         "fixes_x_plus_y": fixes,

@@ -7,7 +7,8 @@ method mutates, all operations return fresh instances.
 
 Besides ring arithmetic this module implements the word-level operators
 that the rest of the package is built on: coefficient extraction,
-linear substitution, the derivation d/dx, reversal (anti), push,
+linear substitution, the derivation d/dx, derivations given by the
+images of x and y, degree-truncated products, reversal (anti), push,
 left/right factor decompositions f = x f^x + y f^y = f_x x + f_y y, the
 section maps s and s' that rebuild a Lie element from one factor, and
 the palindromy / push-invariance / push-constancy predicates.
@@ -293,6 +294,55 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
             cache[w] = prod
         out = out + cache[w].scale(c)
     return out
+
+
+def _by_degree(terms: dict[int, Coeff]) -> dict[int, list[tuple[int, Coeff]]]:
+    """Terms grouped by degree, each word given by its letter bits only."""
+    out: dict[int, list[tuple[int, Coeff]]] = {}
+    for w, c in terms.items():
+        n = words.degree(w)
+        out.setdefault(n, []).append((w ^ (1 << n), c))
+    return out
+
+
+def truncated_mul(f: Poly, g: Poly, trunc: int) -> Poly:
+    """The product fg without its terms of degree > trunc, which are never built."""
+    blocks = _by_degree(g.terms)
+    terms: dict[int, Coeff] = {}
+    for a, ca in f.terms.items():
+        room = trunc - words.degree(a)
+        for nb, block in blocks.items():
+            if nb > room:
+                continue
+            head = a << nb
+            for bits, cb in block:
+                w = head | bits
+                terms[w] = terms.get(w, 0) + ca * cb
+    return Poly(terms)
+
+
+def derive(h: Poly, x_image: Poly, y_image: Poly, trunc: int | None = None) -> Poly:
+    """The derivation x -> x_image, y -> y_image of the free algebra, applied to h.
+
+    Each letter of each word of h is replaced in turn by its image.  With
+    trunc given, terms of degree > trunc are never built.
+    """
+    images = (_by_degree(x_image.terms), _by_degree(y_image.terms))
+    terms: dict[int, Coeff] = {}
+    for w, c in h.terms.items():
+        n = words.degree(w)
+        room = None if trunc is None else trunc - n + 1
+        for i in range(n):
+            pre = w >> (i + 1)  # the letters before position i, as a code
+            low = w & ((1 << i) - 1)  # the letters after it, as bits
+            for dt, block in images[(w >> i) & 1].items():
+                if room is not None and dt > room:
+                    continue
+                head = pre << dt
+                for bits, tc in block:
+                    nw = ((head | bits) << i) | low
+                    terms[nw] = terms.get(nw, 0) + c * tc
+    return Poly(terms)
 
 
 def decompose_right(f: Poly) -> tuple[Poly, Poly]:

@@ -6,13 +6,18 @@ interleavings, stuffles from surjection pairs onto a common index set,
 and the membership problem is posed on raw monomial unknowns (one per
 word) rather than on free-Lie coordinates.  Dimensions are certified by
 combining a modular-arithmetic upper bound with exact verification of
-the candidate basis against every constraint row.
+the candidate basis against every constraint row.  The group layer is
+defined straight from its formulas on Poly ring arithmetic alone: every
+product is built in full and truncated afterwards.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+from dskrv import words
+from dskrv.poly import Poly
 
 MODULUS = 2_000_003  # prime; squares stay far below 2**63
 
@@ -184,3 +189,75 @@ def certified_dimension(n: int, candidates: list[dict[str, Fraction]]) -> dict:
         "certified": certified,
         "dimension": upper if certified else None,
     }
+
+
+# -- the group layer from its formulas ---------------------------------------------
+
+X = Poly.word("x")
+Y = Poly.word("y")
+
+
+def cut(f: Poly, trunc: int) -> Poly:
+    """Drop the terms of degree > trunc."""
+    return Poly({w: c for w, c in f.terms.items() if words.degree(w) <= trunc})
+
+
+def substitute_letters(h: Poly, x_image: Poly, y_image: Poly) -> Poly:
+    """The derivation x -> x_image, y -> y_image, one letter and one product at a time."""
+    images = (x_image, y_image)
+    out = Poly.zero()
+    for w, c in h.terms.items():
+        n = words.degree(w)
+        for i in range(n):
+            pre = w >> (i + 1)
+            post = (1 << i) | (w & ((1 << i) - 1))
+            piece = Poly.word(pre) * images[(w >> i) & 1] * Poly.word(post)
+            out = out + piece.scale(c)
+    return out
+
+
+def d_f(f: Poly, g: Poly) -> Poly:
+    """x -> 0, y -> [y, f], applied to g."""
+    return substitute_letters(g, Poly.zero(), Y * f - f * Y)
+
+
+def tangential_apply(F: Poly, G: Poly, h: Poly) -> Poly:
+    """x -> [x, G], y -> [y, F], applied to h."""
+    return substitute_letters(h, X * G - G * X, Y * F - F * Y)
+
+
+def exp_circle(f: Poly, trunc: int) -> Poly:
+    """sum of f^(.k)/k! with f (.) g = fg + d_f(g), each power cut after it is built."""
+    fcut = cut(f, trunc)
+    total = Poly.one()
+    power = Poly.one()
+    k = 0
+    kfact = 1
+    while power:
+        k += 1
+        kfact *= k
+        power = cut(fcut * power + d_f(fcut, power), trunc)
+        total = total + power.scale(Fraction(1, kfact))
+    return total
+
+
+def log_circle(phi: Poly, trunc: int) -> Poly:
+    """The f with exp_circle(f, trunc) = phi, found degree by degree at full order."""
+    f = Poly.zero()
+    for d in range(1, trunc + 1):
+        f = f + (phi - exp_circle(f, trunc)).homogeneous_part(d)
+    return f
+
+
+def exp_derivation(F: Poly, G: Poly, h: Poly, trunc: int) -> Poly:
+    """sum of D^k(h)/k! for D = (F, G), each power cut after it is built."""
+    total = cut(h, trunc)
+    term = total
+    kfact = 1
+    k = 0
+    while term:
+        k += 1
+        kfact *= k
+        term = cut(tangential_apply(F, G, term), trunc)
+        total = total + term.scale(Fraction(1, kfact))
+    return total

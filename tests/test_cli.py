@@ -151,3 +151,37 @@ def test_truncate_env_default(monkeypatch, capsys):
     code, rep = run_json(capsys, "exp", "--weight", "3")
     assert code == 0
     assert rep["parameters"]["truncate"] == 6
+
+
+GROUP_COMMANDS = [("exp",), ("verify", "group49"), ("verify", "group410"), ("verify", "thm42")]
+
+
+@pytest.mark.parametrize("command", GROUP_COMMANDS)
+@pytest.mark.parametrize("trunc", ["0", "2"])
+def test_truncation_below_weight_is_a_usage_error(capsys, command, trunc):
+    code = cli.main([*command, "--weight", "3", "--truncate", trunc])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # no report, so no vacuous "pass"
+    assert f"--truncate {trunc} is below weight 3" in captured.err
+
+
+@pytest.mark.parametrize("command", GROUP_COMMANDS)
+def test_truncation_env_below_weight_is_a_usage_error(monkeypatch, capsys, command):
+    monkeypatch.setenv("DSKRV_TRUNCATE", "4")
+    code, _ = run(capsys, *command, "--weights", "3..5")
+    assert code == 2
+
+
+def test_verify_thm42_defaults(capsys):
+    # weights 3..5 at truncation order 12
+    code, rep = run_json(capsys, "verify", "thm42")
+    assert code == 0
+    assert rep["parameters"]["weights"] == [3, 4, 5]
+    assert rep["parameters"]["truncate"] == 12
+    assert rep["payload"]["4"]["elements"] == []
+    for n in ("3", "5"):
+        (element,) = rep["payload"][n]["elements"]
+        assert element["verdict"] is True
+        assert element["shuffle_grouplike"]["pairs"] == 41025
+        assert element["stuffle_grouplike"]["pairs"] == 10272

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from dskrv import derivations, dshuffle, groupexp, lie, words
 from dskrv.groupexp import TruncSeries
 from dskrv.lie import NotLieError
-from dskrv.poly import Poly
+from dskrv.poly import Poly, truncated_mul
 
 X = Poly.word("x")
 Y = Poly.word("y")
@@ -159,3 +160,88 @@ def test_series_json(f3):
     obj = phi.to_json()
     assert obj["trunc"] == 6
     assert obj["series"]["terms"]
+
+
+# -- agreement with the definitions in tests/oracles.py ---------------------------
+
+
+def _inhomogeneous():
+    """A Lie element of degrees 3 and 4 with non-integer coefficients."""
+    return lie.random_lie(3, 5).scale(Fraction(2, 3)) + lie.random_lie(4, 6).scale(
+        Fraction(-1, 5)
+    )
+
+
+@pytest.fixture(params=["f3", "f5", "inhomogeneous"])
+def element(request):
+    if request.param == "inhomogeneous":
+        return _inhomogeneous()
+    return request.getfixturevalue(request.param)
+
+
+@pytest.mark.parametrize("trunc", [4, 7, 9])
+def test_exp_circle_matches_oracle(element, trunc):
+    assert groupexp.exp_circle(element, trunc).poly == oracles.exp_circle(element, trunc)
+
+
+@pytest.mark.parametrize("trunc", [5, 7])
+def test_log_circle_matches_oracle(element, trunc):
+    phi = oracles.exp_circle(element, trunc)
+    expected = oracles.log_circle(phi, trunc)
+    assert groupexp.log_circle(TruncSeries(phi, trunc)) == expected
+    assert expected == oracles.cut(element, trunc)
+
+
+@pytest.mark.parametrize("trunc", [6, 9])
+@pytest.mark.parametrize("name", ["f3", "f5"])
+def test_exp_derivation_matches_oracle(request, name, trunc):
+    d = derivations.ds_to_krv(request.getfixturevalue(name))
+    for h in (X, Y, lie.bracket(X, Y), X * Y * Y):
+        expected = oracles.exp_derivation(d.F, d.G, h, trunc)
+        assert groupexp.exp_derivation(d, h, trunc) == expected
+
+
+def test_bounded_products_equal_truncated_full_ones(element, f3):
+    d = derivations.ds_to_krv(f3)
+    g = groupexp.exp_circle(element, 7).poly
+    assert dshuffle.d_f(element, g) == oracles.d_f(element, g)
+    assert d.apply(g) == oracles.tangential_apply(d.F, d.G, g)
+    for trunc in (0, 3, 6, 9):
+        assert dshuffle.d_f(element, g, trunc) == oracles.cut(dshuffle.d_f(element, g), trunc)
+        assert d.apply(g, trunc) == oracles.cut(d.apply(g), trunc)
+        assert truncated_mul(element, g, trunc) == oracles.cut(element * g, trunc)
+        assert groupexp.circle(element, g, trunc) == oracles.cut(
+            groupexp.circle(element, g), trunc
+        )
+
+
+# -- the failure path of the pairing sweeps, frozen ------------------------------
+
+# (word whose coefficient in exp_circle(f3, 9) is raised by 1/7, shuffle
+# witness, shuffle pairs, stuffle witness, stuffle pairs)
+PERTURBED = [
+    ("yxy", ("x", "yy"), 6, ("y", "xy"), 1),
+    ("xxyxxy", ("x", "xxyxy"), 64, ("y", "xxyxy"), 17),
+    ("xyxyyxy", ("x", "xyxyyy"), 146, ("y", "xyxyxy"), 41),
+    ("xxxxxxxxy", ("x", "xxxxxxxy"), 508, ("y", "xxxxxxxy"), 127),
+    ("yyxxyxyxy", ("x", "yyxxyxyy"), 710, ("y", "yxxyxyxy"), 201),
+]
+
+
+@pytest.mark.parametrize("word,sh_witness,sh_pairs,st_witness,st_pairs", PERTURBED)
+def test_sweeps_report_first_failing_pair(f3, word, sh_witness, sh_pairs, st_witness, st_pairs):
+    phi = groupexp.exp_circle(f3, 9)
+    code = words.code_from_str(word)
+    terms = dict(phi.poly.terms)
+    terms[code] = terms.get(code, 0) + Fraction(1, 7)
+    bad = TruncSeries(Poly(terms), 9)
+    assert groupexp.grouplike_shuffle_check(bad) == {
+        "verdict": False,
+        "witness": sh_witness,
+        "pairs": sh_pairs,
+    }
+    assert groupexp.grouplike_stuffle_check(bad) == {
+        "verdict": False,
+        "witness": st_witness,
+        "pairs": st_pairs,
+    }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
@@ -52,11 +53,14 @@ def test_kernels_agree_beyond_machine_words():
 
 
 def test_pure_kernel_forced_by_environment():
+    env = {"DSKRV_PURE": "1", "PATH": "/usr/bin:/bin"}
+    if "PYTHONPATH" in os.environ:  # how an uninstalled checkout finds dskrv
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     out = subprocess.run(
         [sys.executable, "-c", "from dskrv import linalg; print(linalg.KERNEL)"],
         capture_output=True,
         text=True,
-        env={"DSKRV_PURE": "1", "PATH": "/usr/bin:/bin"},
+        env=env,
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "pure"
