@@ -10,4 +10,12 @@ __version__ = "0.1.0"
 from .poly import Poly
 from .words import Word
 
-__all__ = ["Poly", "Word", "__version__"]
+
+class CrossCheckError(AssertionError):
+    """Two independent computations of one result disagree.
+
+    Raised explicitly, so the check also runs under ``python -O``.
+    """
+
+
+__all__ = ["CrossCheckError", "Poly", "Word", "__version__"]

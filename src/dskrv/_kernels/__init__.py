@@ -1,21 +1,1 @@
-"""Row-reduction kernel selection.
-
-Imports the compiled extension when it is available, otherwise the
-pure-Python reference implementation.  Set DSKRV_PURE=1 to force the
-pure kernel (used by the benchmark and the kernel-equivalence tests).
-"""
-
-from __future__ import annotations
-
-import os
-
-if os.environ.get("DSKRV_PURE") == "1":
-    from . import pure as _impl
-else:
-    try:
-        from . import _ffge as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import pure as _impl
-
-row_echelon = _impl.row_echelon
-IMPLEMENTATION = _impl.IMPLEMENTATION
+"""Integer row-reduction kernel (fraction-free Bareiss, `pure`)."""

@@ -1,9 +1,8 @@
 """Pure-Python fraction-free row reduction (Bareiss one-step scheme).
 
 Entries stay integers throughout: every update is
-(pivot * a - lead * b) / previous_pivot with an exact division.  This
-is the reference kernel; a Cython twin with identical semantics is
-preferred at import time when available.
+(pivot * a - lead * b) / previous_pivot with an exact division.  It
+backs `linalg.rank`, `linalg.solve` and `linalg.row_echelon`.
 """
 
 from __future__ import annotations

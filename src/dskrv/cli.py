@@ -269,7 +269,7 @@ def cmd_bracket(args) -> int:
         if n < 3 or n > MAX_WEIGHT:
             raise UsageError(f"weight {n} outside supported range 3..{MAX_WEIGHT}")
     ra, rb = _require_basis(na), _require_basis(nb)
-    if args.index1 >= ra.dimension or args.index2 >= rb.dimension:
+    if not (0 <= args.index1 < ra.dimension and 0 <= args.index2 < rb.dimension):
         raise UsageError(
             f"basis index out of range (dims are {ra.dimension}, {rb.dimension})"
         )
@@ -769,6 +769,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.count < 0:
+            raise UsageError(f"--count must be at least 0, got {args.count}")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

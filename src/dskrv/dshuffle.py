@@ -15,10 +15,12 @@ to reduced echelon form with a fixed scaling convention.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 
-from . import linalg, words
+from . import CrossCheckError, linalg, words
 from .lie import from_coords, is_lie, lyndon_basis
-from .poly import Coeff, Poly, Y, derive, pi_y
+from .poly import Coeff, Poly, Y, derive, numerators, pi_y
 from .words import EMPTY, WordLike, as_code
 
 # -- shuffle -----------------------------------------------------------------
@@ -156,19 +158,25 @@ def stuffle_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 def stuffle_failures(f: Poly, pairs=None) -> list[tuple[int, int, Coeff]]:
-    """Constraint pairs with nonzero residual, as (u_code, v_code, residual)."""
+    """Constraint pairs with nonzero residual, as (u_code, v_code, residual).
+
+    The pairing runs on the integer numerators of f; a residual is a
+    Fraction when a Fraction coefficient of f enters it, else an int.
+    """
     n = f.degree()
     if pairs is None:
         pairs = stuffle_pairs(n)
+    num, den = numerators(f)
+    get = num.get
     failures = []
-    terms = f.terms
     for a, b in pairs:
-        res = 0
-        for w, c in _st(a, b).items():
-            fw = terms.get(w, 0)
-            if fw:
-                res += c * fw
+        st = _st(a, b)
+        res = sum(map(mul, st.values(), map(get, st, repeat(0))))
         if res:
+            if any(isinstance(f.terms.get(w), Fraction) for w in st):
+                res = Fraction(res, den)
+            else:
+                res //= den
             failures.append((word_of_composition(a), word_of_composition(b), res))
     return failures
 
@@ -206,35 +214,28 @@ def is_ds(f: Poly, strict: bool = False, with_failures: bool = False):
 
     Requires homogeneous input of degree >= 3.  With strict=True the
     verdict is recomputed from the corrected series starred_part(f)
-    against all stuffle pairs (powers of y included) and asserted to
-    agree.  With with_failures=True returns (verdict, failures).
+    against all stuffle pairs (powers of y included), and CrossCheckError
+    is raised if the two disagree.  With with_failures=True returns
+    (verdict, failures).
     """
     n = f.degree()
     if n is None or not f.is_homogeneous():
         raise ValueError("is_ds requires a nonzero homogeneous polynomial")
     if n < 3:
         raise ValueError("double shuffle elements have degree >= 3")
-    failures = []
-    if not is_lie(f):
-        verdict = False
-        failures = stuffle_failures(f)
-    else:
-        failures = stuffle_failures(f)
-        verdict = not failures
+    failures = stuffle_failures(f)
+    verdict = is_lie(f) and not failures
     if strict and is_lie(f):
-        star = starred_part(f)
-        star_failures = []
-        for a, b in _all_pairs(n):
-            res = 0
-            for w, c in _st(a, b).items():
-                fw = star.terms.get(w, 0)
-                if fw:
-                    res += c * fw
-            if res:
-                star_failures.append((word_of_composition(a), word_of_composition(b), res))
-        assert (not star_failures) == verdict, (
-            "corrected-series stuffle check disagrees with the defining one"
+        num, _ = numerators(starred_part(f))
+        get = num.get
+        star_verdict = not any(
+            sum(map(mul, st.values(), map(get, st, repeat(0))))
+            for st in (_st(a, b) for a, b in _all_pairs(n))
         )
+        if star_verdict != verdict:
+            raise CrossCheckError(
+                "corrected-series stuffle check disagrees with the defining one"
+            )
     if with_failures:
         return verdict, failures
     return verdict
@@ -257,6 +258,29 @@ def poisson(f: Poly, g: Poly) -> Poly:
 
 
 # -- basis computation --------------------------------------------------------
+
+
+def constraint_rows(n: int) -> list[list[int]]:
+    """The weight-n stuffle constraints on Lyndon coordinates.
+
+    One integer row per pair of stuffle_pairs(n): entry j is the pairing
+    of that stuffle with the j-th Lyndon basis expansion.
+    """
+    lb = lyndon_basis(n)
+    d = lb.dimension
+    index: dict[int, list[tuple[int, Coeff]]] = {}
+    for j, expansion in enumerate(lb.expansions):
+        for w, c in expansion.terms.items():
+            if words.ends_in_y(w):
+                index.setdefault(w, []).append((j, c))
+    rows = []
+    for a, b in stuffle_pairs(n):
+        row = [0] * d
+        for w, c in _st(a, b).items():
+            for j, ec in index.get(w, ()):
+                row[j] += c * ec
+        rows.append(row)
+    return rows
 
 
 class BasisResult:
@@ -301,23 +325,8 @@ def ds_basis(n: int, max_weight: int = MAX_WEIGHT) -> BasisResult:
     if n in _basis_cache:
         return _basis_cache[n]
 
-    lb = lyndon_basis(n)
-    d = lb.dimension
-    index: dict[int, list[tuple[int, Coeff]]] = {}
-    for j, expansion in enumerate(lb.expansions):
-        for w, c in expansion.terms.items():
-            if words.ends_in_y(w):
-                index.setdefault(w, []).append((j, c))
-
-    pairs = stuffle_pairs(n)
-    rows = []
-    for a, b in pairs:
-        row = [0] * d
-        for w, c in _st(a, b).items():
-            for j, ec in index.get(w, ()):
-                row[j] += c * ec
-        rows.append(row)
-
+    d = lyndon_basis(n).dimension
+    rows = constraint_rows(n)
     null = linalg.nullspace(rows, d)
     lead_word = (1 << n) | 1  # x^(n-1) y
     basis = []

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
 from . import words
-from .poly import Coeff, Poly, poly_to_json, truncated_mul
+from .poly import Coeff, Poly, numerators, poly_to_json, truncated_mul
 from .lie import NotLieError, bracket, is_lie
 from .dshuffle import _sh, _st, composition_of, d_f, is_ds
 from .derivations import TangentialDerivation, ds_to_krv
@@ -39,12 +39,6 @@ DEFAULT_TRUNCATION = 12
 
 def _truncate(f: Poly, trunc: int) -> Poly:
     return Poly({w: c for w, c in f.terms.items() if words.degree(w) <= trunc})
-
-
-def _numerators(f: Poly) -> tuple[dict[int, int], int]:
-    """f as P/D: integer numerators P and the lcm D of the denominators."""
-    den = lcm(1, *(c.denominator for c in f.terms.values()))
-    return {w: c.numerator * (den // c.denominator) for w, c in f.terms.items()}, den
 
 
 class TruncSeries:
@@ -147,7 +141,7 @@ def exp_circle(f: Poly, trunc: int = DEFAULT_TRUNCATION) -> TruncSeries:
     """
     if f.terms.get(words.EMPTY, 0):
         raise ValueError("exp_circle requires vanishing constant term")
-    num, den = _numerators(_truncate(f, trunc))
+    num, den = numerators(_truncate(f, trunc))
     scaled = Poly(num)
     min_deg = min((words.degree(w) for w in num), default=trunc + 1)
     powers = [Poly.one()]
@@ -206,7 +200,7 @@ def grouplike_shuffle_check(phi: TruncSeries, max_degree: int | None = None) -> 
     if n > phi.trunc:
         raise ValueError("cannot check beyond the truncation order")
     # With Phi = P/D the identity reads D (P | sh(u, v)) = P(u) P(v).
-    num, den = _numerators(phi.poly)
+    num, den = numerators(phi.poly)
     get = num.get
     checked = 0
     for a in range(1, n // 2 + 1):
@@ -266,7 +260,7 @@ def grouplike_stuffle_check(phi: TruncSeries, max_degree: int | None = None) -> 
     if n > phi.trunc:
         raise ValueError("cannot check beyond the truncation order")
     # With Phi_* = P/D the identity reads D (P | st(u, v)) = P(u) P(v).
-    num, den = _numerators(star_series(phi).poly)
+    num, den = numerators(star_series(phi).poly)
     get = num.get
     # (code, composition) of the words ending in y, by degree
     ywords = [

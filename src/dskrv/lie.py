@@ -1,11 +1,14 @@
 """Free Lie algebra machinery inside the tensor algebra on x, y.
 
 Lie elements are ordinary Poly objects that happen to lie in the span
-of commutators.  Membership is decided exactly with the Dynkin
-idempotent (phi(f) = n f on the degree-n part), coordinates are taken
-in the Lyndon basis (standard right-factorization bracketings, whose
-expansions are unitriangular against the Lyndon words), and seeded
-random Lie elements are drawn as small integer coordinate vectors.
+of commutators.  Coordinates are taken in the Lyndon basis (standard
+right-factorization bracketings, whose expansions are unitriangular
+against the Lyndon words), and membership is decided exactly by peeling
+those coordinates off each homogeneous part: a nonzero residual means
+the part is not Lie.  The Dynkin idempotent (phi(f) = n f on the
+degree-n part) and shuffle orthogonality remain as cross-checks.
+Seeded random Lie elements are drawn as small integer coordinate
+vectors.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from . import words
-from .poly import Coeff, Poly
+from . import CrossCheckError, words
+from .poly import Coeff, Poly, numerators
 from .words import Word, WordLike
 
 
@@ -78,30 +81,37 @@ def theta_apply(u: Poly | WordLike, v: Poly) -> Poly:
 
 
 def is_lie(f: Poly, cross_check: bool = False) -> bool:
-    """Exact Lie membership via the Dynkin criterion, per degree.
+    """Exact Lie membership by Lyndon peeling, per degree.
 
-    With cross_check=True the verdict is recomputed from shuffle
-    orthogonality ((f|sh(u,v)) = 0 for all nonempty u, v) and the two
-    answers are asserted to agree.
+    Each homogeneous part, scaled to integer coefficients, must expand
+    in the Lyndon basis (`to_coords`); a nonzero constant term is never
+    Lie.  With cross_check=True the verdict is recomputed with the
+    Dynkin criterion (phi(f) = n f) and from shuffle orthogonality
+    ((f|sh(u,v)) = 0 for all nonempty u, v), and CrossCheckError is
+    raised unless all three agree.
     """
     verdict = True
     for n in f.degrees():
         if n == 0:
             verdict = False
             break
-        part = f.homogeneous_part(n)
-        if dynkin_phi(part) != part.scale(n):
+        try:  # on integer numerators: scaling does not change membership
+            to_coords(Poly(numerators(f.homogeneous_part(n))[0]), n)
+        except NotLieError:
             verdict = False
             break
     if cross_check:
         from .dshuffle import shuffle
 
+        dynkin_verdict = True
         sh_verdict = True
         for n in f.degrees():
             if n == 0:
-                sh_verdict = False
+                dynkin_verdict = sh_verdict = False
                 continue
             part = f.homogeneous_part(n)
+            if dynkin_phi(part) != part.scale(n):
+                dynkin_verdict = False
             for k in range(1, n // 2 + 1):
                 for u in words.all_words(k):
                     for v in words.all_words(n - k):
@@ -112,7 +122,11 @@ def is_lie(f: Poly, cross_check: bool = False) -> bool:
                         break
                 if not sh_verdict:
                     break
-        assert sh_verdict == verdict, "Dynkin and shuffle criteria disagree"
+        if not verdict == dynkin_verdict == sh_verdict:
+            raise CrossCheckError(
+                f"Lie criteria disagree: Lyndon peeling {verdict}, "
+                f"Dynkin {dynkin_verdict}, shuffle orthogonality {sh_verdict}"
+            )
     return verdict
 
 

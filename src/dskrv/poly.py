@@ -17,6 +17,7 @@ the palindromy / push-invariance / push-constancy predicates.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from typing import Iterable, Iterator, Union
 
@@ -294,6 +295,12 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
             cache[w] = prod
         out = out + cache[w].scale(c)
     return out
+
+
+def numerators(f: Poly) -> tuple[dict[int, int], int]:
+    """f as P/D: integer numerators P and the lcm D of the denominators."""
+    den = lcm(1, *(c.denominator for c in f.terms.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in f.terms.items()}, den
 
 
 def _by_degree(terms: dict[int, Coeff]) -> dict[int, list[tuple[int, Coeff]]]:

@@ -8,7 +8,9 @@ word) rather than on free-Lie coordinates.  Dimensions are certified by
 combining a modular-arithmetic upper bound with exact verification of
 the candidate basis against every constraint row.  The group layer is
 defined straight from its formulas on Poly ring arithmetic alone: every
-product is built in full and truncated afterwards.
+product is built in full and truncated afterwards.  The rational
+nullspace comes from fraction-free Bareiss elimination and
+back-substitution.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from dskrv import words
+from dskrv import linalg, words
 from dskrv.poly import Poly
 
 MODULUS = 2_000_003  # prime; squares stay far below 2**63
@@ -261,3 +263,30 @@ def exp_derivation(F: Poly, G: Poly, h: Poly, trunc: int) -> Poly:
         term = cut(tangential_apply(F, G, term), trunc)
         total = total + term.scale(Fraction(1, kfact))
     return total
+
+
+# -- the rational nullspace by Bareiss elimination --------------------------------
+
+
+def bareiss_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
+    """Canonical rational nullspace basis from fraction-free elimination.
+
+    Each free column of the integer echelon form gives one vector, with
+    its pivot coordinates filled by exact back-substitution; the basis
+    is returned in reduced row echelon form.
+    """
+    ech, pivots = linalg.row_echelon(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i in reversed(range(len(pivots))):
+            c = pivots[i]
+            row = ech[i]
+            s = sum(row[j] * v[j] for j in range(c + 1, ncols) if v[j])
+            v[c] = Fraction(-s, row[c])
+        basis.append(v)
+    return linalg.rref(basis, ncols)

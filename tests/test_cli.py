@@ -185,3 +185,32 @@ def test_verify_thm42_defaults(capsys):
         assert element["verdict"] is True
         assert element["shuffle_grouplike"]["pairs"] == 41025
         assert element["stuffle_grouplike"]["pairs"] == 10272
+
+
+@pytest.mark.parametrize("flag", ["--index1", "--index2"])
+def test_bracket_negative_index_is_a_usage_error(capsys, flag):
+    code = cli.main(["bracket", "3", "5", flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # no bracket of the last element instead
+    assert "basis index out of range" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("basis",),
+        ("verify", "propA3"),
+        ("verify", "thm21"),
+        ("map",),
+        ("bracket", "3", "5"),
+        ("mould",),
+        ("exp",),
+    ],
+)
+def test_negative_count_is_a_usage_error(capsys, command):
+    code = cli.main([*command, "--weights", "3..3", "--count", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # no report with "samples: -5"
+    assert "--count must be at least 0, got -5" in captured.err

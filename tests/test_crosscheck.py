@@ -1,0 +1,72 @@
+"""Redundant cross-checks raise CrossCheckError, also under python -O."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from dskrv import CrossCheckError, dshuffle, lie
+from dskrv.poly import Poly
+
+
+def test_is_lie_cross_check_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(lie, "dynkin_phi", lambda f: Poly.zero())
+    with pytest.raises(CrossCheckError):
+        lie.is_lie(lie.random_lie(4, 1), cross_check=True)
+
+
+def test_is_ds_strict_disagreement_raises(monkeypatch, f3):
+    monkeypatch.setattr(dshuffle, "starred_part", lambda f: Poly.word("yyy"))
+    with pytest.raises(CrossCheckError):
+        dshuffle.is_ds(f3, strict=True)
+
+
+def test_cross_check_error_is_an_assertion_error():
+    assert issubclass(CrossCheckError, AssertionError)
+
+
+# Each line breaks one side of a cross-check, then runs it; `assert`
+# statements would be stripped by -O, explicit raises are not.
+OPTIMIZED_SCRIPT = """
+import sys
+from dskrv import CrossCheckError, dshuffle, lie, linalg
+from dskrv.poly import Poly
+
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+f3 = dshuffle.ds_basis(3).basis[0]
+lie.dynkin_phi = lambda f: Poly.zero()
+dshuffle.starred_part = lambda f: Poly.word("yyy")
+linalg._primes = lambda: iter([101])
+checks = [
+    lambda: lie.is_lie(lie.random_lie(4, 1), cross_check=True),
+    lambda: dshuffle.is_ds(f3, strict=True),
+    lambda: linalg.nullspace([[100003, 99991]], 2),
+]
+for check in checks:
+    try:
+        check()
+    except CrossCheckError:
+        print("raised")
+    else:
+        print("passed")
+"""
+
+
+def test_cross_checks_survive_optimized_mode():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin")}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"] * 3

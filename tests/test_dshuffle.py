@@ -134,6 +134,59 @@ def test_strict_membership_cross_checks_starred_form(f5):
     assert dshuffle.is_ds(f5, strict=True)
 
 
+# Failure lists of is_ds(g, with_failures=True) as computed by summing the
+# Fraction products coefficient by coefficient: the integer-numerator
+# pairing must report the same pairs, the same values and the same value
+# types (a Fraction wherever a Fraction coefficient enters the residual).
+PERTURBED_F5_FAILURES = [
+    (3, 29, Fraction(-15)), (3, 27, Fraction(10)), (3, 25, Fraction(2, 7)),
+    (3, 23, Fraction(-5, 2)), (3, 21, Fraction(4, 7)), (3, 19, Fraction(-2, 7)),
+    (3, 17, Fraction(-5, 21)), (7, 13, Fraction(-64, 7)), (7, 11, Fraction(31, 14)),
+    (7, 9, Fraction(-4, 7)), (5, 15, Fraction(-5, 2)), (5, 13, Fraction(-6, 7)),
+    (5, 11, Fraction(6, 7)), (5, 9, Fraction(19, 21)),
+]
+RANDOM_LIE5_FAILURES = [
+    (3, 29, 75), (3, 27, -79), (3, 25, 23), (3, 23, 27), (3, 19, 12), (3, 17, -19),
+    (7, 13, 61), (7, 11, -9), (7, 9, 6), (5, 15, 27), (5, 13, -28), (5, 11, 5), (5, 9, 4),
+]
+MIXED_FAILURES = [
+    (3, 29, 75), (3, 27, -79), (3, 25, 23), (3, 23, 27), (3, 19, Fraction(12)),
+    (3, 17, -19), (7, 13, 61), (7, 11, Fraction(-9)), (7, 9, 6), (5, 15, 27),
+    (5, 13, Fraction(-28)), (5, 11, 5), (5, 9, Fraction(4)),
+]
+
+
+def perturbed_f5(f5):
+    return f5 + lie.from_coords([Fraction(1, 3), 0, Fraction(-2, 7), 0, 0, Fraction(5, 2)], 5)
+
+
+def mixed_coefficients():
+    """random_lie(5, 0) with one int coefficient stored as a Fraction."""
+    terms = dict(lie.random_lie(5, 0).terms)
+    w = words.as_code("xxyxy")
+    terms[w] = Fraction(terms[w])
+    return Poly(terms)
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (perturbed_f5, PERTURBED_F5_FAILURES),
+        (lambda f5: lie.random_lie(5, 0), RANDOM_LIE5_FAILURES),
+        (lambda f5: mixed_coefficients(), MIXED_FAILURES),
+    ],
+    ids=["perturbed-f5", "random-int-lie", "mixed-types"],
+)
+def test_failure_witnesses_keep_values_and_types(f5, make, expected):
+    g = make(f5)
+    for strict in (False, True):
+        ok, failures = dshuffle.is_ds(g, strict=strict, with_failures=True)
+        assert not ok
+        assert [(u, v, c, type(c)) for u, v, c in failures] == [
+            (u, v, c, type(c)) for u, v, c in expected
+        ]
+
+
 # -- bases -------------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from dskrv import lie
@@ -69,6 +71,46 @@ def test_is_lie_cross_check_agrees(n):
     assert lie.is_lie(f, cross_check=True)
     g = f + Poly.word("x" * (n - 1) + "y", 1)
     assert lie.is_lie(g) == lie.is_lie(g, cross_check=True)
+
+
+def dynkin_verdict(f: Poly) -> bool:
+    """Lie membership by the Dynkin criterion phi(f_n) = n f_n on each part."""
+    parts = [(n, f.homogeneous_part(n)) for n in f.degrees()]
+    return all(n > 0 and lie.dynkin_phi(part) == part.scale(n) for n, part in parts)
+
+
+def lie_membership_cases(n: int) -> list[Poly]:
+    f = lie.random_lie(n, 23)
+    g = lie.random_lie(n + 1, 29)
+    perturbed = f + Poly.word("x" * (n - 1) + "y", Fraction(1, 3))
+    return [
+        f,
+        f.scale(Fraction(-5, 7)),
+        perturbed,
+        f + Poly.word("y" * n, 2),
+        f + g,
+        perturbed + g,
+        f + g.scale(Fraction(1, 2)) + Poly.word("x" * (n + 1), 1),
+        Poly.one(),
+        f + Poly.one().scale(Fraction(3, 2)),
+        Poly.zero(),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_is_lie_agrees_with_dynkin_criterion(n):
+    cases = lie_membership_cases(n)
+    verdicts = [lie.is_lie(f) for f in cases]
+    assert verdicts == [dynkin_verdict(f) for f in cases]
+    assert verdicts[:2] == [True, True] and verdicts[7:9] == [False, False]
+    if n >= 2:
+        assert verdicts[2:4] == [False, False]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_is_lie_three_criteria_agree(n):
+    for f in lie_membership_cases(n):
+        assert lie.is_lie(f, cross_check=True) == dynkin_verdict(f)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -1,4 +1,4 @@
-"""Exact elimination: both kernels agree and the rational layer is exact."""
+"""Exact elimination: the certified nullspace, the Bareiss kernel, the rational layer."""
 
 from __future__ import annotations
 
@@ -7,25 +7,31 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
 import pytest
 
-from dskrv import linalg
+import oracles
+from dskrv import CrossCheckError, dshuffle, lie, linalg
 from dskrv._kernels import pure
 
-try:
-    from dskrv._kernels import _ffge as compiled
-except ImportError:  # pragma: no cover - environment without the extension
-    compiled = None
+# The largest prime below 2**24, where the modular nullspace starts.
+FIRST_PRIME = 16777213
+SECOND_PRIME = 16777199
+PRIMES = linalg._primes
 
-KERNELS = [pure] + ([compiled] if compiled is not None else [])
+
+def cap_primes(monkeypatch, k):
+    """Let nullspace use only its first k primes, so a regression fails fast."""
+    monkeypatch.setattr(linalg, "_primes", lambda: islice(PRIMES(), k))
 
 
 def random_int_matrix(rng, nrows, ncols, bound=9):
     return [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.IMPLEMENTATION)
+@pytest.mark.parametrize("kernel", [pure], ids=lambda k: k.IMPLEMENTATION)
 def test_kernel_echelon_hand_matrix(kernel):
     rows = [[2, 4, 6], [1, 2, 4], [0, 0, 1]]
     ech, pivots = kernel.row_echelon(rows, 3)
@@ -33,23 +39,6 @@ def test_kernel_echelon_hand_matrix(kernel):
     # echelon rows stay integer and reproduce the row space rank
     assert all(isinstance(v, int) for r in ech for v in r)
     assert rows == [[2, 4, 6], [1, 2, 4], [0, 0, 1]]  # input untouched
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-@pytest.mark.parametrize("seed", range(12))
-def test_kernels_agree_on_random_matrices(seed):
-    rng = random.Random(seed)
-    nrows = rng.randint(1, 12)
-    ncols = rng.randint(1, 10)
-    rows = random_int_matrix(rng, nrows, ncols)
-    assert pure.row_echelon(rows, ncols) == compiled.row_echelon(rows, ncols)
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_kernels_agree_beyond_machine_words():
-    # entries past 2**63 must fall back to exact big-integer arithmetic
-    rows = [[2**70, 1, 0], [3, 2**68, 5], [1, 1, 1]]
-    assert pure.row_echelon(rows, 3) == compiled.row_echelon(rows, 3)
 
 
 def test_pure_kernel_forced_by_environment():
@@ -125,3 +114,87 @@ def test_rref_canonical_form():
 def test_primitive():
     assert linalg.primitive([Fraction(-1, 2), Fraction(-3, 2)]) == [1, 3]
     assert linalg.primitive([Fraction(2), Fraction(4)]) == [1, 2]
+
+
+# -- the certified modular nullspace against the Bareiss oracle ----------------------
+
+
+def low_rank_matrix(rng, nrows, ncols, rank, bound=9):
+    """Random rows spanned by `rank` random integer rows."""
+    gens = random_int_matrix(rng, rank, ncols, bound)
+    return [
+        [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)]
+        for coeffs in random_int_matrix(rng, nrows, rank, 3)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nullspace_matches_bareiss_on_random_integer_matrices(seed):
+    rng = random.Random(4000 + seed)
+    ncols = rng.randint(1, 12)
+    rows = low_rank_matrix(rng, rng.randint(0, 15), ncols, rng.randint(0, ncols))
+    assert linalg.nullspace(rows, ncols) == oracles.bareiss_nullspace(rows, ncols)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nullspace_matches_bareiss_on_random_fraction_matrices(seed):
+    rng = random.Random(5000 + seed)
+    ncols = rng.randint(2, 9)
+    rows = [
+        [Fraction(v, rng.randint(1, 50)) for v in row]
+        for row in low_rank_matrix(rng, rng.randint(1, 10), ncols, rng.randint(1, ncols - 1), 99)
+    ]
+    assert linalg.nullspace(rows, ncols) == oracles.bareiss_nullspace(rows, ncols)
+
+
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [
+        ([], 0),
+        ([], 3),
+        ([[0, 0, 0], [0, 0, 0]], 3),
+        ([[1, 2], [3, 4]], 2),
+        ([[Fraction(1, 3), 0, 0], [0, 5, 0], [0, 0, -7], [1, 1, 1]], 3),
+    ],
+    ids=["no-columns", "no-rows", "zero", "full-rank", "full-rank-fractions"],
+)
+def test_nullspace_edge_cases_match_bareiss(rows, ncols):
+    assert linalg.nullspace(rows, ncols) == oracles.bareiss_nullspace(rows, ncols)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_nullspace_matches_bareiss_on_ds_constraints(n):
+    rows = dshuffle.constraint_rows(n)
+    ncols = lie.lyndon_basis(n).dimension
+    assert linalg.nullspace(rows, ncols) == oracles.bareiss_nullspace(rows, ncols)
+
+
+def test_prime_sequence_starts_below_two_to_the_24():
+    primes = linalg._primes()
+    assert [next(primes), next(primes)] == [FIRST_PRIME, SECOND_PRIME]
+
+
+def test_nullspace_survives_rank_drop_modulo_the_first_primes(monkeypatch):
+    # Entries divisible by the first two primes vanish modulo each of
+    # them, so both see rank 1 and nullity 2; over Q the rank is 2.  The
+    # kernel vector then needs 8 primes to reconstruct.
+    cap_primes(monkeypatch, 8)
+    big = FIRST_PRIME * SECOND_PRIME
+    rows = [[big, 0, 1], [0, big, 1], [big, big, 2]]
+    basis = linalg.nullspace(rows, 3)
+    assert basis == [[1, 1, -big]]
+    assert basis == oracles.bareiss_nullspace(rows, 3)
+
+
+def test_nullspace_combines_primes_when_one_cannot_reconstruct(monkeypatch):
+    # The kernel vector (1, -100003/99991) is beyond the reconstruction
+    # bound of a single prime: one prime cannot certify it, two can.
+    assert 99991 > isqrt(FIRST_PRIME // 2)
+    rows = [[100003, 99991], [2 * 100003, 2 * 99991]]
+    cap_primes(monkeypatch, 1)
+    with pytest.raises(CrossCheckError):
+        linalg.nullspace(rows, 2)
+    cap_primes(monkeypatch, 2)
+    assert linalg.nullspace(rows, 2) == [[1, Fraction(-100003, 99991)]]
+    wide = [[100003 * 3, 99991 * 5, 7919]]
+    assert linalg.nullspace(wide, 3) == oracles.bareiss_nullspace(wide, 3)
