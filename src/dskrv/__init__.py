@@ -7,15 +7,17 @@ floating point is used anywhere.
 
 __version__ = "0.1.0"
 
-from .poly import Poly
-from .words import Word
-
 
 class CrossCheckError(AssertionError):
     """Two independent computations of one result disagree.
 
     Raised explicitly, so the check also runs under ``python -O``.
     """
+
+
+# after CrossCheckError, which words (imported by poly) raises
+from .poly import Poly
+from .words import Word
 
 
 __all__ = ["CrossCheckError", "Poly", "Word", "__version__"]

@@ -11,7 +11,8 @@ Subcommands:
 Output is a deterministic JSON (or text) report; timings are omitted
 unless --timings is given so that identical invocations produce
 byte-identical output.  Exit codes: 0 all checks pass, 1 a mathematical
-check failed (witness serialized in the report), 2 usage error.
+check failed (witness serialized in the report), 2 usage or internal
+error (no report).
 """
 
 from __future__ import annotations
@@ -131,26 +132,6 @@ def _emit(report: dict, args, text_lines: list[str]) -> None:
         sys.stdout.write(out)
 
 
-def _base_report(args, command: str, parameters: dict) -> dict:
-    report = {
-        "command": command,
-        "version": __version__,
-        "parameters": parameters,
-        "kernel": linalg.KERNEL,
-    }
-    if getattr(args, "seed", None) is not None:
-        report["seed"] = args.seed
-    return report
-
-
-def _finish(report: dict, args, ok: bool, timings: dict, text_lines: list[str]) -> int:
-    report["ok"] = ok
-    if args.timings:
-        report["timings"] = {k: round(v, 3) for k, v in timings.items()}
-    _emit(report, args, text_lines)
-    return 0 if ok else 1
-
-
 def _parse_weights(args, default_lo: int = 3, default_hi: int = 8) -> list[int]:
     if getattr(args, "weights", None):
         txt = args.weights
@@ -191,84 +172,118 @@ def _require_truncation(trunc: int, ws: list[int]) -> None:
         )
 
 
-def _require_basis(n: int):
-    res = ds_basis(n)
-    return res
+def _per_element(ws: list[int], check) -> tuple[bool, list]:
+    """Run check(f, n) -> (entry, good) on every basis element of each weight.
+
+    Returns the overall verdict and one (n, basis, entries, good) per
+    requested weight, where good is that weight's verdict.
+    """
+    per = []
+    for n in ws:
+        res = ds_basis(n)
+        results = [check(f, n) for f in res.basis]
+        per.append((n, res, [entry for entry, _ in results], all(g for _, g in results)))
+    return all(good for *_, good in per), per
+
+
+def _keyed(run, key: str = "verdict"):
+    """The per-element check that records run(f) and passes on its `key`."""
+
+    def check(f, n):
+        rep = run(f)
+        return rep, rep[key]
+
+    return check
+
+
+def _elements(ws: list[int], check, extra=lambda res, good: {}) -> tuple[bool, dict]:
+    """Suite payload of a per-element check: each weight's dimension and
+    entries, plus the fields extra(basis, good) adds to its record."""
+    ok, per = _per_element(ws, check)
+    return ok, {
+        str(n): {"dimension": res.dimension, "elements": entries, **extra(res, good)}
+        for n, res, entries, good in per
+    }
+
+
+def _sample(args, n: int, run, passes) -> tuple[list, dict | None]:
+    """Run `run` on args.count seeded random Lie elements of weight n.
+
+    Returns the reports that pass and the witness of the first failure.
+    """
+    if args.count == 0:
+        raise UsageError("--count 0 draws no random samples, so the suite would check nothing")
+    passed, witness = [], None
+    for seed in range(args.seed, args.seed + args.count):
+        rep = run(random_lie(n, seed))
+        if passes(rep):
+            passed.append(rep)
+        elif witness is None:
+            witness = {"seed": seed, "report": rep}
+    return passed, witness
+
+
+def _injection(f: Poly, n: int):
+    """The image d = ds_to_krv(f) and its checks: d special, trace constant
+    A defined, push constant of d equal to n*A, inverse round trip."""
+    d = ds_to_krv(f)
+    a = trace_constant(d)
+    fx, fy = decompose_right(d.F)
+    pc = push_constant(fy - fx)
+    back = krv_to_ds(d)
+    special = d.is_special()
+    return d, {
+        "special": special,
+        "trace_constant": a,
+        "push_constant": pc,
+        "push_equals_n_times_A": pc == (n * a if a is not None else None),
+        "round_trip": back == f,
+        "ok": special and a is not None and pc == n * a and back == f,
+    }
 
 
 # -- subcommands -----------------------------------------------------------------
+# Each returns (parameters, payload, ok, text lines); main() writes the report.
 
 
-def cmd_basis(args) -> int:
-    ws = _parse_weights(args, 3, 3) if (args.weights or args.weight) else [3]
-    t0 = time.time()
-    payload = {}
+def cmd_basis(args):
+    ws = _parse_weights(args, 3, 3)
+    _, per = _per_element(ws, lambda f, n: (f"  {poly_text(f)}", True))
     lines = []
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        payload[str(n)] = res.to_json()
-        ok = ok and all(
-            v for v in res.certificates.values() if isinstance(v, bool)
-        )
-        lines.append(f"weight {n}: dimension {res.dimension}")
-        for f in res.basis:
-            lines.append(f"  {poly_text(f)}")
-    report = _base_report(args, "basis", {"weights": ws})
-    report["payload"] = payload
-    return _finish(report, args, ok, {"total": time.time() - t0}, lines)
+    for n, res, texts, _ in per:
+        lines += [f"weight {n}: dimension {res.dimension}", *texts]
+    ok = all(
+        v for _, res, _, _ in per for v in res.certificates.values() if isinstance(v, bool)
+    )
+    return {"weights": ws}, {str(n): res.to_json() for n, res, _, _ in per}, ok, lines
 
 
-def cmd_map(args) -> int:
+def cmd_map(args):
     ws = _parse_weights(args)
-    t0 = time.time()
-    payload = {}
-    lines = []
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        entry = []
-        for f in res.basis:
-            d = ds_to_krv(f)
-            back = krv_to_ds(d)
-            a = trace_constant(d)
-            fx_fy = decompose_right(d.F)
-            pc = push_constant(fx_fy[1] - fx_fy[0])
-            good = (
-                d.is_special()
-                and a is not None
-                and back == f
-                and pc is not None
-                and pc == n * a
-            )
-            ok = ok and good
-            entry.append(
-                {
-                    "source": f,
-                    "derivation": d,
-                    "trace_constant": a,
-                    "push_constant": pc,
-                    "round_trip": back == f,
-                    "ok": good,
-                }
-            )
-            lines.append(
-                f"weight {n}: A={coeff_to_str(a)} push={coeff_to_str(pc)} "
-                f"roundtrip={'yes' if back == f else 'NO'}"
-            )
-        payload[str(n)] = entry
-    report = _base_report(args, "map", {"weights": ws})
-    report["payload"] = payload
-    return _finish(report, args, ok, {"total": time.time() - t0}, lines)
+
+    def check(f, n):
+        d, rep = _injection(f, n)
+        entry = {"source": f, "derivation": d}
+        entry.update((k, rep[k]) for k in ("trace_constant", "push_constant", "round_trip", "ok"))
+        return entry, rep["ok"]
+
+    ok, per = _per_element(ws, check)
+    lines = [
+        f"weight {n}: A={coeff_to_str(e['trace_constant'])} "
+        f"push={coeff_to_str(e['push_constant'])} "
+        f"roundtrip={'yes' if e['round_trip'] else 'NO'}"
+        for n, _, entries, _ in per
+        for e in entries
+    ]
+    return {"weights": ws}, {str(n): entries for n, _, entries, _ in per}, ok, lines
 
 
-def cmd_bracket(args) -> int:
-    t0 = time.time()
+def cmd_bracket(args):
     na, nb = args.w1, args.w2
     for n in (na, nb):
         if n < 3 or n > MAX_WEIGHT:
             raise UsageError(f"weight {n} outside supported range 3..{MAX_WEIGHT}")
-    ra, rb = _require_basis(na), _require_basis(nb)
+    ra, rb = ds_basis(na), ds_basis(nb)
     if not (0 <= args.index1 < ra.dimension and 0 <= args.index2 < rb.dimension):
         raise UsageError(
             f"basis index out of range (dims are {ra.dimension}, {rb.dimension})"
@@ -283,12 +298,7 @@ def cmd_bracket(args) -> int:
         da, db = ds_to_krv(fa), ds_to_krv(fb)
         compatible = da.commutator(db) == ds_to_krv(br, check=False)
     ok = (not bool(br)) or (member and (compatible is not False))
-    report = _base_report(
-        args,
-        "bracket",
-        {"w1": na, "w2": nb, "index1": args.index1, "index2": args.index2},
-    )
-    report["payload"] = {
+    payload = {
         "bracket": br,
         "weight": na + nb,
         "is_member": member,
@@ -298,113 +308,77 @@ def cmd_bracket(args) -> int:
         f"bracket weight {na + nb}: member={member} compatible={compatible}",
         f"  {poly_text(br)}",
     ]
-    return _finish(report, args, ok, {"total": time.time() - t0}, lines)
+    parameters = {"w1": na, "w2": nb, "index1": args.index1, "index2": args.index2}
+    return parameters, payload, ok, lines
 
 
-def cmd_mould(args) -> int:
-    t0 = time.time()
+def cmd_mould(args):
     ws = _parse_weights(args, 3, 3)
-    checks = {}
-    payload = {}
-    lines = []
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        per = []
-        for f in res.basis:
-            m = moulds.u_family(f)
-            entry = {"u_family": m}
-            if args.check in ("all", "fixed"):
-                entry["mantar_fixed"] = moulds.mantar_fixed_check(f)
-                ok = ok and all(entry["mantar_fixed"].values())
-            if args.check in ("all", "rules"):
-                entry["negation_rule"] = moulds.negation_rule_check(f)
-                entry["translation_rule"] = moulds.translation_rule_check(f)
-                ok = ok and entry["negation_rule"] and entry["translation_rule"]
-            if args.check in ("all", "ecalle"):
-                rep = moulds.ecalle_identity_check(f)
-                entry["ecalle"] = rep
-                ok = ok and rep["verdict"]
-                if args.strict:
-                    bridge = moulds.ecalle_bridge_check(f)
-                    entry["ecalle_bridge"] = bridge
-                    ok = ok and all(bridge.values())
-            per.append(entry)
-            lines.append(f"weight {n}: depths {m.depths()}")
-        payload[str(n)] = per
-        checks[str(n)] = res.dimension
-    report = _base_report(args, "mould", {"weights": ws, "check": args.check})
-    report["payload"] = payload
-    return _finish(report, args, ok, {"total": time.time() - t0}, lines)
+
+    def check(f, n):
+        entry = {"u_family": moulds.u_family(f)}
+        good = True
+        if args.check in ("all", "fixed"):
+            entry["mantar_fixed"] = moulds.mantar_fixed_check(f)
+            good = all(entry["mantar_fixed"].values())
+        if args.check in ("all", "rules"):
+            entry["negation_rule"] = moulds.negation_rule_check(f)
+            entry["translation_rule"] = moulds.translation_rule_check(f)
+            good = good and entry["negation_rule"] and entry["translation_rule"]
+        if args.check in ("all", "ecalle"):
+            entry["ecalle"] = moulds.ecalle_identity_check(f)
+            good = good and entry["ecalle"]["verdict"]
+            if args.strict:
+                entry["ecalle_bridge"] = moulds.ecalle_bridge_check(f)
+                good = good and all(entry["ecalle_bridge"].values())
+        return entry, good
+
+    ok, per = _per_element(ws, check)
+    lines = [
+        f"weight {n}: depths {e['u_family'].depths()}" for n, _, entries, _ in per for e in entries
+    ]
+    payload = {str(n): entries for n, _, entries, _ in per}
+    return {"weights": ws, "check": args.check}, payload, ok, lines
 
 
-def cmd_exp(args) -> int:
-    t0 = time.time()
+def cmd_exp(args):
     ws = _parse_weights(args, 3, 3)
     trunc = args.truncate
     _require_truncation(trunc, ws)
-    payload = {}
-    lines = []
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        per = []
-        for f in res.basis:
-            rep = groupexp.group_injection_check(f, trunc)
-            phi = groupexp.exp_circle(f, trunc)
-            per.append({"series": phi, "checks": rep})
-            ok = ok and rep["verdict"]
-            lines.append(
-                f"weight {n}: trunc {trunc} shuffle-pairs "
-                f"{rep['shuffle_grouplike']['pairs']} stuffle-pairs "
-                f"{rep['stuffle_grouplike']['pairs']} verdict "
-                f"{'pass' if rep['verdict'] else 'FAIL'}"
-            )
-        payload[str(n)] = per
-    report = _base_report(args, "exp", {"weights": ws, "truncate": trunc})
-    report["payload"] = payload
-    return _finish(report, args, ok, {"total": time.time() - t0}, lines)
+
+    def check(f, n):
+        rep = groupexp.group_injection_check(f, trunc)
+        return {"series": groupexp.exp_circle(f, trunc), "checks": rep}, rep["verdict"]
+
+    ok, per = _per_element(ws, check)
+    lines = [
+        f"weight {n}: trunc {trunc} shuffle-pairs "
+        f"{e['checks']['shuffle_grouplike']['pairs']} stuffle-pairs "
+        f"{e['checks']['stuffle_grouplike']['pairs']} verdict "
+        f"{'pass' if e['checks']['verdict'] else 'FAIL'}"
+        for n, _, entries, _ in per
+        for e in entries
+    ]
+    payload = {str(n): entries for n, _, entries, _ in per}
+    return {"weights": ws, "truncate": trunc}, payload, ok, lines
 
 
 # -- verification suites ----------------------------------------------------------
+# Each takes (args, weights) and returns (ok, payload by weight).
 
 
-def _suite_thm11(args, ws, rng_seed):
+def _suite_thm11(args, ws):
     """End-to-end injection: specialness, trace constant, push transport,
     inverse roundtrip, for every basis element at each weight."""
-    out = {}
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        entries = []
-        for f in res.basis:
-            d = ds_to_krv(f)
-            a = trace_constant(d)
-            fx, fy = decompose_right(d.F)
-            pc = push_constant(fy - fx)
-            back = krv_to_ds(d)
-            good = (
-                d.is_special()
-                and a is not None
-                and pc == n * a
-                and back == f
-            )
-            ok = ok and good
-            entries.append(
-                {
-                    "special": d.is_special(),
-                    "trace_constant": a,
-                    "push_constant": pc,
-                    "push_equals_n_times_A": pc == (n * a if a is not None else None),
-                    "round_trip": back == f,
-                    "ok": good,
-                }
-            )
-        out[str(n)] = {"dimension": res.dimension, "elements": entries}
-    return ok, out
+
+    def check(f, n):
+        rep = _injection(f, n)[1]
+        return rep, rep["ok"]
+
+    return _elements(ws, check)
 
 
-def _suite_thm12(args, ws, rng_seed):
+def _suite_thm12(args, ws):
     """The two models of the Kashiwara-Vergne space (trace condition vs
     antipalindromy + push-constancy) have equal dimension and span."""
     out = {}
@@ -423,25 +397,13 @@ def _suite_thm12(args, ws, rng_seed):
     return ok, out
 
 
-def _suite_thm21(args, ws, rng_seed):
+def _suite_thm21(args, ws):
     """Five equivalent characterizations of specialness agree on seeded
     random Lie elements (and the full Lyndon basis at low weights)."""
     out = {}
     ok = True
-    count = args.count
     for n in ws:
-        agreements = 0
-        specials = 0
-        witness = None
-        for s in range(count):
-            f = random_lie(n, rng_seed + s)
-            rep = special_equivalences(f)
-            if rep["agree"]:
-                agreements += 1
-                if rep["existence"]:
-                    specials += 1
-            elif witness is None:
-                witness = {"seed": rng_seed + s, "report": rep}
+        agreed, witness = _sample(args, n, special_equivalences, lambda rep: rep["agree"])
         sweep = None
         if n <= 4:
             lb = lyndon_basis(n)
@@ -450,12 +412,12 @@ def _suite_thm21(args, ws, rng_seed):
             )
             sweep = {"basis_size": len(lb.expansions), "all_agree": sweep_ok}
             ok = ok and sweep_ok
-        good = agreements == count
+        good = len(agreed) == args.count
         ok = ok and good
         out[str(n)] = {
-            "samples": count,
-            "agreements": agreements,
-            "special_found": specials,
+            "samples": args.count,
+            "agreements": len(agreed),
+            "special_found": sum(1 for rep in agreed if rep["existence"]),
             "lyndon_sweep": sweep,
             "witness": witness,
             "ok": good,
@@ -463,48 +425,27 @@ def _suite_thm21(args, ws, rng_seed):
     return ok, out
 
 
-def _suite_thm33(args, ws, rng_seed):
+def _suite_thm33(args, ws):
     """Antipalindromy of f_x + f_y on every basis element."""
-    out = {}
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        entries = [antipal_sum_check(f) for f in res.basis]
-        good = all(e["verdict"] and e["consistent"] for e in entries)
-        ok = ok and good
-        out[str(n)] = {"dimension": res.dimension, "elements": entries, "ok": good}
-    return ok, out
+
+    def check(f, n):
+        rep = antipal_sum_check(f)
+        return rep, rep["verdict"] and rep["consistent"]
+
+    return _elements(ws, check, lambda res, good: {"ok": good})
 
 
-def _suite_thm34(args, ws, rng_seed):
+def _suite_thm34(args, ws):
     """Signed push-sum law on every basis element."""
-    out = {}
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        entries = [signed_push_sums_check(f) for f in res.basis]
-        good = all(e["verdict"] for e in entries)
-        ok = ok and good
-        out[str(n)] = {"dimension": res.dimension, "elements": entries, "ok": good}
-    return ok, out
+    return _elements(ws, _keyed(signed_push_sums_check), lambda res, good: {"ok": good})
 
 
-def _suite_lemma35(args, ws, rng_seed):
+def _suite_lemma35(args, ws):
     """Push-constant transport through the substitution x -> -x-y."""
-    out = {}
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        entries = []
-        for f in res.basis:
-            rep = pushconst_transport(negate_y(f))
-            entries.append(rep)
-            ok = ok and rep["ok"]
-        out[str(n)] = {"dimension": res.dimension, "elements": entries}
-    return ok, out
+    return _elements(ws, _keyed(lambda f: pushconst_transport(negate_y(f)), "ok"))
 
 
-def _suite_lemmaA2(args, ws, rng_seed):
+def _suite_lemmaA2(args, ws):
     """mantar fixes the u-family of Lie elements; coefficients match the
     expansion in ad(x)-products."""
     out = {}
@@ -529,172 +470,109 @@ def _suite_lemmaA2(args, ws, rng_seed):
     return ok, out
 
 
-def _suite_ecalleA8(args, ws, rng_seed):
+def _suite_ecalleA8(args, ws):
     """Operator identity teru = push.mantar.teru.mantar on every basis
     element, all depths; strict mode adds the divided-difference bridge."""
-    out = {}
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        entries = []
-        for f in res.basis:
-            rep = moulds.ecalle_identity_check(f)
-            entry = {"identity": rep}
-            good = rep["verdict"]
-            if args.strict:
-                bridge = moulds.ecalle_bridge_check(f)
-                entry["bridge"] = bridge
-                good = good and all(bridge.values())
-            entries.append(entry)
-            ok = ok and good
-        out[str(n)] = {
-            "dimension": res.dimension,
-            "vacuous": res.dimension == 0,
-            "elements": entries,
-        }
-    return ok, out
+
+    def check(f, n):
+        entry = {"identity": moulds.ecalle_identity_check(f)}
+        good = entry["identity"]["verdict"]
+        if args.strict:
+            entry["bridge"] = moulds.ecalle_bridge_check(f)
+            good = good and all(entry["bridge"].values())
+        return entry, good
+
+    return _elements(ws, check, lambda res, good: {"vacuous": res.dimension == 0})
 
 
-def _suite_propA3(args, ws, rng_seed):
+def _suite_propA3(args, ws):
     """Divided-difference certificate for antipalindromy of f_x + f_y:
     formula agreement on random Lie elements, truth on basis elements."""
+    samples = {
+        n: _sample(
+            args,
+            n,
+            moulds.antipal_bridge_check,
+            lambda rep: rep["formula_matches_direct_family"] and rep["agrees_with_direct_predicate"],
+        )
+        for n in ws
+    }
+    _, per = _per_element(ws, lambda f, n: (None, moulds.antipal_bridge_check(f)["verdict"]))
     out = {}
     ok = True
-    count = args.count
-    for n in ws:
-        agree = 0
-        witness = None
-        for s in range(count):
-            f = random_lie(n, rng_seed + s)
-            rep = moulds.antipal_bridge_check(f)
-            if rep["formula_matches_direct_family"] and rep["agrees_with_direct_predicate"]:
-                agree += 1
-            elif witness is None:
-                witness = {"seed": rng_seed + s, "report": rep}
-        good = agree == count
-        res = _require_basis(n)
-        basis_true = all(
-            moulds.antipal_bridge_check(f)["verdict"] for f in res.basis
-        )
-        ok = ok and good and basis_true
+    for n, _, _, basis_true in per:
+        agreed, witness = samples[n]
+        ok = ok and len(agreed) == args.count and basis_true
         out[str(n)] = {
-            "samples": count,
-            "formula_agreements": agree,
+            "samples": args.count,
+            "formula_agreements": len(agreed),
             "basis_verdicts_true": basis_true,
             "witness": witness,
         }
     return ok, out
 
 
-def _suite_group49(args, ws, rng_seed):
+def _suite_group49(args, ws):
     """Group-likeness of exp for the shuffle pairing on basis elements."""
-    _require_truncation(args.truncate, ws)
-    out = {}
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        entries = []
-        for f in res.basis:
-            phi = groupexp.exp_circle(f, args.truncate)
-            rep = groupexp.grouplike_shuffle_check(phi)
-            entries.append(rep)
-            ok = ok and rep["verdict"]
-        out[str(n)] = {"dimension": res.dimension, "elements": entries}
-    return ok, out
+    return _elements(
+        ws,
+        _keyed(lambda f: groupexp.grouplike_shuffle_check(groupexp.exp_circle(f, args.truncate))),
+    )
 
 
-def _suite_group410(args, ws, rng_seed):
+def _suite_group410(args, ws):
     """Group-likeness of the corrected series for the stuffle pairing."""
-    _require_truncation(args.truncate, ws)
-    out = {}
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        entries = []
-        for f in res.basis:
-            phi = groupexp.exp_circle(f, args.truncate)
-            rep = groupexp.grouplike_stuffle_check(phi)
-            entries.append(rep)
-            ok = ok and rep["verdict"]
-        out[str(n)] = {"dimension": res.dimension, "elements": entries}
-    return ok, out
+    return _elements(
+        ws,
+        _keyed(lambda f: groupexp.grouplike_stuffle_check(groupexp.exp_circle(f, args.truncate))),
+    )
 
 
-def _suite_thm42(args, ws, rng_seed):
+def _suite_thm42(args, ws):
     """Composite group-level certificate: group-like exponential, Lie
     logarithm roundtrip, automorphism fixing x + y."""
-    _require_truncation(args.truncate, ws)
-    out = {}
-    ok = True
-    for n in ws:
-        res = _require_basis(n)
-        entries = []
-        for f in res.basis:
-            rep = groupexp.group_injection_check(f, args.truncate)
-            entries.append(rep)
-            ok = ok and rep["verdict"]
-        out[str(n)] = {"dimension": res.dimension, "elements": entries}
-    return ok, out
+    return _elements(ws, _keyed(lambda f: groupexp.group_injection_check(f, args.truncate)))
 
 
+# name -> (suite, default weight range)
 SUITES = {
-    "thm11": (_suite_thm11, "injection into the Kashiwara-Vergne algebra, end to end"),
-    "thm12": (_suite_thm12, "two models of the Kashiwara-Vergne space coincide"),
-    "thm21": (_suite_thm21, "five equivalent characterizations of specialness"),
-    "thm33": (_suite_thm33, "antipalindromy of f_x + f_y on basis elements"),
-    "thm34": (_suite_thm34, "signed push-sum law on basis elements"),
-    "lemma35": (_suite_lemma35, "push-constant transport under x -> -x-y"),
-    "lemmaA2": (_suite_lemmaA2, "mantar fixes u-families of Lie elements"),
-    "ecalleA8": (_suite_ecalleA8, "push/teru operator identity, all depths"),
-    "propA3": (_suite_propA3, "divided-difference antipalindromy certificate"),
-    "group49": (_suite_group49, "group-like shuffle pairing of exponentials"),
-    "group410": (_suite_group410, "group-like stuffle pairing of corrected series"),
-    "thm42": (_suite_thm42, "group-level injection certificate"),
-}
-
-_SUITE_DEFAULT_RANGE = {
-    "thm11": (3, 8),
-    "thm12": (3, 7),
-    "thm21": (3, 6),
-    "thm33": (3, 8),
-    "thm34": (3, 8),
-    "lemma35": (3, 8),
-    "lemmaA2": (3, 6),
-    "ecalleA8": (3, 8),
-    "propA3": (3, 6),
-    "group49": (3, 5),
-    "group410": (3, 5),
-    "thm42": (3, 5),
+    "thm11": (_suite_thm11, (3, 8)),
+    "thm12": (_suite_thm12, (3, 7)),
+    "thm21": (_suite_thm21, (3, 6)),
+    "thm33": (_suite_thm33, (3, 8)),
+    "thm34": (_suite_thm34, (3, 8)),
+    "lemma35": (_suite_lemma35, (3, 8)),
+    "lemmaA2": (_suite_lemmaA2, (3, 6)),
+    "ecalleA8": (_suite_ecalleA8, (3, 8)),
+    "propA3": (_suite_propA3, (3, 6)),
+    "group49": (_suite_group49, (3, 5)),
+    "group410": (_suite_group410, (3, 5)),
+    "thm42": (_suite_thm42, (3, 5)),
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.suite not in SUITES:
         raise UsageError(
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}"
         )
-    fn, _ = SUITES[args.suite]
-    lo, hi = _SUITE_DEFAULT_RANGE[args.suite]
+    suite, (lo, hi) = SUITES[args.suite]
     ws = _parse_weights(args, lo, hi)
-    t0 = time.time()
-    ok, payload = fn(args, ws, args.seed)
-    report = _base_report(
-        args,
-        "verify",
-        {
-            "suite": args.suite,
-            "weights": ws,
-            "count": args.count,
-            "truncate": args.truncate,
-            "strict": args.strict,
-        },
-    )
-    report["payload"] = payload
+    if args.suite in ("group49", "group410", "thm42"):
+        _require_truncation(args.truncate, ws)
+    ok, payload = suite(args, ws)
+    parameters = {
+        "suite": args.suite,
+        "weights": ws,
+        "count": args.count,
+        "truncate": args.truncate,
+        "strict": args.strict,
+    }
     lines = [f"suite {args.suite}: weights {ws}"]
     for k in sorted(payload, key=lambda s: int(s) if s.isdigit() else 0):
         v = payload[k]
         lines.append(f"  weight {k}: {json.dumps(_jsonable(v), sort_keys=True)[:200]}")
-    return _finish(report, args, ok, {"total": time.time() - t0}, lines)
+    return parameters, payload, ok, lines
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -762,6 +640,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _report(args, t0: float, parameters: dict, payload, ok: bool, lines: list[str]) -> int:
+    report = {
+        "command": args.cmd,
+        "version": __version__,
+        "parameters": parameters,
+        "kernel": linalg.KERNEL,
+        "seed": args.seed,
+        "payload": payload,
+        "ok": ok,
+    }
+    if args.timings:
+        report["timings"] = {"total": round(time.time() - t0, 3)}
+    _emit(report, args, lines)
+    return 0 if ok else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
@@ -771,12 +665,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.count < 0:
             raise UsageError(f"--count must be at least 0, got {args.count}")
-        return args.fn(args)
-    except UsageError as exc:
+        t0 = time.time()
+        return _report(args, t0, *args.fn(args))
+    except (UsageError, ValueError, NotLieError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, NotLieError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg, words
+from . import CrossCheckError, linalg, words
 from .dshuffle import is_ds
-from .lie import NotLieError, bracket, is_lie, lyndon_basis, to_coords
+from .lie import NotLieError, bracket, from_coords, is_lie, lyndon_basis, to_coords
 from .poly import (
     Coeff,
     Poly,
@@ -211,11 +211,7 @@ def partner_by_elimination(F: Poly) -> Poly | None:
     sol = linalg.solve(rows, rhs, lb.dimension)
     if sol is None:
         return None
-    out = Poly.zero()
-    for c, e in zip(sol, lb.expansions):
-        if c:
-            out = out + e.scale(c)
-    return out
+    return from_coords(sol, n)
 
 
 def special_equivalences(f: Poly) -> dict:
@@ -258,8 +254,8 @@ def special_equivalences(f: Poly) -> dict:
     verdicts = set(report.values())
     report["agree"] = len(verdicts) == 1
     report["partner"] = g_solved
-    if existence and formula:
-        assert g_solved == g_formula, "the two partner constructions disagree"
+    if existence and formula and g_solved != g_formula:
+        raise CrossCheckError("the two partner constructions disagree")
     return report
 
 
@@ -445,15 +441,7 @@ def _antipalindromy_rows(n: int) -> tuple[list[list[Coeff]], int]:
 def special_subspace(n: int) -> list[Poly]:
     """Basis of homogeneous degree-n Lie elements F with F_y antipalindromic."""
     rows, d = _antipalindromy_rows(n)
-    lb = lyndon_basis(n)
-    out = []
-    for vec in linalg.nullspace(rows, d):
-        f = Poly.zero()
-        for c, e in zip(vec, lb.expansions):
-            if c:
-                f = f + e.scale(c)
-        out.append(f)
-    return out
+    return [from_coords(vec, n) for vec in linalg.nullspace(rows, d)]
 
 
 def kv_dimensions(n: int) -> dict:
@@ -497,14 +485,9 @@ def kv_dimensions(n: int) -> dict:
             )
     vkv_null = linalg.nullspace(vkv_rows, d + 1)
 
-    krv_elems = [
-        sum((e.scale(c) for c, e in zip(vec, lb.expansions) if c), Poly.zero())
-        for vec in krv_null
-    ]
-    vkv_elems = [
-        sum((e.scale(c) for c, e in zip(vec, lb.expansions) if c), Poly.zero())
-        for vec in vkv_null
-    ]
+    # the last unknown is A (krv) or the push constant (vkv)
+    krv_elems = [from_coords(vec[:d], n) for vec in krv_null]
+    vkv_elems = [from_coords(vec[:d], n) for vec in vkv_null]
     same_span = len(krv_null) == len(vkv_null) and all(
         krv_check(special_derivation(f) or TangentialDerivation(f, Poly.zero()))
         for f in vkv_elems

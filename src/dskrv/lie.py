@@ -269,5 +269,6 @@ def witt_dimension(n: int) -> int:
         return out
 
     total = sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
+    if total % n:
+        raise CrossCheckError(f"necklace count {total} at degree {n} is not divisible by {n}")
     return total // n

@@ -185,13 +185,14 @@ def _shear_images(arity: int, i: int, j: int, sign: int) -> list[tuple[int, ...]
 
 def _var_images(arity: int, picks: list[int | None], new_arity: int) -> list[tuple]:
     """Images sending variable k to new variable picks[k] (None -> 0)."""
+    if len(picks) != arity:
+        raise ValueError(f"expected {arity} variable picks, got {len(picks)}")
     images = []
     for p in picks:
         form = [0] * new_arity
         if p is not None:
             form[p] = 1
         images.append(tuple(form))
-    assert len(picks) == arity
     return images
 
 

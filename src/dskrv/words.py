@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Union
 
+from . import CrossCheckError
+
 EMPTY = 1  # code of the empty word
 X_CODE = 2  # the one-letter word x
 Y_CODE = 3  # the one-letter word y
@@ -176,7 +178,8 @@ def push_orbit(code: int) -> list[int]:
     out = [code]
     for _ in range(depth(code)):
         out.append(push_code(out[-1]))
-    assert push_code(out[-1]) == code
+    if push_code(out[-1]) != code:
+        raise CrossCheckError(f"the push orbit of word code {code} does not close")
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -129,13 +130,43 @@ def test_timings_flag_is_opt_in(capsys):
 
 
 def test_failing_check_exits_one(monkeypatch, capsys):
-    def broken(args, weights, seed):
+    def broken(args, weights):
         return False, {str(weights[0]): {"verdict": False}}
 
-    monkeypatch.setitem(cli.SUITES, "thm33", (broken, "patched"))
+    monkeypatch.setitem(cli.SUITES, "thm33", (broken, (3, 8)))
     code, rep = run_json(capsys, "verify", "thm33", "--weight", "5")
     assert code == 1
     assert rep["ok"] is False
+
+
+def test_failing_element_check_fails_the_report(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "antipal_sum_check", lambda f: {"verdict": False, "consistent": True})
+    code, rep = run_json(capsys, "verify", "thm33", "--weights", "3..4")
+    assert code == 1
+    assert rep["ok"] is False
+    assert rep["payload"]["3"]["ok"] is False
+    assert rep["payload"]["4"]["ok"] is True  # no basis elements at weight 4
+
+
+def test_failing_sample_records_first_seed(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "special_equivalences", lambda f: {"agree": False, "existence": False})
+    code, rep = run_json(
+        capsys, "verify", "thm21", "--weights", "5..5", "--seed", "7", "--count", "3"
+    )
+    assert code == 1
+    part = rep["payload"]["5"]
+    assert part["agreements"] == 0
+    assert part["witness"]["seed"] == 7
+
+
+def test_map_failed_round_trip_text(monkeypatch, capsys):
+    from dskrv.poly import Poly
+
+    monkeypatch.setattr(cli, "krv_to_ds", lambda d: Poly.zero())
+    code, out = run(capsys, "map", "--weight", "3", "--format", "text")
+    assert code == 1
+    assert "roundtrip=NO" in out
+    assert "verdict: FAIL" in out
 
 
 def test_version_recorded(capsys):
@@ -214,3 +245,157 @@ def test_negative_count_is_a_usage_error(capsys, command):
     assert code == 2
     assert captured.out == ""  # no report with "samples: -5"
     assert "--count must be at least 0, got -5" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command", [("verify", "thm21", "--weights", "5..5"), ("verify", "propA3", "--weights", "3..3")]
+)
+def test_sampling_suite_with_zero_count_is_a_usage_error(capsys, command):
+    code = cli.main([*command, "--count", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # no "samples: 0 ... verdict: pass"
+    assert "--count 0 draws no random samples" in captured.err
+
+
+@pytest.mark.parametrize("command", [("basis",), ("map",), ("mould",), ("verify", "thm33")])
+def test_zero_count_is_accepted_where_count_is_unused(capsys, command):
+    code, rep = run_json(capsys, *command, "--weights", "3..3", "--count", "0")
+    assert code == 0
+    assert rep["ok"] is True
+
+
+def test_basis_weight_zero_is_a_usage_error(capsys):
+    code = cli.main(["basis", "--weight", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # not the weight-3 basis
+    assert "weight 0 outside supported range" in captured.err
+
+
+def test_internal_error_exits_two(monkeypatch, capsys):
+    from dskrv import dshuffle, words
+    from dskrv.poly import Poly
+
+    # y^n pairs to nonzero with the stuffle of y^a and y^b, a + b = n
+    monkeypatch.setattr(dshuffle, "starred_part", lambda f: Poly.word(words.y_power(f.degree())))
+    code = cli.main(["bracket", "3", "5", "--strict"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: CrossCheckError: ")
+
+
+# sha256 of each report (stdout), recorded before the per-element suite
+# loops were folded into one; a refactor of the command layer must keep
+# every one of them.
+GOLDEN_REPORTS = {
+    "verify thm11 --weights 3..6": {
+        "json": "2661a16a14808c3b5f55139a4baad58bca292102888f3a8f131defa2b3239f50",
+        "text": "4bb6e5dfc3d85890f43a36c2aaff737005560c624b14d73a94a70cc5c4dc8651",
+    },
+    "verify thm12 --weights 3..6": {
+        "json": "aa5a41176978de7293a770158906c376afc7bdf95bbae695788826e358477683",
+        "text": "dc0075521c42285e299c4fa943af065914686209a63ddc7accd60325a05a9e7d",
+    },
+    "verify thm21 --weights 3..5 --count 5 --seed 7": {
+        "json": "7c5a68163460bcfeb1bbcbb91490509e679072d71e04429f48ec2ac472fd4541",
+        "text": "9624563877808fbb1d22dcf42b8fbde4a8de54bdbb58cfe0af8b2302aa119a34",
+    },
+    "verify thm33 --weights 3..6": {
+        "json": "6cd84683c47f1063b942be9f9b1f92612b2c04da5ca34f7bc34183f71b86f676",
+        "text": "bc4ade63e406170888a219e5ac0c5a6b7b91a722ceda406e45bc7c1be5d6a06c",
+    },
+    "verify thm34 --weights 3..6": {
+        "json": "f21fb4a3063916f5152783bc35e9d1d464c61f2b56f63650e8c3a62ec8050b80",
+        "text": "d792f025a34a1d097df16ea02c6c8e1cacca26aa9e97bc7338fa4541b354e80b",
+    },
+    "verify lemma35 --weights 3..6": {
+        "json": "10377e94526fdb2a03642a10b928b2f03c37024e784f57ccc9f7b321673f813f",
+        "text": "ff49a97f9bd148883a6da66b4c3beb8a1532f89e9d9bffaa7669fb98f0b32df3",
+    },
+    "verify lemmaA2 --weights 3..5": {
+        "json": "6b481be470156d4e0b0d033e0a3ee3046fd358a5c3b04f14cbc2d34f29cb2066",
+        "text": "ef04322624643c99da604e84bb8170824965092bbee547f890b79761e81bf5fc",
+    },
+    "verify ecalleA8 --weights 3..6": {
+        "json": "e53f7944fdba877eac755e6ad526d1e398bf8740c10e31bba6988e90989c3975",
+        "text": "d2c4c1edb0804760009d35a0471d09f9a9b76cde25aa175bcc7a4c54b36dc200",
+    },
+    "verify ecalleA8 --weights 3..5 --strict": {
+        "json": "b1b99c9ea4da9be1cd50d06bed0acbc30065bcbc4a279d9f5c0162a33bbcf063",
+        "text": "33b9f01726770a6cd918138ae4720f45f5c4af645740a35ccf3aa1f08aa20bfb",
+    },
+    "verify propA3 --weights 3..5 --count 5 --seed 7": {
+        "json": "bdc943524afca0067dde9f670a5681464f80327445db9e6ce531526f758c7fd5",
+        "text": "f2be05a12574e46d1c168ba53a5b5696c41e2f824c6d4b12644bd4fcb9e0e5d4",
+    },
+    "verify group49 --weights 3..5 --truncate 8": {
+        "json": "7b5610b9f9f7cc25beb7d4614cf10dd0d4d437732a783ea59723459828d7f682",
+        "text": "3835babe1a6e57e4cd68e989bfe1fc58b133e5dbc5ee50f50a983a1f9167322a",
+    },
+    "verify group410 --weights 3..5 --truncate 8": {
+        "json": "82a5cbd6e2c970a6af614489f447a3c2b94259e3896737a38af21ee24e2c1d5e",
+        "text": "8f3c94d0c877c0f78240ccc7091c752db7401442db3435f47bae70d3816aea9f",
+    },
+    "verify thm42 --weights 3..5 --truncate 8": {
+        "json": "a97722e57ef0e439cdf8648b021d4e94f724ff45b2d04544f163a2b1543a4610",
+        "text": "330d2dfa7318838f55b63bac5586e4f1437c57738cf426a75b26d30db586ccd5",
+    },
+    "map --weights 3..6": {
+        "json": "e2e0939cbf97e6382bb1f32b1779b08c9bf8fb23d2c4549948f58803a8c47f7e",
+        "text": "91b6001a528c4fa1880551302b971f4e908944baecff76a32c0031ccbe0821dd",
+    },
+    "mould --weights 3..5 --check all": {
+        "json": "ea223f2237e9e2954b40cd55e5c7cab93fad408d9ed288ede817acfeb0e93055",
+        "text": "7ba2648c11afe7c35bef09041243c0cfe98f25ebcb0a702c95fd7bdd922320ff",
+    },
+    "mould --weights 3..5 --check fixed": {
+        "json": "891b3bc0c322e658bc5523b1d2673069d80c735535213499bcc87d517f3dc57d",
+        "text": "9039a1e2c27aafd4b0c7d050a095a76b247d90b4f720f4c7318815ce48f1ce0d",
+    },
+    "mould --weights 3..5 --check rules": {
+        "json": "cd952eface13bd0bdd5feb28f05d0eedb09707fb4dfa7c409af9e210f1849883",
+        "text": "ad8d2db37cc6bddd42cbbfab9f29167eb1d6ffcba6f53e7a6c32f00af6ddfe03",
+    },
+    "mould --weights 3..5 --check ecalle": {
+        "json": "5953301276219f508444d73bfeaa308127931af6ad995c806a090352cb482c5c",
+        "text": "0f6e815e5c6bb11f76a9c3f8a8bdecfdb483303d157c2115643d86e159401206",
+    },
+    "mould --weights 3..5 --check all --strict": {
+        "json": "9c6942b39bb7fd13d289c65cbe0dc71c5a5121fdaae719aada85f19415d27c91",
+        "text": "7ba2648c11afe7c35bef09041243c0cfe98f25ebcb0a702c95fd7bdd922320ff",
+    },
+    "exp --weights 3..5 --truncate 8": {
+        "json": "7ab4011572aa646bf143cc5ac1f40320c7a50bafd9ccf0f9ee0f3c0bc411973e",
+        "text": "429c19e04dbdab056b607ecaba8f3dd625783a2a5f66b838a8b5ce5adbc7d7bf",
+    },
+    "bracket 3 5": {
+        "json": "c4054e25de52ec6f171149c61f07ed5451755d778ef769745dd30e421935b078",
+        "text": "5d8e02273b2de6038bf7167d69da67bc6bb4c23851198180bfbcde6f14c24adf",
+    },
+    "bracket 3 5 --strict": {
+        "json": "c4054e25de52ec6f171149c61f07ed5451755d778ef769745dd30e421935b078",
+        "text": "5d8e02273b2de6038bf7167d69da67bc6bb4c23851198180bfbcde6f14c24adf",
+    },
+    "verify thm11 --weights 5,3": {
+        "json": "1f7ba3711c44077e9a6cc65f3809fa8e53abb97620f3de6695c0671e63df0655",
+        "text": "048c68cc5892dc1d1f9e160f5264a3af93bca1a44184425d71b0e7ce63e0731a",
+    },
+    "map --weights 5,3": {
+        "json": "a3a0f8178bb6d37561991e64537f35da421fccc35484d9721739d8160a848777",
+        "text": "f06bf16b21567cf5923a4659025e44c017dab8d3a7d89f75a8c2ef98f7e31369",
+    },
+    "basis --weights 3..6": {
+        "json": "176ede4b94d014982adfd23e830884a4eb299562403eb8d98455d7556a0ec367",
+        "text": "d678ab46c28b8baf75834ec2527f8fbab9efc4aa697309c949f30b6fe01e814c",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", sorted(GOLDEN_REPORTS))
+def test_golden_report_hashes(capsys, command, fmt):
+    code, out = run(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[command][fmt]

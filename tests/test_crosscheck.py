@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from dskrv import CrossCheckError, dshuffle, lie
-from dskrv.poly import Poly
+from dskrv import CrossCheckError, derivations, dshuffle, lie
+from dskrv.poly import Poly, subst_linear
 
 
 def test_is_lie_cross_check_disagreement_raises(monkeypatch):
@@ -25,6 +25,21 @@ def test_is_ds_strict_disagreement_raises(monkeypatch, f3):
         dshuffle.is_ds(f3, strict=True)
 
 
+def special_example(f3):
+    """f with f(-x-y, y) = F, the y-part of the special image of f3, so
+    both partner constructions of special_equivalences succeed."""
+    X, Y = Poly.word("x"), Poly.word("y")
+    return subst_linear(derivations.ds_to_krv(f3).F, -X - Y, Y)
+
+
+def test_special_equivalences_partner_disagreement_raises(monkeypatch, f3):
+    f = special_example(f3)
+    assert derivations.special_equivalences(f)["existence"]
+    monkeypatch.setattr(derivations, "partner_by_elimination", lambda F: Poly.zero())
+    with pytest.raises(CrossCheckError):
+        derivations.special_equivalences(f)
+
+
 def test_cross_check_error_is_an_assertion_error():
     assert issubclass(CrossCheckError, AssertionError)
 
@@ -33,19 +48,23 @@ def test_cross_check_error_is_an_assertion_error():
 # statements would be stripped by -O, explicit raises are not.
 OPTIMIZED_SCRIPT = """
 import sys
-from dskrv import CrossCheckError, dshuffle, lie, linalg
-from dskrv.poly import Poly
+from dskrv import CrossCheckError, derivations, dshuffle, lie, linalg
+from dskrv.poly import Poly, subst_linear
 
 if not sys.flags.optimize:
     sys.exit("expected python -O")
 f3 = dshuffle.ds_basis(3).basis[0]
+X, Y = Poly.word("x"), Poly.word("y")
+special = subst_linear(derivations.ds_to_krv(f3).F, -X - Y, Y)
 lie.dynkin_phi = lambda f: Poly.zero()
 dshuffle.starred_part = lambda f: Poly.word("yyy")
 linalg._primes = lambda: iter([101])
+derivations.partner_by_elimination = lambda F: Poly.zero()
 checks = [
     lambda: lie.is_lie(lie.random_lie(4, 1), cross_check=True),
     lambda: dshuffle.is_ds(f3, strict=True),
     lambda: linalg.nullspace([[100003, 99991]], 2),
+    lambda: derivations.special_equivalences(special),
 ]
 for check in checks:
     try:
@@ -69,4 +88,4 @@ def test_cross_checks_survive_optimized_mode():
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"] * 3
+    assert out.stdout.split() == ["raised"] * 4

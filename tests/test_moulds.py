@@ -325,3 +325,8 @@ def test_antipal_bridge_formula_is_formal(seed):
     assert rep["agrees_with_direct_predicate"]
     fx, fy = poly.decompose_right(f)
     assert rep["verdict"] == poly.is_antipalindromic(fx + fy)
+
+
+def test_var_images_rejects_wrong_pick_count():
+    with pytest.raises(ValueError):
+        moulds._var_images(2, [0], 1)
