@@ -309,6 +309,8 @@ def cmd_bracket(args):
         f"  {poly_text(br)}",
     ]
     parameters = {"w1": na, "w2": nb, "index1": args.index1, "index2": args.index2}
+    if args.strict:  # absent by default, so default reports keep their bytes
+        parameters["strict"] = True
     return parameters, payload, ok, lines
 
 
@@ -338,7 +340,10 @@ def cmd_mould(args):
         f"weight {n}: depths {e['u_family'].depths()}" for n, _, entries, _ in per for e in entries
     ]
     payload = {str(n): entries for n, _, entries, _ in per}
-    return {"weights": ws, "check": args.check}, payload, ok, lines
+    parameters = {"weights": ws, "check": args.check}
+    if args.strict:
+        parameters["strict"] = True
+    return parameters, payload, ok, lines
 
 
 def cmd_exp(args):

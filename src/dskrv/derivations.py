@@ -23,6 +23,9 @@ from .lie import NotLieError, bracket, from_coords, is_lie, lyndon_basis, to_coo
 from .poly import (
     Coeff,
     Poly,
+    _map_words,
+    _reject_empty,
+    accumulate,
     anti,
     coeff_to_str,
     decompose_left,
@@ -65,14 +68,7 @@ class CyclicPoly:
         return self.terms.get(words.cyclic_min(words.as_code(w)), 0)
 
     def __add__(self, other: "CyclicPoly") -> "CyclicPoly":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = terms.get(w, 0) + c
-            if nc:
-                terms[w] = nc
-            elif w in terms:
-                del terms[w]
-        return CyclicPoly(terms)
+        return CyclicPoly(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "CyclicPoly") -> "CyclicPoly":
         return self + other.scale(-1)
@@ -97,17 +93,8 @@ class CyclicPoly:
 
 def trace(f: Poly) -> CyclicPoly:
     """Project a polynomial onto cyclic words (trace map)."""
-    terms: dict[int, Coeff] = {}
-    for w, c in f.terms.items():
-        if w == words.EMPTY:
-            raise ValueError("trace is not defined on the empty word")
-        k = words.cyclic_min(w)
-        nc = terms.get(k, 0) + c
-        if nc:
-            terms[k] = nc
-        elif k in terms:
-            del terms[k]
-    return CyclicPoly(terms)
+    _reject_empty(f, "trace")
+    return CyclicPoly(_map_words(f, words.cyclic_min).terms)
 
 
 # -- tangential derivations ----------------------------------------------------

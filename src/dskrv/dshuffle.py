@@ -8,7 +8,8 @@ composition tuples (i_1, ..., i_k).
 
 ds_basis computes the degree-n part exactly: stuffle constraints are
 expressed on Lyndon coordinates of the free Lie algebra and the
-nullspace is extracted by fraction-free elimination, then normalized
+nullspace is the certified multi-modular one of linalg.nullspace
+(exact rationals, checked against every constraint row), normalized
 to reduced echelon form with a fixed scaling convention.
 """
 
@@ -284,17 +285,25 @@ def constraint_rows(n: int) -> list[list[int]]:
 
 
 class BasisResult:
-    """Exact basis of the weight-n part of ds, with audit data."""
+    """Exact basis of the weight-n part of ds, with audit data.
+
+    ds_basis caches one result per weight and hands it to every caller,
+    so its attributes cannot be reassigned and the basis and coordinate
+    vectors are tuples.
+    """
 
     __slots__ = ("weight", "dimension", "basis", "coords", "constraint_stats", "certificates")
 
     def __init__(self, weight, dimension, basis, coords, constraint_stats, certificates):
-        self.weight = weight
-        self.dimension = dimension
-        self.basis = basis
-        self.coords = coords
-        self.constraint_stats = constraint_stats
-        self.certificates = certificates
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "coords", tuple(map(tuple, coords)))
+        object.__setattr__(self, "constraint_stats", constraint_stats)
+        object.__setattr__(self, "certificates", certificates)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BasisResult is immutable")
 
     def to_json(self) -> dict:
         from .poly import poly_to_json

@@ -29,7 +29,7 @@ from math import factorial
 from operator import mul
 
 from . import words
-from .poly import Coeff, Poly, numerators, poly_to_json, truncated_mul
+from .poly import Coeff, Poly, accumulate, numerators, poly_to_json, truncated_mul
 from .lie import NotLieError, bracket, is_lie
 from .dshuffle import _sh, _st, composition_of, d_f, is_ds
 from .derivations import TangentialDerivation, ds_to_krv
@@ -155,8 +155,7 @@ def exp_circle(f: Poly, trunc: int = DEFAULT_TRUNCATION) -> TruncSeries:
     total: dict[int, int] = {}
     weight = 1  # d^(top-k) top!/k!, the factor of P_k over the common denominator
     for k in range(top, -1, -1):
-        for w, c in powers[k].terms.items():
-            total[w] = total.get(w, 0) + weight * c
+        accumulate(total, powers[k].terms.items(), weight)
         weight *= den * k
     common = den**top * factorial(top)
     return TruncSeries(Poly({w: Fraction(c, common) for w, c in total.items()}), trunc)
@@ -224,15 +223,15 @@ def grouplike_shuffle_check(phi: TruncSeries, max_degree: int | None = None) -> 
 def star_series(phi: TruncSeries) -> TruncSeries:
     """Phi_* = exp(sum ((-1)^(n-1)/n)(Phi|x^(n-1)y) y^n) pi_y(Phi)."""
     n = phi.trunc
-    corr = Poly.zero()
-    for d in range(1, n + 1):
-        a = phi.coeff((1 << d) | 1)  # x^(d-1) y
-        if a:
-            sign = 1 if (d - 1) % 2 == 0 else -1
-            corr = corr + Poly({words.y_power(d): Fraction(sign, d) * a})
+    corr = Poly(
+        {
+            words.y_power(d): Fraction((-1) ** (d - 1), d) * phi.coeff((1 << d) | 1)  # x^(d-1) y
+            for d in range(1, n + 1)
+        }
+    )
     # corr is a series in y alone, so its exponential is the scalar
     # exponential computed term by term on commuting powers of y.
-    expo = Poly.one()
+    expo = {words.EMPTY: 1}
     power = Poly.one()
     kfact = 1
     for k in range(1, n + 1):
@@ -240,7 +239,7 @@ def star_series(phi: TruncSeries) -> TruncSeries:
         if not power:
             break
         kfact *= k
-        expo = expo + power.scale(Fraction(1, kfact))
+        accumulate(expo, power.terms.items(), Fraction(1, kfact))
     # the projection onto words ending in y keeps the constant term of
     # a series (unlike the polynomial operator pi_y, which has no use
     # for empty words)
@@ -251,7 +250,7 @@ def star_series(phi: TruncSeries) -> TruncSeries:
             if w == words.EMPTY or words.ends_in_y(w)
         }
     )
-    return TruncSeries(expo, n) * TruncSeries(proj, n)
+    return TruncSeries(Poly(expo), n) * TruncSeries(proj, n)
 
 
 def grouplike_stuffle_check(phi: TruncSeries, max_degree: int | None = None) -> dict:
@@ -290,17 +289,16 @@ def grouplike_stuffle_check(phi: TruncSeries, max_degree: int | None = None) -> 
 
 def exp_derivation(d: TangentialDerivation, f: Poly, trunc: int = DEFAULT_TRUNCATION) -> Poly:
     """Apply exp(D) = sum D^k / k! to f, truncated beyond degree trunc."""
-    total = _truncate(f, trunc)
-    term = total
+    term = _truncate(f, trunc)
+    total = dict(term.terms)
     kfact = 1
     k = 0
     while term:
         k += 1
         kfact *= k
         term = d.apply(term, trunc)
-        if term:
-            total = total + term.scale(Fraction(1, kfact))
-    return total
+        accumulate(total, term.terms.items(), Fraction(1, kfact))
+    return Poly(total)
 
 
 def automorphism_check(d: TangentialDerivation, trunc: int = DEFAULT_TRUNCATION) -> dict:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import CrossCheckError, words
-from .poly import Coeff, Poly, numerators
+from .poly import Coeff, Poly, accumulate, numerators
 from .words import Word, WordLike
 
 
@@ -56,12 +56,12 @@ def _phi_word(w: int) -> Poly:
 
 def dynkin_phi(f: Poly) -> Poly:
     """Linear extension of the right-nested bracketing map."""
-    out = Poly.zero()
+    terms: dict[int, Coeff] = {}
     for w, c in f.terms.items():
         if w == words.EMPTY:
             raise ValueError("dynkin_phi is not defined on the empty word")
-        out = out + _phi_word(w).scale(c)
-    return out
+        accumulate(terms, _phi_word(w).terms.items(), c)
+    return Poly(terms)
 
 
 def theta_apply(u: Poly | WordLike, v: Poly) -> Poly:
@@ -71,13 +71,13 @@ def theta_apply(u: Poly | WordLike, v: Poly) -> Poly:
     """
     if not isinstance(u, Poly):
         u = Poly.word(u)
-    out = Poly.zero()
+    terms: dict[int, Coeff] = {}
     for w, c in u.terms.items():
         res = v
         for bit in reversed(list(words.letters_of(w))):
             res = bracket(Poly.word((1 << 1) | bit), res)
-        out = out + res.scale(c)
-    return out
+        accumulate(terms, res.terms.items(), c)
+    return Poly(terms)
 
 
 def is_lie(f: Poly, cross_check: bool = False) -> bool:
@@ -215,13 +215,7 @@ def to_coords(f: Poly, n: int | None = None) -> list[Coeff]:
     for w, expansion in zip(basis.word_codes, basis.expansions):
         c = residual.get(w, 0)
         coords.append(c)
-        if c:
-            for code, pc in expansion.terms.items():
-                nc = residual.get(code, 0) - c * pc
-                if nc:
-                    residual[code] = nc
-                elif code in residual:
-                    del residual[code]
+        accumulate(residual, expansion.terms.items(), -c)
     if residual:
         raise NotLieError(
             "polynomial is not in the free Lie algebra", Poly(residual)
@@ -235,11 +229,10 @@ def from_coords(coords: list[Coeff], n: int) -> Poly:
         raise ValueError(
             f"expected {basis.dimension} coordinates for degree {n}, got {len(coords)}"
         )
-    out = Poly.zero()
+    terms: dict[int, Coeff] = {}
     for c, expansion in zip(coords, basis.expansions):
-        if c:
-            out = out + expansion.scale(c)
-    return out
+        accumulate(terms, expansion.terms.items(), c)
+    return Poly(terms)
 
 
 def random_lie(n: int, seed: int) -> Poly:

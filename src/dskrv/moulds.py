@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import words
 from .lie import NotLieError, is_lie
-from .poly import Coeff, Poly, coeff_to_str, decompose_right, is_antipalindromic
+from .poly import Coeff, Poly, accumulate, coeff_to_str, decompose_right, is_antipalindromic
 from .dshuffle import is_ds
 
 
@@ -74,14 +74,7 @@ class CPoly:
     def __add__(self, other: "CPoly") -> "CPoly":
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = terms.get(e, 0) + c
-            if nc:
-                terms[e] = nc
-            elif e in terms:
-                del terms[e]
-        return CPoly(self.arity, terms)
+        return CPoly(self.arity, accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "CPoly") -> "CPoly":
         return self + other.scale(-1)
@@ -126,27 +119,20 @@ class CPoly:
             for i, e in enumerate(exps):
                 form = images[i]
                 for _ in range(e):
-                    nxt: dict[tuple[int, ...], Coeff] = {}
-                    for t, tc in acc.items():
-                        for j, a in enumerate(form):
-                            if a:
-                                nt = t[:j] + (t[j] + 1,) + t[j + 1 :]
-                                nc = nxt.get(nt, 0) + tc * a
-                                if nc:
-                                    nxt[nt] = nc
-                                elif nt in nxt:
-                                    del nxt[nt]
-                    acc = nxt
+                    acc = accumulate(
+                        {},
+                        (
+                            (t[:j] + (t[j] + 1,) + t[j + 1 :], tc * a)
+                            for t, tc in acc.items()
+                            for j, a in enumerate(form)
+                            if a
+                        ),
+                    )
                     if not acc:
                         break
                 if not acc:
                     break
-            for t, tc in acc.items():
-                nc = out.get(t, 0) + tc
-                if nc:
-                    out[t] = nc
-                elif t in out:
-                    del out[t]
+            accumulate(out, acc.items())
         return CPoly(new_arity, out)
 
     def div_var(self, k: int) -> "CPoly":
@@ -458,12 +444,7 @@ def ad_basis_coefficients(f: Poly) -> dict[tuple[int, ...], Coeff]:
             prod = ad_power(c[0])
             for ci in c[1:]:
                 prod = prod * ad_power(ci)
-            for t, tc in prod.terms.items():
-                nc = residual.get(t, 0) - b * tc
-                if nc:
-                    residual[t] = nc
-                elif t in residual:
-                    del residual[t]
+            accumulate(residual, prod.terms.items(), -b)
         if residual:
             raise NotLieError(
                 "polynomial is not a combination of ad(x)-products", Poly(residual)
@@ -472,13 +453,13 @@ def ad_basis_coefficients(f: Poly) -> dict[tuple[int, ...], Coeff]:
 
 
 def poly_from_ad_basis(coeffs: dict[tuple[int, ...], Coeff]) -> Poly:
-    out = Poly.zero()
+    terms: dict[int, Coeff] = {}
     for c, b in coeffs.items():
         prod = ad_power(c[0])
         for ci in c[1:]:
             prod = prod * ad_power(ci)
-        out = out + prod.scale(b)
-    return out
+        accumulate(terms, prod.terms.items(), b)
+    return Poly(terms)
 
 
 # -- identity checks ------------------------------------------------------------

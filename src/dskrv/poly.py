@@ -31,6 +31,26 @@ def _clean(terms: dict[int, Coeff]) -> dict[int, Coeff]:
     return {w: c for w, c in terms.items() if c}
 
 
+def accumulate(terms: dict, pairs: Iterable[tuple], c: Coeff = 1) -> dict:
+    """Add c*v into terms[k] for each (k, v) of pairs, in place; returns terms.
+
+    A key whose sum is 0 is deleted, so a key keeps its position unless it
+    cancels.  Each coefficient has the value and the int/Fraction type of
+    the plain sum terms.get(k, 0) + c*v; c = 0 leaves terms unchanged.
+    """
+    if not c:
+        return terms
+    one = c == 1 and type(c) is int  # then c*v is v, and the product is skipped
+    get = terms.get
+    for k, v in pairs:
+        s = get(k, 0) + (v if one else c * v)
+        if s:
+            terms[k] = s
+        elif k in terms:
+            del terms[k]
+    return terms
+
+
 class Poly:
     """A finite linear combination of words with rational coefficients."""
 
@@ -114,24 +134,10 @@ class Poly:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = terms.get(w, 0) + c
-            if nc:
-                terms[w] = nc
-            elif w in terms:
-                del terms[w]
-        return Poly(terms)
+        return Poly(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = terms.get(w, 0) - c
-            if nc:
-                terms[w] = nc
-            elif w in terms:
-                del terms[w]
-        return Poly(terms)
+        return Poly(accumulate(dict(self.terms), other.terms.items(), -1))
 
     def __neg__(self) -> "Poly":
         return Poly({w: -c for w, c in self.terms.items()})
@@ -147,16 +153,12 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        terms: dict[int, Coeff] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                w = words.concat_codes(a, b)
-                nc = terms.get(w, 0) + ca * cb
-                if nc:
-                    terms[w] = nc
-                elif w in terms:
-                    del terms[w]
-        return Poly(terms)
+        pairs = (
+            (words.concat_codes(a, b), ca * cb)
+            for a, ca in self.terms.items()
+            for b, cb in other.terms.items()
+        )
+        return Poly(accumulate({}, pairs))
 
     def __rmul__(self, other) -> "Poly":
         if isinstance(other, Rational):
@@ -197,15 +199,7 @@ class Poly:
 
 
 def _map_words(f: Poly, word_map) -> Poly:
-    terms: dict[int, Coeff] = {}
-    for w, c in f.terms.items():
-        nw = word_map(w)
-        nc = terms.get(nw, 0) + c
-        if nc:
-            terms[nw] = nc
-        elif nw in terms:
-            del terms[nw]
-    return Poly(terms)
+    return Poly(accumulate({}, ((word_map(w), c) for w, c in f.terms.items())))
 
 
 def _reject_empty(f: Poly, op: str) -> None:
@@ -259,18 +253,13 @@ def partial_x(f: Poly) -> Poly:
     The empty word is a constant for the derivation: x maps to the
     unit, the unit maps to zero.
     """
-    terms: dict[int, Coeff] = {}
-    for w, c in f.terms.items():
-        n = words.degree(w)
-        for i in range(n):
-            if not (w >> i) & 1:  # x at bit position i
-                nw = ((w >> (i + 1)) << i) | (w & ((1 << i) - 1))
-                nc = terms.get(nw, 0) + c
-                if nc:
-                    terms[nw] = nc
-                elif nw in terms:
-                    del terms[nw]
-    return Poly(terms)
+    pairs = (
+        (((w >> (i + 1)) << i) | (w & ((1 << i) - 1)), c)
+        for w, c in f.terms.items()
+        for i in range(words.degree(w))
+        if not (w >> i) & 1  # x at bit position i
+    )
+    return Poly(accumulate({}, pairs))
 
 
 def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
@@ -283,18 +272,15 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
         if g and (not g.is_homogeneous() or g.degree() != 1):
             raise ValueError("substitution images must be linear in x, y")
     images = (x_image, y_image)
-    out = Poly.zero()
-    cache: dict[int, Poly] = {}
+    terms: dict[int, Coeff] = {}
     for w, c in f.terms.items():
         if w == EMPTY:
             raise ValueError("subst_linear is not defined on the empty word")
-        if w not in cache:
-            prod = Poly.one()
-            for bit in words.letters_of(w):
-                prod = prod * images[bit]
-            cache[w] = prod
-        out = out + cache[w].scale(c)
-    return out
+        prod = Poly.one()
+        for bit in words.letters_of(w):
+            prod = prod * images[bit]
+        accumulate(terms, prod.terms.items(), c)
+    return Poly(terms)
 
 
 def numerators(f: Poly) -> tuple[dict[int, int], int]:
@@ -380,18 +366,18 @@ def s_map(h: Poly) -> Poly:
     Rebuilds a Lie element f from its right factor: f = s_map(f_y)
     whenever f is Lie of degree >= 2.
     """
-    out = Poly.zero()
+    terms: dict[int, Coeff] = {}
     term = h
     i = 0
     fact = 1
     while term:
         tail = Poly.word(words.concat_codes(words.Y_CODE, words.x_power(i)))  # y x^i
         sign = -1 if i & 1 else 1
-        out = out + (term * tail).scale(Fraction(sign, fact))
+        accumulate(terms, (term * tail).terms.items(), Fraction(sign, fact))
         i += 1
         fact *= i
         term = partial_x(term)
-    return out
+    return Poly(terms)
 
 
 def s_prime_map(h: Poly) -> Poly:
@@ -399,18 +385,18 @@ def s_prime_map(h: Poly) -> Poly:
 
     Rebuilds a Lie element from its left factor: f = s_prime_map(f^y).
     """
-    out = Poly.zero()
+    terms: dict[int, Coeff] = {}
     term = h
     i = 0
     fact = 1
     while term:
         head = Poly.word(words.concat_codes(words.x_power(i), words.Y_CODE))  # x^i y
         sign = -1 if i & 1 else 1
-        out = out + (head * term).scale(Fraction(sign, fact))
+        accumulate(terms, (head * term).terms.items(), Fraction(sign, fact))
         i += 1
         fact *= i
         term = partial_x(term)
-    return out
+    return Poly(terms)
 
 
 # -- symmetry predicates ----------------------------------------------------

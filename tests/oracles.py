@@ -290,3 +290,20 @@ def bareiss_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
             v[c] = Fraction(-s, row[c])
         basis.append(v)
     return linalg.rref(basis, ncols)
+
+
+# -- sparse accumulation as a fold of ring additions --------------------------------
+
+
+def fold_sum(start: dict, steps: list[tuple[dict, object]]) -> Poly:
+    """start + sum of c*src over steps, as the fold out = out + Poly(src).scale(c).
+
+    Each addition is one dict merge, not a loop of in-place updates: a key
+    of out keeps its place, a new key goes last, and Poly drops every key
+    whose sum is 0.
+    """
+    out = Poly(start)
+    for src, c in steps:
+        scaled = Poly(src).scale(c).terms
+        out = Poly({**out.terms, **{k: out.terms.get(k, 0) + v for k, v in scaled.items()}})
+    return out

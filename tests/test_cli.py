@@ -288,7 +288,8 @@ def test_internal_error_exits_two(monkeypatch, capsys):
 
 # sha256 of each report (stdout), recorded before the per-element suite
 # loops were folded into one; a refactor of the command layer must keep
-# every one of them.
+# every one of them.  The two --strict entries of bracket and mould were
+# recorded when "strict": true entered their parameters.
 GOLDEN_REPORTS = {
     "verify thm11 --weights 3..6": {
         "json": "2661a16a14808c3b5f55139a4baad58bca292102888f3a8f131defa2b3239f50",
@@ -363,8 +364,8 @@ GOLDEN_REPORTS = {
         "text": "0f6e815e5c6bb11f76a9c3f8a8bdecfdb483303d157c2115643d86e159401206",
     },
     "mould --weights 3..5 --check all --strict": {
-        "json": "9c6942b39bb7fd13d289c65cbe0dc71c5a5121fdaae719aada85f19415d27c91",
-        "text": "7ba2648c11afe7c35bef09041243c0cfe98f25ebcb0a702c95fd7bdd922320ff",
+        "json": "7b83ab2bda01b306fa534f0ca9ed41c23dfb6afd8b300574bded425e82165013",
+        "text": "8c66b69e86964b64949b2a15847e152374e653feb834a681d8a66ccf2dcf5e13",
     },
     "exp --weights 3..5 --truncate 8": {
         "json": "7ab4011572aa646bf143cc5ac1f40320c7a50bafd9ccf0f9ee0f3c0bc411973e",
@@ -375,8 +376,8 @@ GOLDEN_REPORTS = {
         "text": "5d8e02273b2de6038bf7167d69da67bc6bb4c23851198180bfbcde6f14c24adf",
     },
     "bracket 3 5 --strict": {
-        "json": "c4054e25de52ec6f171149c61f07ed5451755d778ef769745dd30e421935b078",
-        "text": "5d8e02273b2de6038bf7167d69da67bc6bb4c23851198180bfbcde6f14c24adf",
+        "json": "4fc9420d0241506a482b4a34c0d48e0d34d9d13260a07a34900b4b197bf6bea3",
+        "text": "da033d97082a788e4970cbe3dd55b086efa7d695f75bde58e582727fdfdddab3",
     },
     "verify thm11 --weights 5,3": {
         "json": "1f7ba3711c44077e9a6cc65f3809fa8e53abb97620f3de6695c0671e63df0655",
@@ -399,3 +400,12 @@ def test_golden_report_hashes(capsys, command, fmt):
     code, out = run(capsys, *command.split(), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[command][fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["bracket 3 5", "mould --weights 3..5 --check all"])
+def test_strict_report_differs_from_default(capsys, command, fmt):
+    _, default = run(capsys, *command.split(), "--format", fmt)
+    _, strict = run(capsys, *command.split(), "--strict", "--format", fmt)
+    assert strict != default
+    assert '"strict": true' in strict and '"strict"' not in default

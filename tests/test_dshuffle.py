@@ -230,6 +230,23 @@ def test_basis_certificates(basis_cache):
     assert certs8["even_weight_lead_vanishes"] is True
 
 
+def test_cached_basis_result_cannot_be_changed():
+    res = dshuffle.ds_basis(3)
+    f3 = res.basis[0]
+    with pytest.raises(AttributeError):
+        res.basis = ()
+    with pytest.raises(AttributeError):
+        res.dimension = 2
+    with pytest.raises(TypeError):
+        res.basis[0] = f3.scale(2)
+    with pytest.raises(TypeError):
+        res.coords[0][0] = 5
+    with pytest.raises(AttributeError):
+        res.basis.append(f3)
+    again = dshuffle.ds_basis(3)
+    assert again is res and again.basis == (f3,) and again.dimension == 1
+
+
 def test_basis_result_json(basis_cache):
     obj = basis_cache(3).to_json()
     assert obj["weight"] == 3 and obj["dimension"] == 1

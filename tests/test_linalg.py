@@ -42,9 +42,9 @@ def test_kernel_echelon_hand_matrix(kernel):
 
 
 def test_pure_kernel_forced_by_environment():
-    env = {"DSKRV_PURE": "1", "PATH": "/usr/bin:/bin"}
-    if "PYTHONPATH" in os.environ:  # how an uninstalled checkout finds dskrv
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+    # the child imports the dskrv that this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    env = {"DSKRV_PURE": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", "from dskrv import linalg; print(linalg.KERNEL)"],
         capture_output=True,
@@ -101,6 +101,19 @@ def test_solve():
     rows, rhs = [[1, 2, 3]], [6]
     sol = linalg.solve(rows, rhs, 3)
     assert sum(a * b for a, b in zip(rows[0], sol)) == 6
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, ncols, expected",
+    [
+        ([[1, 2, 3]], [6], 3, [6, 0, 0]),
+        ([[0, 2, 4], [0, 0, 3]], [2, 3], 3, [0, -1, 1]),
+        ([[1, 1, 0, 0], [0, 0, 1, 1]], [2, 5], 4, [2, 0, 5, 0]),
+    ],
+)
+def test_solve_sets_free_coordinates_to_zero(rows, rhs, ncols, expected):
+    # the convention a replacement of the Bareiss solve must keep
+    assert linalg.solve(rows, rhs, ncols) == expected
 
 
 def test_rref_canonical_form():

@@ -5,7 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from dskrv import poly, words
 from dskrv.poly import Poly
 
@@ -168,3 +171,38 @@ def test_json_roundtrip():
     assert obj["degree"] == 3
     assert {"word": "xxy", "coeff": "1/3"} in obj["terms"]
     assert poly.poly_from_json(obj) == f
+
+
+# Few keys, so that steps collide, cancel and re-add keys.
+_keys = st.integers(2, 9)
+_coeffs = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(-2, 2, max_denominator=4).filter(bool),
+)
+_scalars = st.one_of(st.sampled_from([0, 1, -1, Fraction(1), Fraction(0)]), _coeffs)
+_sparse = st.dictionaries(_keys, _coeffs, max_size=6)
+
+
+def typed(terms):
+    return [(k, type(v), v) for k, v in terms.items()]
+
+
+@given(st.data())
+def test_accumulate_matches_the_ring_fold(data):
+    start = data.draw(_sparse, label="start")
+    terms = dict(start)
+    steps = []
+    for _ in range(data.draw(st.integers(0, 8), label="steps")):
+        if terms and data.draw(st.booleans(), label="cancel"):
+            # cancel some keys exactly, then add some of them back
+            keys = data.draw(st.lists(st.sampled_from(list(terms)), min_size=1, unique=True))
+            new = [
+                ({k: terms[k] for k in keys}, -1),
+                (data.draw(st.dictionaries(st.sampled_from(keys), _coeffs)), data.draw(_scalars)),
+            ]
+        else:
+            new = [(data.draw(_sparse), data.draw(_scalars))]
+        for src, c in new:
+            assert poly.accumulate(terms, src.items(), c) is terms
+        steps += new
+    assert typed(terms) == typed(oracles.fold_sum(start, steps).terms)
