@@ -23,9 +23,9 @@ from .lie import NotLieError, bracket, from_coords, is_lie, lyndon_basis, to_coo
 from .poly import (
     Coeff,
     Poly,
+    Terms,
     _map_words,
     _reject_empty,
-    accumulate,
     anti,
     coeff_to_str,
     decompose_left,
@@ -50,39 +50,16 @@ Y = Poly.word("y")
 # -- cyclic words -------------------------------------------------------------
 
 
-class CyclicPoly:
+class CyclicPoly(Terms):
     """Linear combination of cyclic words (words up to rotation).
 
     Keys are the lexicographically smallest rotation of each word.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, Coeff] | None = None):
-        object.__setattr__(self, "terms", {w: c for w, c in (terms or {}).items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicPoly is immutable")
+    __slots__ = ()
 
     def coeff(self, w: words.WordLike) -> Coeff:
         return self.terms.get(words.cyclic_min(words.as_code(w)), 0)
-
-    def __add__(self, other: "CyclicPoly") -> "CyclicPoly":
-        return CyclicPoly(accumulate(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other: "CyclicPoly") -> "CyclicPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c: Coeff) -> "CyclicPoly":
-        if not c:
-            return CyclicPoly({})
-        return CyclicPoly({w: c * v for w, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicPoly) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __repr__(self) -> str:
         inner = " + ".join(
@@ -94,7 +71,7 @@ class CyclicPoly:
 def trace(f: Poly) -> CyclicPoly:
     """Project a polynomial onto cyclic words (trace map)."""
     _reject_empty(f, "trace")
-    return CyclicPoly(_map_words(f, words.cyclic_min).terms)
+    return CyclicPoly._of(_map_words(f, words.cyclic_min).terms)
 
 
 # -- tangential derivations ----------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
+from types import MappingProxyType
 
 from . import CrossCheckError, linalg, words
 from .lie import from_coords, is_lie, lyndon_basis
@@ -63,7 +64,7 @@ def _sh(u: int, v: int) -> dict[int, int]:
 
 def shuffle(u: WordLike, v: WordLike) -> Poly:
     """Shuffle product of two words (empty words allowed)."""
-    return Poly(dict(_sh(as_code(u), as_code(v))))
+    return Poly._of(dict(_sh(as_code(u), as_code(v))))
 
 
 # -- stuffle -----------------------------------------------------------------
@@ -132,10 +133,23 @@ def _st(a: tuple[int, ...], b: tuple[int, ...]) -> dict[int, int]:
 
 def stuffle(u: WordLike, v: WordLike) -> Poly:
     """Stuffle product of two words ending in y (empty words allowed)."""
-    return Poly(dict(_st(composition_of(as_code(u)), composition_of(as_code(v)))))
+    return Poly._of(dict(_st(composition_of(as_code(u)), composition_of(as_code(v)))))
 
 
 # -- membership --------------------------------------------------------------
+
+
+def _all_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Unordered pairs of nonempty words ending in y with weights summing to n."""
+    out = []
+    for k in range(1, n // 2 + 1):
+        right = compositions(n - k)
+        for a in compositions(k):
+            for b in right:
+                if k == n - k and a > b:
+                    continue
+                out.append((a, b))
+    return out
 
 
 def stuffle_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -144,18 +158,8 @@ def stuffle_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     Unordered pairs of nonempty words ending in y with weights summing
     to n, excluding pairs where both words are powers of y.
     """
-    out = []
-    for k in range(1, n // 2 + 1):
-        left = compositions(k)
-        right = compositions(n - k)
-        for a in left:
-            for b in right:
-                if k == n - k and a > b:
-                    continue
-                if set(a) <= {1} and set(b) <= {1}:
-                    continue
-                out.append((a, b))
-    return out
+    # parts are positive, so len(a) + len(b) == n exactly when every part is 1
+    return [(a, b) for a, b in _all_pairs(n) if len(a) + len(b) != n]
 
 
 def stuffle_failures(f: Poly, pairs=None) -> list[tuple[int, int, Coeff]]:
@@ -197,17 +201,6 @@ def starred_part(f: Poly) -> Poly:
     sign = 1 if (n - 1) % 2 == 0 else -1
     corr = Poly.word(words.y_power(n), Fraction(sign * lead, n)) if lead else Poly.zero()
     return pi_y(f) + corr
-
-
-def _all_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    out = []
-    for k in range(1, n // 2 + 1):
-        for a in compositions(k):
-            for b in compositions(n - k):
-                if k == n - k and a > b:
-                    continue
-                out.append((a, b))
-    return out
 
 
 def is_ds(f: Poly, strict: bool = False, with_failures: bool = False):
@@ -288,8 +281,9 @@ class BasisResult:
     """Exact basis of the weight-n part of ds, with audit data.
 
     ds_basis caches one result per weight and hands it to every caller,
-    so its attributes cannot be reassigned and the basis and coordinate
-    vectors are tuples.
+    so its attributes cannot be reassigned, the basis and coordinate
+    vectors are tuples, and constraint_stats and certificates are
+    read-only mappings.
     """
 
     __slots__ = ("weight", "dimension", "basis", "coords", "constraint_stats", "certificates")
@@ -299,8 +293,8 @@ class BasisResult:
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "coords", tuple(map(tuple, coords)))
-        object.__setattr__(self, "constraint_stats", constraint_stats)
-        object.__setattr__(self, "certificates", certificates)
+        object.__setattr__(self, "constraint_stats", MappingProxyType(dict(constraint_stats)))
+        object.__setattr__(self, "certificates", MappingProxyType(dict(certificates)))
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisResult is immutable")
@@ -312,8 +306,8 @@ class BasisResult:
             "weight": self.weight,
             "dimension": self.dimension,
             "basis": [poly_to_json(f) for f in self.basis],
-            "constraint_stats": self.constraint_stats,
-            "certificates": self.certificates,
+            "constraint_stats": dict(self.constraint_stats),
+            "certificates": dict(self.certificates),
         }
 
 
@@ -353,7 +347,7 @@ def ds_basis(n: int, max_weight: int = MAX_WEIGHT) -> BasisResult:
     certificates = {
         "elements_pass_is_ds": all(is_ds(f, strict=True) for f in basis),
         "elements_are_lie": all(is_lie(f) for f in basis),
-        "lead_coefficient": [str(f.coeff(lead_word)) for f in basis],
+        "lead_coefficient": tuple(str(f.coeff(lead_word)) for f in basis),
         "even_weight_lead_vanishes": (
             all(f.coeff(lead_word) == 0 for f in basis) if n % 2 == 0 else None
         ),

@@ -38,7 +38,7 @@ DEFAULT_TRUNCATION = 12
 
 
 def _truncate(f: Poly, trunc: int) -> Poly:
-    return Poly({w: c for w, c in f.terms.items() if words.degree(w) <= trunc})
+    return Poly._of({w: c for w, c in f.terms.items() if words.degree(w) <= trunc})
 
 
 class TruncSeries:
@@ -142,7 +142,7 @@ def exp_circle(f: Poly, trunc: int = DEFAULT_TRUNCATION) -> TruncSeries:
     if f.terms.get(words.EMPTY, 0):
         raise ValueError("exp_circle requires vanishing constant term")
     num, den = numerators(_truncate(f, trunc))
-    scaled = Poly(num)
+    scaled = Poly._of(num)
     min_deg = min((words.degree(w) for w in num), default=trunc + 1)
     powers = [Poly.one()]
     # every term of the k-th power has degree >= k * min_deg
@@ -158,7 +158,7 @@ def exp_circle(f: Poly, trunc: int = DEFAULT_TRUNCATION) -> TruncSeries:
         accumulate(total, powers[k].terms.items(), weight)
         weight *= den * k
     common = den**top * factorial(top)
-    return TruncSeries(Poly({w: Fraction(c, common) for w, c in total.items()}), trunc)
+    return TruncSeries(Poly._of({w: Fraction(c, common) for w, c in total.items()}), trunc)
 
 
 def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
@@ -243,14 +243,14 @@ def star_series(phi: TruncSeries) -> TruncSeries:
     # the projection onto words ending in y keeps the constant term of
     # a series (unlike the polynomial operator pi_y, which has no use
     # for empty words)
-    proj = Poly(
+    proj = Poly._of(
         {
             w: c
             for w, c in phi.poly.terms.items()
             if w == words.EMPTY or words.ends_in_y(w)
         }
     )
-    return TruncSeries(Poly(expo), n) * TruncSeries(proj, n)
+    return TruncSeries(Poly._of(expo), n) * TruncSeries(proj, n)
 
 
 def grouplike_stuffle_check(phi: TruncSeries, max_degree: int | None = None) -> dict:
@@ -298,7 +298,7 @@ def exp_derivation(d: TangentialDerivation, f: Poly, trunc: int = DEFAULT_TRUNCA
         kfact *= k
         term = d.apply(term, trunc)
         accumulate(total, term.terms.items(), Fraction(1, kfact))
-    return Poly(total)
+    return Poly._of(total)
 
 
 def automorphism_check(d: TangentialDerivation, trunc: int = DEFAULT_TRUNCATION) -> dict:

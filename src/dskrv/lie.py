@@ -61,7 +61,7 @@ def dynkin_phi(f: Poly) -> Poly:
         if w == words.EMPTY:
             raise ValueError("dynkin_phi is not defined on the empty word")
         accumulate(terms, _phi_word(w).terms.items(), c)
-    return Poly(terms)
+    return Poly._of(terms)
 
 
 def theta_apply(u: Poly | WordLike, v: Poly) -> Poly:
@@ -77,7 +77,7 @@ def theta_apply(u: Poly | WordLike, v: Poly) -> Poly:
         for bit in reversed(list(words.letters_of(w))):
             res = bracket(Poly.word((1 << 1) | bit), res)
         accumulate(terms, res.terms.items(), c)
-    return Poly(terms)
+    return Poly._of(terms)
 
 
 def is_lie(f: Poly, cross_check: bool = False) -> bool:
@@ -96,7 +96,7 @@ def is_lie(f: Poly, cross_check: bool = False) -> bool:
             verdict = False
             break
         try:  # on integer numerators: scaling does not change membership
-            to_coords(Poly(numerators(f.homogeneous_part(n))[0]), n)
+            to_coords(Poly._of(numerators(f.homogeneous_part(n))[0]), n)
         except NotLieError:
             verdict = False
             break
@@ -232,7 +232,7 @@ def from_coords(coords: list[Coeff], n: int) -> Poly:
     terms: dict[int, Coeff] = {}
     for c, expansion in zip(coords, basis.expansions):
         accumulate(terms, expansion.terms.items(), c)
-    return Poly(terms)
+    return Poly._of(terms)
 
 
 def random_lie(n: int, seed: int) -> Poly:

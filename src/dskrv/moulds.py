@@ -25,7 +25,15 @@ from fractions import Fraction
 
 from . import words
 from .lie import NotLieError, is_lie
-from .poly import Coeff, Poly, accumulate, coeff_to_str, decompose_right, is_antipalindromic
+from .poly import (
+    Coeff,
+    Poly,
+    Terms,
+    accumulate,
+    coeff_to_str,
+    decompose_right,
+    is_antipalindromic,
+)
 from .dshuffle import is_ds
 
 
@@ -37,31 +45,35 @@ class InexactDivision(ArithmeticError):
         self.remainder = remainder
 
 
-class CPoly:
+class CPoly(Terms):
     """Sparse commutative polynomial with a fixed number of variables.
 
     Terms map exponent tuples to rational coefficients; the term order
     used for display and serialization is graded lexicographic.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, arity: int, terms: dict[tuple[int, ...], Coeff] | None = None):
-        object.__setattr__(self, "arity", arity)
-        cleaned = {}
-        for e, c in (terms or {}).items():
+        for e in terms or ():
             if len(e) != arity:
                 raise ValueError(f"exponent tuple {e} does not have arity {arity}")
-            if c:
-                cleaned[e] = c
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "arity", arity)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CPoly is immutable")
+    @classmethod
+    def _of(cls, terms: dict, arity: int) -> "CPoly":
+        """Adopt terms (see Terms._of) as a polynomial in arity variables."""
+        new = super()._of(terms)
+        object.__setattr__(new, "arity", arity)
+        return new
+
+    def _like(self, terms: dict) -> "CPoly":
+        return self._of(terms, self.arity)
 
     @classmethod
     def zero(cls, arity: int) -> "CPoly":
-        return cls(arity, {})
+        return cls._of({}, arity)
 
     @classmethod
     def monomial(cls, exps: tuple[int, ...], c: Coeff = 1) -> "CPoly":
@@ -74,28 +86,15 @@ class CPoly:
     def __add__(self, other: "CPoly") -> "CPoly":
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        return CPoly(self.arity, accumulate(dict(self.terms), other.terms.items()))
+        return super().__add__(other)
 
     def __sub__(self, other: "CPoly") -> "CPoly":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "CPoly":
-        return self.scale(-1)
-
-    def scale(self, c: Coeff) -> "CPoly":
-        if not c:
-            return CPoly.zero(self.arity)
-        return CPoly(self.arity, {e: c * v for e, v in self.terms.items()})
+        if self.arity != other.arity:
+            raise ValueError("arity mismatch")
+        return super().__sub__(other)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CPoly)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        return super().__eq__(other) and self.arity == other.arity
 
     def degree(self) -> int | None:
         if not self.terms:
@@ -133,7 +132,7 @@ class CPoly:
                 if not acc:
                     break
             accumulate(out, acc.items())
-        return CPoly(new_arity, out)
+        return CPoly._of(out, new_arity)
 
     def div_var(self, k: int) -> "CPoly":
         """Exact division by variable k; raises InexactDivision on remainder."""
@@ -142,9 +141,8 @@ class CPoly:
             raise InexactDivision(
                 f"component is not divisible by variable {k}", CPoly(self.arity, rem)
             )
-        return CPoly(
-            self.arity,
-            {e[:k] + (e[k] - 1,) + e[k + 1 :]: c for e, c in self.terms.items()},
+        return self._like(
+            {e[:k] + (e[k] - 1,) + e[k + 1 :]: c for e, c in self.terms.items()}
         )
 
     def div_diff(self, i: int, j: int) -> "CPoly":
@@ -459,7 +457,7 @@ def poly_from_ad_basis(coeffs: dict[tuple[int, ...], Coeff]) -> Poly:
         for ci in c[1:]:
             prod = prod * ad_power(ci)
         accumulate(terms, prod.terms.items(), b)
-    return Poly(terms)
+    return Poly._of(terms)
 
 
 # -- identity checks ------------------------------------------------------------
@@ -545,11 +543,6 @@ def ecalle_identity_check(f: Poly, require_ds: bool = True) -> dict:
     per_depth = {r: lhs.component(r) == rhs.component(r) for r in depths}
     witness = next((r for r, ok in per_depth.items() if not ok), None)
     return {"verdict": all(per_depth.values()), "per_depth": per_depth, "witness_depth": witness}
-
-
-def _reversed_args(p: CPoly) -> CPoly:
-    r = p.arity
-    return p.subst(_var_images(r, [r - 1 - k for k in range(r)], r), r)
 
 
 def ecalle_bridge_check(f: Poly) -> dict:

@@ -1,9 +1,11 @@
 """Sparse polynomials in noncommuting x, y with exact rational coefficients.
 
-Terms live in a dict keyed by packed word codes (see words.py); values
-are Python ints or Fractions, never floats, and zero coefficients are
-dropped eagerly.  Poly objects are immutable by convention: no public
-method mutates, all operations return fresh instances.
+Terms is the one sparse-term format of the package, shared by Poly,
+moulds.CPoly and derivations.CyclicPoly: a dict from keys to Python
+ints or Fractions, never floats, with no zero value.  The public
+constructor copies the caller's dict and drops zeros; Terms._of adopts
+a fresh zero-free dict, such as one that accumulate has just built,
+without copying it.  Poly keys are packed word codes (see words.py).
 
 Besides ring arithmetic this module implements the word-level operators
 that the rest of the package is built on: coefficient extraction,
@@ -27,10 +29,6 @@ from .words import EMPTY, Word, WordLike, as_code
 Coeff = Union[int, Fraction]
 
 
-def _clean(terms: dict[int, Coeff]) -> dict[int, Coeff]:
-    return {w: c for w, c in terms.items() if c}
-
-
 def accumulate(terms: dict, pairs: Iterable[tuple], c: Coeff = 1) -> dict:
     """Add c*v into terms[k] for each (k, v) of pairs, in place; returns terms.
 
@@ -51,27 +49,73 @@ def accumulate(terms: dict, pairs: Iterable[tuple], c: Coeff = 1) -> dict:
     return terms
 
 
-class Poly:
-    """A finite linear combination of words with rational coefficients."""
+class Terms:
+    """An immutable finite linear combination with rational coefficients.
+
+    terms maps each key (a word code, a cyclic word, an exponent tuple)
+    to its nonzero int or Fraction coefficient.  Every operation returns
+    a fresh object of the same kind, which alone holds its dict.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[int, Coeff] | None = None):
-        object.__setattr__(self, "terms", _clean(terms or {}))
+    def __init__(self, terms: dict | None = None):
+        """Copy terms, dropping zero coefficients."""
+        object.__setattr__(self, "terms", {k: c for k, c in (terms or {}).items() if c})
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """Adopt terms, a fresh dict with no zero value that no one else holds."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "terms", terms)
+        return new
+
+    def _like(self, terms: dict):
+        """A result of the same kind as self that adopts terms (see _of)."""
+        return self._of(terms)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        return self._like(accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self._like(accumulate(dict(self.terms), other.terms.items(), -1))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c: Coeff):
+        if not c:
+            return self._like({})
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+class Poly(Terms):
+    """A finite linear combination of words with rational coefficients."""
+
+    __slots__ = ()
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls({})
+        return cls._of({})
 
     @classmethod
     def one(cls) -> "Poly":
         """The multiplicative unit (empty word)."""
-        return cls({EMPTY: 1})
+        return cls._of({EMPTY: 1})
 
     @classmethod
     def word(cls, w: WordLike, c: Coeff = 1) -> "Poly":
@@ -120,32 +164,18 @@ class Poly:
         return len({words.degree(w) for w in self.terms}) <= 1
 
     def homogeneous_part(self, n: int) -> "Poly":
-        return Poly({w: c for w, c in self.terms.items() if words.degree(w) == n})
+        return Poly._of({w: c for w, c in self.terms.items() if words.degree(w) == n})
 
     def degrees(self) -> list[int]:
         return sorted({words.degree(w) for w in self.terms})
 
     def depth_part(self, r: int) -> "Poly":
-        return Poly({w: c for w, c in self.terms.items() if words.depth(w) == r})
+        return Poly._of({w: c for w, c in self.terms.items() if words.depth(w) == r})
 
     def depths(self) -> list[int]:
         return sorted({words.depth(w) for w in self.terms})
 
     # -- ring operations --------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly(accumulate(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return Poly(accumulate(dict(self.terms), other.terms.items(), -1))
-
-    def __neg__(self) -> "Poly":
-        return Poly({w: -c for w, c in self.terms.items()})
-
-    def scale(self, c: Coeff) -> "Poly":
-        if not c:
-            return Poly.zero()
-        return Poly({w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
         """Concatenation product, or scalar multiple for rational other."""
@@ -158,21 +188,12 @@ class Poly:
             for a, ca in self.terms.items()
             for b, cb in other.terms.items()
         )
-        return Poly(accumulate({}, pairs))
+        return Poly._of(accumulate({}, pairs))
 
     def __rmul__(self, other) -> "Poly":
         if isinstance(other, Rational):
             return self.scale(other)
         return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -199,7 +220,7 @@ class Poly:
 
 
 def _map_words(f: Poly, word_map) -> Poly:
-    return Poly(accumulate({}, ((word_map(w), c) for w, c in f.terms.items())))
+    return Poly._of(accumulate({}, ((word_map(w), c) for w, c in f.terms.items())))
 
 
 def _reject_empty(f: Poly, op: str) -> None:
@@ -236,15 +257,13 @@ def swap_xy(f: Poly) -> Poly:
 def negate_y(f: Poly) -> Poly:
     """Substitute y -> -y (sign by y-count); x is fixed."""
     _reject_empty(f, "negate_y")
-    return Poly(
-        {w: -c if words.depth(w) & 1 else c for w, c in f.terms.items()}
-    )
+    return Poly._of({w: -c if words.depth(w) & 1 else c for w, c in f.terms.items()})
 
 
 def pi_y(f: Poly) -> Poly:
     """Projection onto the span of words ending in y."""
     _reject_empty(f, "pi_y")
-    return Poly({w: c for w, c in f.terms.items() if words.ends_in_y(w)})
+    return Poly._of({w: c for w, c in f.terms.items() if words.ends_in_y(w)})
 
 
 def partial_x(f: Poly) -> Poly:
@@ -259,7 +278,7 @@ def partial_x(f: Poly) -> Poly:
         for i in range(words.degree(w))
         if not (w >> i) & 1  # x at bit position i
     )
-    return Poly(accumulate({}, pairs))
+    return Poly._of(accumulate({}, pairs))
 
 
 def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
@@ -280,7 +299,7 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
         for bit in words.letters_of(w):
             prod = prod * images[bit]
         accumulate(terms, prod.terms.items(), c)
-    return Poly(terms)
+    return Poly._of(terms)
 
 
 def numerators(f: Poly) -> tuple[dict[int, int], int]:
@@ -345,7 +364,7 @@ def decompose_right(f: Poly) -> tuple[Poly, Poly]:
     fy: dict[int, Coeff] = {}
     for w, c in f.terms.items():
         (fy if w & 1 else fx)[w >> 1] = c
-    return Poly(fx), Poly(fy)
+    return Poly._of(fx), Poly._of(fy)
 
 
 def decompose_left(f: Poly) -> tuple[Poly, Poly]:
@@ -357,7 +376,7 @@ def decompose_left(f: Poly) -> tuple[Poly, Poly]:
         n = words.degree(w)
         rest = (1 << (n - 1)) | (w & ((1 << (n - 1)) - 1))
         ((fy if (w >> (n - 1)) & 1 else fx))[rest] = c
-    return Poly(fx), Poly(fy)
+    return Poly._of(fx), Poly._of(fy)
 
 
 def s_map(h: Poly) -> Poly:
@@ -377,7 +396,7 @@ def s_map(h: Poly) -> Poly:
         i += 1
         fact *= i
         term = partial_x(term)
-    return Poly(terms)
+    return Poly._of(terms)
 
 
 def s_prime_map(h: Poly) -> Poly:
@@ -396,7 +415,7 @@ def s_prime_map(h: Poly) -> Poly:
         i += 1
         fact *= i
         term = partial_x(term)
-    return Poly(terms)
+    return Poly._of(terms)
 
 
 # -- symmetry predicates ----------------------------------------------------

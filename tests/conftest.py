@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from dskrv import dshuffle
+
+# Property tests draw the same examples on every run and replay no examples
+# saved by an earlier run, so every run of the suite checks the same cases.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

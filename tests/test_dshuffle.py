@@ -8,12 +8,14 @@ package.
 
 from __future__ import annotations
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from dskrv import dshuffle, lie, poly, words
+from dskrv import cli, dshuffle, lie, poly, words
 from dskrv.poly import Poly
 
 
@@ -225,7 +227,7 @@ def test_basis_certificates(basis_cache):
     assert stats["rank"] == stats["cols"] - res.dimension
     certs = res.certificates
     assert certs["elements_pass_is_ds"] and certs["elements_are_lie"]
-    assert certs["lead_coefficient"] == ["1"]
+    assert certs["lead_coefficient"] == ("1",)
     certs8 = basis_cache(8).certificates
     assert certs8["even_weight_lead_vanishes"] is True
 
@@ -243,8 +245,18 @@ def test_cached_basis_result_cannot_be_changed():
         res.coords[0][0] = 5
     with pytest.raises(AttributeError):
         res.basis.append(f3)
+    with pytest.raises(TypeError):
+        res.certificates["elements_are_lie"] = False
+    with pytest.raises(TypeError):
+        res.constraint_stats["rank"] = 0
+    with pytest.raises(AttributeError):
+        res.certificates["lead_coefficient"].append("2")
     again = dshuffle.ds_basis(3)
     assert again is res and again.basis == (f3,) and again.dimension == 1
+    assert again.certificates["elements_are_lie"] is True
+    assert again.constraint_stats["rank"] == again.constraint_stats["cols"] - 1
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["basis", "--weight", "3"]) == 0
 
 
 def test_basis_result_json(basis_cache):

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import islice
 from math import isqrt
@@ -39,20 +36,6 @@ def test_kernel_echelon_hand_matrix(kernel):
     # echelon rows stay integer and reproduce the row space rank
     assert all(isinstance(v, int) for r in ech for v in r)
     assert rows == [[2, 4, 6], [1, 2, 4], [0, 0, 1]]  # input untouched
-
-
-def test_pure_kernel_forced_by_environment():
-    # the child imports the dskrv that this test imported, installed or not
-    src = os.path.dirname(os.path.dirname(linalg.__file__))
-    env = {"DSKRV_PURE": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", "from dskrv import linalg; print(linalg.KERNEL)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure"
 
 
 def test_integerize_row():
