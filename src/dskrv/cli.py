@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -133,7 +132,9 @@ def _emit(report: dict, args, text_lines: list[str]) -> None:
 
 
 def _parse_weights(args, default_lo: int = 3, default_hi: int = 8) -> list[int]:
-    if getattr(args, "weights", None):
+    if args.weights is not None:
+        if args.weight is not None:
+            raise UsageError("give --weight or --weights, not both")
         txt = args.weights
         if ".." in txt:
             lo, hi = txt.split("..", 1)
@@ -149,13 +150,15 @@ def _parse_weights(args, default_lo: int = 3, default_hi: int = 8) -> list[int]:
                 ws = [int(p) for p in txt.split(",")]
             except ValueError as exc:
                 raise UsageError(f"bad weight list {txt!r}") from exc
-    elif getattr(args, "weight", None) is not None:
+    elif args.weight is not None:
         ws = [args.weight]
     else:
         ws = list(range(default_lo, default_hi + 1))
     for w in ws:
         if w < 2 or w > MAX_WEIGHT:
             raise UsageError(f"weight {w} outside supported range 2..{MAX_WEIGHT}")
+    if len(set(ws)) < len(ws):
+        raise UsageError(f"weight list {args.weights!r} repeats a weight")
     return ws
 
 
@@ -591,9 +594,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--truncate",
         type=int,
-        default=int(os.environ.get("DSKRV_TRUNCATE", groupexp.DEFAULT_TRUNCATION)),
-        help="series truncation order, at least every weight for exp and the "
-        "group suites (env DSKRV_TRUNCATE)",
+        default=groupexp.DEFAULT_TRUNCATION,
+        help="series truncation order, at least every weight for exp and the group suites",
     )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", help="write the report to a file instead of stdout")

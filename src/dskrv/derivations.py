@@ -435,12 +435,8 @@ def kv_dimensions(n: int) -> dict:
         ex, ey = decompose_right(e)
         diffs.append(ey - ex)
     m = n - 1
-    seen: set[int] = set()
-    for w in words.all_words(m):
-        if w in seen:
-            continue
-        orbit = words.push_orbit(w)
-        seen.update(orbit)
+    for orbit in words.push_orbits(m):
+        w = orbit[0]
         if words.is_power_of_y(w):
             vkv_rows.append([g.terms.get(w, 0) for g in diffs] + [0])
         else:

@@ -11,6 +11,10 @@ expressed on Lyndon coordinates of the free Lie algebra and the
 nullspace is the certified multi-modular one of linalg.nullspace
 (exact rationals, checked against every constraint row), normalized
 to reduced echelon form with a fixed scaling convention.
+
+Every shuffle or stuffle identity of the package, (f | st(u, v)) = 0
+here, group-likeness in groupexp and shuffle orthogonality in lie, is
+one sweep of pairing_failures over a table of (u, v, product) entries.
 """
 
 from __future__ import annotations
@@ -136,6 +140,55 @@ def stuffle(u: WordLike, v: WordLike) -> Poly:
     return Poly._of(dict(_st(composition_of(as_code(u)), composition_of(as_code(v)))))
 
 
+# -- the pairing kernel -------------------------------------------------------
+
+
+def pairing_failures(table, num: dict[int, int], den: int):
+    """Sweep (u, v, product) entries against the series f = num/den.
+
+    Yields (index, entry, value) for each entry with
+    den * (num | product) != num(u) * num(v), that is
+    (f | product) != f(u) f(v), where value is the integer pairing
+    (num | product).  For f homogeneous of degree n and u, v of degree
+    below n the right side is 0.  Returns the number of entries swept.
+    """
+    get = num.get
+    i = -1
+    for i, (u, v, product) in enumerate(table):
+        value = sum(map(mul, product.values(), map(get, product, repeat(0))))
+        if den * value != get(u, 0) * get(v, 0):
+            yield i, (u, v, product), value
+    return i + 1
+
+
+def _pair_table(n: int, words_of, product):
+    """(u, v, product(u, v)) over 1 <= deg u <= deg v, deg u + deg v <= n.
+
+    words_of(d) lists the words of degree d in code order; pairs run by
+    deg u, then deg v, then u, then v, with v >= u when the degrees agree.
+    """
+    for a in range(1, n // 2 + 1):
+        for b in range(a, n - a + 1):
+            for i, u in enumerate(words_of(a)):
+                for v in words_of(b)[i:] if a == b else words_of(b):
+                    yield u, v, product(u, v)
+
+
+def shuffle_table(n: int):
+    """The shuffle pairs (u, v, sh(u, v)) of nonempty words up to degree n."""
+    return _pair_table(n, words.all_words, _sh)
+
+
+def stuffle_table(n: int):
+    """The stuffle pairs (u, v, st(u, v)) of words ending in y up to degree n."""
+
+    def ending_in_y(d: int) -> range:
+        return words.all_words(d)[1::2]
+
+    comp = {w: composition_of(w) for d in range(1, n) for w in ending_in_y(d)}
+    return _pair_table(n, ending_in_y, lambda u, v: _st(comp[u], comp[v]))
+
+
 # -- membership --------------------------------------------------------------
 
 
@@ -162,27 +215,23 @@ def stuffle_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(a, b) for a, b in _all_pairs(n) if len(a) + len(b) != n]
 
 
-def stuffle_failures(f: Poly, pairs=None) -> list[tuple[int, int, Coeff]]:
+def _stuffle_entries(pairs):
+    """Pairing-table entries of composition pairs."""
+    return ((word_of_composition(a), word_of_composition(b), _st(a, b)) for a, b in pairs)
+
+
+def stuffle_failures(f: Poly) -> list[tuple[int, int, Coeff]]:
     """Constraint pairs with nonzero residual, as (u_code, v_code, residual).
 
     The pairing runs on the integer numerators of f; a residual is a
     Fraction when a Fraction coefficient of f enters it, else an int.
     """
-    n = f.degree()
-    if pairs is None:
-        pairs = stuffle_pairs(n)
     num, den = numerators(f)
-    get = num.get
     failures = []
-    for a, b in pairs:
-        st = _st(a, b)
-        res = sum(map(mul, st.values(), map(get, st, repeat(0))))
-        if res:
-            if any(isinstance(f.terms.get(w), Fraction) for w in st):
-                res = Fraction(res, den)
-            else:
-                res //= den
-            failures.append((word_of_composition(a), word_of_composition(b), res))
+    entries = _stuffle_entries(stuffle_pairs(f.degree()))
+    for _, (u, v, st), res in pairing_failures(entries, num, den):
+        fraction = any(isinstance(f.terms.get(w), Fraction) for w in st)
+        failures.append((u, v, Fraction(res, den) if fraction else res // den))
     return failures
 
 
@@ -218,14 +267,11 @@ def is_ds(f: Poly, strict: bool = False, with_failures: bool = False):
     if n < 3:
         raise ValueError("double shuffle elements have degree >= 3")
     failures = stuffle_failures(f)
-    verdict = is_lie(f) and not failures
-    if strict and is_lie(f):
-        num, _ = numerators(starred_part(f))
-        get = num.get
-        star_verdict = not any(
-            sum(map(mul, st.values(), map(get, st, repeat(0))))
-            for st in (_st(a, b) for a, b in _all_pairs(n))
-        )
+    in_lie = is_lie(f)
+    verdict = in_lie and not failures
+    if strict and in_lie:
+        entries = _stuffle_entries(_all_pairs(n))
+        star_verdict = not any(pairing_failures(entries, *numerators(starred_part(f))))
         if star_verdict != verdict:
             raise CrossCheckError(
                 "corrected-series stuffle check disagrees with the defining one"
@@ -409,12 +455,10 @@ def signed_push_sums_check(f: Poly) -> dict:
     _, fy = decompose_right(f)
     if fy.coeff(words.y_power(n - 1)):
         return {"verdict": False, "A": a, "witness": "y" * (n - 1)}
-    seen = set()
-    for w in words.all_words(n - 1):
-        if w in seen or words.is_power_of_y(w):
+    for orbit in words.push_orbits(n - 1):
+        w = orbit[0]
+        if words.is_power_of_y(w):
             continue
-        orbit = words.push_orbit(w)
-        seen.update(orbit)
         r = words.depth(w)
         total = sum(fy.coeff(v) for v in orbit)
         expected = a if r % 2 == 0 else -a

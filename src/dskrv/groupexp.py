@@ -24,14 +24,12 @@ degree truncation N, this module provides:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import factorial
-from operator import mul
 
 from . import words
 from .poly import Coeff, Poly, accumulate, numerators, poly_to_json, truncated_mul
 from .lie import NotLieError, bracket, is_lie
-from .dshuffle import _sh, _st, composition_of, d_f, is_ds
+from .dshuffle import d_f, is_ds, pairing_failures, shuffle_table, stuffle_table
 from .derivations import TangentialDerivation, ds_to_krv
 
 DEFAULT_TRUNCATION = 12
@@ -188,36 +186,28 @@ def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
 # -- group-likeness -------------------------------------------------------------
 
 
-def grouplike_shuffle_check(phi: TruncSeries, max_degree: int | None = None) -> dict:
+def _first_failure(sweep) -> dict:
+    """The verdict of a pairing_failures sweep, the witness pair of its first
+    failure, and the number of pairs checked before it (all, on a pass)."""
+    try:
+        pairs, (u, v, _), _ = next(sweep)
+    except StopIteration as done:
+        return {"verdict": True, "witness": None, "pairs": done.value}
+    return {
+        "verdict": False,
+        "witness": (words.str_from_code(u), words.str_from_code(v)),
+        "pairs": pairs,
+    }
+
+
+def grouplike_shuffle_check(phi: TruncSeries) -> dict:
     """Check (Phi | sh(u, v)) = (Phi|u)(Phi|v) for all word pairs.
 
     Pairs are swept over 1 <= deg u <= deg v with deg u + deg v up to
-    max_degree (default: the truncation order).  Returns the verdict, a
-    witness pair on failure, and the number of pairs checked.
+    the truncation order.  Returns the verdict, a witness pair on
+    failure, and the number of pairs checked.
     """
-    n = max_degree if max_degree is not None else phi.trunc
-    if n > phi.trunc:
-        raise ValueError("cannot check beyond the truncation order")
-    # With Phi = P/D the identity reads D (P | sh(u, v)) = P(u) P(v).
-    num, den = numerators(phi.poly)
-    get = num.get
-    checked = 0
-    for a in range(1, n // 2 + 1):
-        for b in range(a, n - a + 1):
-            for u in words.all_words(a):
-                pu = get(u, 0)
-                # when deg u = deg v, only v >= u
-                for v in range(u, 2 << b) if a == b else words.all_words(b):
-                    sh = _sh(u, v)
-                    lhs = sum(map(mul, sh.values(), map(get, sh, repeat(0))))
-                    if den * lhs != pu * get(v, 0):
-                        return {
-                            "verdict": False,
-                            "witness": (words.str_from_code(u), words.str_from_code(v)),
-                            "pairs": checked,
-                        }
-                    checked += 1
-    return {"verdict": True, "witness": None, "pairs": checked}
+    return _first_failure(pairing_failures(shuffle_table(phi.trunc), *numerators(phi.poly)))
 
 
 def star_series(phi: TruncSeries) -> TruncSeries:
@@ -253,35 +243,10 @@ def star_series(phi: TruncSeries) -> TruncSeries:
     return TruncSeries(Poly._of(expo), n) * TruncSeries(proj, n)
 
 
-def grouplike_stuffle_check(phi: TruncSeries, max_degree: int | None = None) -> dict:
+def grouplike_stuffle_check(phi: TruncSeries) -> dict:
     """Check (Phi_* | st(u, v)) = Phi_*(u) Phi_*(v) for y-ending pairs."""
-    n = max_degree if max_degree is not None else phi.trunc
-    if n > phi.trunc:
-        raise ValueError("cannot check beyond the truncation order")
-    # With Phi_* = P/D the identity reads D (P | st(u, v)) = P(u) P(v).
     num, den = numerators(star_series(phi).poly)
-    get = num.get
-    # (code, composition) of the words ending in y, by degree
-    ywords = [
-        [(w, composition_of(w)) for w in words.all_words(d) if words.ends_in_y(w)]
-        for d in range(n + 1)
-    ]
-    checked = 0
-    for a in range(1, n // 2 + 1):
-        for b in range(a, n - a + 1):
-            for i, (u, cu) in enumerate(ywords[a]):
-                pu = get(u, 0)
-                for v, cv in ywords[b][i:] if a == b else ywords[b]:
-                    st = _st(cu, cv)
-                    lhs = sum(map(mul, st.values(), map(get, st, repeat(0))))
-                    if den * lhs != pu * get(v, 0):
-                        return {
-                            "verdict": False,
-                            "witness": (words.str_from_code(u), words.str_from_code(v)),
-                            "pairs": checked,
-                        }
-                    checked += 1
-    return {"verdict": True, "witness": None, "pairs": checked}
+    return _first_failure(pairing_failures(stuffle_table(phi.trunc), num, den))
 
 
 # -- exponentials of tangential derivations --------------------------------------

@@ -101,7 +101,7 @@ def is_lie(f: Poly, cross_check: bool = False) -> bool:
             verdict = False
             break
     if cross_check:
-        from .dshuffle import shuffle
+        from .dshuffle import pairing_failures, shuffle_table
 
         dynkin_verdict = True
         sh_verdict = True
@@ -112,16 +112,11 @@ def is_lie(f: Poly, cross_check: bool = False) -> bool:
             part = f.homogeneous_part(n)
             if dynkin_phi(part) != part.scale(n):
                 dynkin_verdict = False
-            for k in range(1, n // 2 + 1):
-                for u in words.all_words(k):
-                    for v in words.all_words(n - k):
-                        if part.pairing(shuffle(u, v)):
-                            sh_verdict = False
-                            break
-                    if not sh_verdict:
-                        break
-                if not sh_verdict:
-                    break
+            # the table's pairs of total degree below n pair to 0 on both
+            # sides, so this is (part | sh(u, v)) = 0 for deg u + deg v = n
+            sh_verdict = sh_verdict and not any(
+                pairing_failures(shuffle_table(n), *numerators(part))
+            )
         if not verdict == dynkin_verdict == sh_verdict:
             raise CrossCheckError(
                 f"Lie criteria disagree: Lyndon peeling {verdict}, "

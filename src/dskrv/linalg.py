@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 
 from . import CrossCheckError
@@ -262,18 +262,3 @@ def rref(rows: list[list], ncols: int) -> list[list[Fraction]]:
         pivots.append(col)
         piv += 1
     return mat[:piv]
-
-
-def primitive(vec: list[Fraction]) -> list[int]:
-    """Integer vector proportional to vec with content 1, first entry > 0."""
-    m = lcm(*(v.denominator for v in vec)) if vec else 1
-    ints = [int(v * m) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v)
-        if lead < 0:
-            ints = [-v for v in ints]
-    return ints

@@ -462,12 +462,9 @@ def push_constant(f: Poly) -> Coeff | None:
     if f.terms.get(words.y_power(n), 0):
         return None
     a = None
-    seen: set[int] = set()
-    for w in words.all_words(n):
-        if w in seen or words.is_power_of_y(w):
+    for orbit in words.push_orbits(n):
+        if words.is_power_of_y(orbit[0]):
             continue
-        orbit = words.push_orbit(w)
-        seen.update(orbit)
         total = sum(f.terms.get(v, 0) for v in orbit)
         if a is None:
             a = total

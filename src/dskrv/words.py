@@ -183,6 +183,16 @@ def push_orbit(code: int) -> list[int]:
     return out
 
 
+def push_orbits(m: int) -> Iterator[list[int]]:
+    """Each push orbit of the degree-m words once, in the order of its first word."""
+    seen: set[int] = set()
+    for w in all_words(m):
+        if w not in seen:
+            orbit = push_orbit(w)
+            seen.update(orbit)
+            yield orbit
+
+
 def cyclic_min(code: int) -> int:
     """Smallest code among the letter rotations of the word (cyclic key)."""
     _require_nonempty(code)
@@ -211,10 +221,6 @@ class Word:
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
-
-    @classmethod
-    def from_exponents(cls, exps: Iterable[int]) -> "Word":
-        return cls(code_from_exponents(exps))
 
     @property
     def degree(self) -> int:

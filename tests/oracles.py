@@ -265,6 +265,28 @@ def exp_derivation(F: Poly, G: Poly, h: Poly, trunc: int) -> Poly:
     return total
 
 
+def grouplike_sweep(series: Poly, trunc: int, product, y_ending: bool = False) -> dict:
+    """The first pair with (series | product(u, v)) != series(u) series(v).
+
+    Pairs of nonempty words (ending in y, with y_ending) have
+    1 <= deg u <= deg v, deg u + deg v <= trunc and v >= u at equal
+    degree; they run by deg u, deg v, u, v, each in lexicographic order.
+    Returns the verdict, the witness pair and the number of pairs
+    before it (all of them on a pass).
+    """
+    checked = 0
+    for a in range(1, trunc // 2 + 1):
+        for b in range(a, trunc - a + 1):
+            for u in all_degree_words(a):
+                for v in all_degree_words(b):
+                    if (a == b and v < u) or (y_ending and not u[-1] == v[-1] == "y"):
+                        continue
+                    if series.pairing(product(u, v)) != series.coeff(u) * series.coeff(v):
+                        return {"verdict": False, "witness": (u, v), "pairs": checked}
+                    checked += 1
+    return {"verdict": True, "witness": None, "pairs": checked}
+
+
 # -- the rational nullspace by Bareiss elimination --------------------------------
 
 

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dskrv import cli
 
@@ -176,14 +180,6 @@ def test_version_recorded(capsys):
     assert rep["version"] == dskrv.__version__
 
 
-def test_truncate_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("DSKRV_TRUNCATE", "6")
-    # parser defaults are bound at construction, so go through main()
-    code, rep = run_json(capsys, "exp", "--weight", "3")
-    assert code == 0
-    assert rep["parameters"]["truncate"] == 6
-
-
 GROUP_COMMANDS = [("exp",), ("verify", "group49"), ("verify", "group410"), ("verify", "thm42")]
 
 
@@ -195,13 +191,6 @@ def test_truncation_below_weight_is_a_usage_error(capsys, command, trunc):
     assert code == 2
     assert captured.out == ""  # no report, so no vacuous "pass"
     assert f"--truncate {trunc} is below weight 3" in captured.err
-
-
-@pytest.mark.parametrize("command", GROUP_COMMANDS)
-def test_truncation_env_below_weight_is_a_usage_error(monkeypatch, capsys, command):
-    monkeypatch.setenv("DSKRV_TRUNCATE", "4")
-    code, _ = run(capsys, *command, "--weights", "3..5")
-    assert code == 2
 
 
 def test_verify_thm42_defaults(capsys):
@@ -271,6 +260,55 @@ def test_basis_weight_zero_is_a_usage_error(capsys):
     assert code == 2
     assert captured.out == ""  # not the weight-3 basis
     assert "weight 0 outside supported range" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--weights", ""], "bad weight list ''"),
+        (["--weights", "3,3"], "weight list '3,3' repeats a weight"),
+        (["--weight", "3", "--weights", "5"], "give --weight or --weights, not both"),
+    ],
+    ids=["empty-list", "repeated-weight", "weight-and-weights"],
+)
+def test_ambiguous_weights_are_a_usage_error(capsys, argv, message):
+    code = cli.main(["basis", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # no report for a weight set the user did not ask for
+    assert message in captured.err
+
+
+_weight = st.integers(3, 5).map(str)
+_weight_args = st.one_of(
+    _weight.map(lambda n: ["--weight", n]),
+    st.tuples(_weight, _weight).map(lambda ab: ["--weights", "..".join(ab)]),
+    st.lists(_weight, min_size=1, max_size=3).map(lambda ws: ["--weights", ",".join(ws)]),
+)
+_command = st.one_of(
+    st.sampled_from([["basis"], ["map"], ["mould"], ["exp"]] + [["verify", s] for s in cli.SUITES]),
+    st.tuples(_weight, _weight).map(lambda ab: ["bracket", *ab]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=_command,
+    weights=_weight_args,
+    count=st.integers(-1, 3),
+    trunc=st.integers(0, 6),
+    strict=st.booleans(),
+)
+def test_exit_code_contract(command, weights, count, trunc, strict):
+    argv = [*command, *weights, "--count", str(count), "--truncate", str(trunc)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv + ["--strict"] * strict)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        assert json.loads(out.getvalue())["ok"] is (code == 0)
 
 
 def test_internal_error_exits_two(monkeypatch, capsys):

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dskrv import derivations, dshuffle, groupexp, lie, words
@@ -245,3 +247,25 @@ def test_sweeps_report_first_failing_pair(f3, word, sh_witness, sh_pairs, st_wit
         "witness": st_witness,
         "pairs": st_pairs,
     }
+
+
+def _perturbations(trunc: int):
+    """One coefficient of a series of order trunc raised by a nonzero Fraction."""
+    word = st.integers(1, trunc).flatmap(lambda d: st.sampled_from(oracles.all_degree_words(d)))
+    return st.tuples(word, st.fractions(-3, 3, max_denominator=5).filter(bool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sweeps_match_the_fraction_oracle(f3, data):
+    trunc = data.draw(st.integers(1, 7), label="trunc")
+    word, delta = data.draw(_perturbations(trunc), label="perturbation")
+    phi = groupexp.exp_circle(f3, trunc)
+    bad = TruncSeries(phi.poly + Poly.word(word, delta), trunc)
+    star = groupexp.star_series(bad).poly
+    assert groupexp.grouplike_shuffle_check(bad) == oracles.grouplike_sweep(
+        bad.poly, trunc, dshuffle.shuffle
+    )
+    assert groupexp.grouplike_stuffle_check(bad) == oracles.grouplike_sweep(
+        star, trunc, dshuffle.stuffle, y_ending=True
+    )

@@ -107,11 +107,6 @@ def test_rref_canonical_form():
     assert linalg.rref(red, 3) == red
 
 
-def test_primitive():
-    assert linalg.primitive([Fraction(-1, 2), Fraction(-3, 2)]) == [1, 3]
-    assert linalg.primitive([Fraction(2), Fraction(4)]) == [1, 2]
-
-
 # -- the certified modular nullspace against the Bareiss oracle ----------------------
 
 
