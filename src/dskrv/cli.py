@@ -282,6 +282,8 @@ def cmd_map(args):
 
 
 def cmd_bracket(args):
+    if args.weight is not None or args.weights is not None:
+        raise UsageError("bracket takes its weights as w1 w2, not --weight/--weights")
     na, nb = args.w1, args.w2
     for n in (na, nb):
         if n < 3 or n > MAX_WEIGHT:

@@ -252,14 +252,14 @@ def starred_part(f: Poly) -> Poly:
     return pi_y(f) + corr
 
 
-def is_ds(f: Poly, strict: bool = False, with_failures: bool = False):
+def is_ds(f: Poly, strict: bool = False) -> bool:
     """Exact membership in the double shuffle Lie algebra.
 
     Requires homogeneous input of degree >= 3.  With strict=True the
     verdict is recomputed from the corrected series starred_part(f)
     against all stuffle pairs (powers of y included), and CrossCheckError
-    is raised if the two disagree.  With with_failures=True returns
-    (verdict, failures).
+    is raised if the two disagree.  stuffle_failures(f) lists the
+    witnesses of a failing stuffle relation.
     """
     n = f.degree()
     if n is None or not f.is_homogeneous():
@@ -276,8 +276,6 @@ def is_ds(f: Poly, strict: bool = False, with_failures: bool = False):
             raise CrossCheckError(
                 "corrected-series stuffle check disagrees with the defining one"
             )
-    if with_failures:
-        return verdict, failures
     return verdict
 
 
@@ -362,15 +360,15 @@ _basis_cache: dict[int, BasisResult] = {}
 MAX_WEIGHT = 10
 
 
-def ds_basis(n: int, max_weight: int = MAX_WEIGHT) -> BasisResult:
+def ds_basis(n: int) -> BasisResult:
     """Basis of ds at weight n by exact nullspace of the stuffle constraints.
 
     Basis vectors are in reduced echelon form over Lyndon coordinates
     (first nonzero coordinate 1); for odd n a vector with nonzero
     coefficient on x^(n-1)y is rescaled so that coefficient is 1.
     """
-    if not 3 <= n <= max_weight:
-        raise ValueError(f"weight must be between 3 and {max_weight}, got {n}")
+    if not 3 <= n <= MAX_WEIGHT:
+        raise ValueError(f"weight must be between 3 and {MAX_WEIGHT}, got {n}")
     if n in _basis_cache:
         return _basis_cache[n]
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from . import CrossCheckError, words
 from .poly import Coeff, Poly, accumulate, numerators
-from .words import Word, WordLike
+from .words import Word
 
 
 class NotLieError(ValueError):
@@ -61,22 +61,6 @@ def dynkin_phi(f: Poly) -> Poly:
         if w == words.EMPTY:
             raise ValueError("dynkin_phi is not defined on the empty word")
         accumulate(terms, _phi_word(w).terms.items(), c)
-    return Poly._of(terms)
-
-
-def theta_apply(u: Poly | WordLike, v: Poly) -> Poly:
-    """Apply theta(u) to v, where theta sends a word to the product of ad's.
-
-    theta(l1 ... lm) = ad(l1) o ... o ad(lm), extended linearly in u.
-    """
-    if not isinstance(u, Poly):
-        u = Poly.word(u)
-    terms: dict[int, Coeff] = {}
-    for w, c in u.terms.items():
-        res = v
-        for bit in reversed(list(words.letters_of(w))):
-            res = bracket(Poly.word((1 << 1) | bit), res)
-        accumulate(terms, res.terms.items(), c)
     return Poly._of(terms)
 
 

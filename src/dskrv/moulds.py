@@ -17,11 +17,16 @@ u-family operator calculus back to reversal symmetries of x,y-words:
 the negation and translation rules of the z-family, the Ecalle
 push/teru identity, and the bridge expressing antipalindromy of
 f_x + f_y through divided differences of the z-family.
+
+Every change of variables here is one CPoly.subst, given one sparse
+linear form {new variable: coefficient} per old variable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from . import words
 from .lie import NotLieError, is_lie
@@ -34,7 +39,7 @@ from .poly import (
     decompose_right,
     is_antipalindromic,
 )
-from .dshuffle import is_ds
+from .dshuffle import compositions, is_ds
 
 
 class InexactDivision(ArithmeticError):
@@ -104,27 +109,29 @@ class CPoly(Terms):
     def is_homogeneous(self) -> bool:
         return len({sum(e) for e in self.terms}) <= 1
 
-    def subst(self, images: list[tuple[Coeff, ...]], new_arity: int) -> "CPoly":
-        """Substitute variable i by the linear form images[i] over new variables."""
+    def subst(self, images: list[dict[int, Coeff]], new_arity: int) -> "CPoly":
+        """Substitute variable i by the sparse linear form images[i].
+
+        A form maps new variables (indices below new_arity) to nonzero
+        coefficients; the empty form {} sends the variable to 0.
+        """
         if len(images) != self.arity:
-            raise ValueError("one linear image required per variable")
+            raise ValueError(f"expected {self.arity} linear forms, got {len(images)}")
         for form in images:
-            if len(form) != new_arity:
-                raise ValueError("image arity mismatch")
+            if any(not 0 <= j < new_arity for j in form):
+                raise ValueError(f"linear form {form} leaves the {new_arity} new variables")
         zero = (0,) * new_arity
         out: dict[tuple[int, ...], Coeff] = {}
         for exps, c in self.terms.items():
             acc = {zero: c}
-            for i, e in enumerate(exps):
-                form = images[i]
+            for form, e in zip(images, exps):
                 for _ in range(e):
                     acc = accumulate(
                         {},
                         (
                             (t[:j] + (t[j] + 1,) + t[j + 1 :], tc * a)
                             for t, tc in acc.items()
-                            for j, a in enumerate(form)
-                            if a
+                            for j, a in form.items()
                         ),
                     )
                     if not acc:
@@ -147,37 +154,17 @@ class CPoly(Terms):
 
     def div_diff(self, i: int, j: int) -> "CPoly":
         """Exact division by (variable i - variable j)."""
-        shifted = self.subst(_shear_images(self.arity, i, j, 1), self.arity)
-        quotient = shifted.div_var(i)
-        return quotient.subst(_shear_images(self.arity, i, j, -1), self.arity)
+
+        def shear(sign: int) -> list[dict[int, int]]:  # v_i -> v_i + sign*v_j
+            images = [{k: 1} for k in range(self.arity)]
+            images[i] = {i: 1, j: sign}
+            return images
+
+        quotient = self.subst(shear(1), self.arity).div_var(i)
+        return quotient.subst(shear(-1), self.arity)
 
     def __repr__(self) -> str:
         return f"<CPoly({self.arity}) {dict(self.items())}>"
-
-
-def _shear_images(arity: int, i: int, j: int, sign: int) -> list[tuple[int, ...]]:
-    """Identity images except variable i goes to v_i + sign*v_j."""
-    images = []
-    for k in range(arity):
-        form = [0] * arity
-        form[k] = 1
-        if k == i:
-            form[j] += sign
-        images.append(tuple(form))
-    return images
-
-
-def _var_images(arity: int, picks: list[int | None], new_arity: int) -> list[tuple]:
-    """Images sending variable k to new variable picks[k] (None -> 0)."""
-    if len(picks) != arity:
-        raise ValueError(f"expected {arity} variable picks, got {len(picks)}")
-    images = []
-    for p in picks:
-        form = [0] * new_arity
-        if p is not None:
-            form[p] = 1
-        images.append(tuple(form))
-    return images
 
 
 class Mould:
@@ -289,15 +276,12 @@ def u_family(f: Poly) -> Mould:
     depth 1 with the zero constant at depth 0).
     """
     zf = z_family(f)
-    comps = {}
-    for r in zf.depths():
-        if r == 0:
-            continue
-        images = []
-        for i in range(r + 1):  # z_i -> u_1 + ... + u_i
-            form = [1 if j < i else 0 for j in range(r)]
-            images.append(tuple(form))
-        comps[r] = zf.component(r).subst(images, r)
+    comps = {
+        # z_i -> u_1 + ... + u_i
+        r: zf.component(r).subst([dict.fromkeys(range(i), 1) for i in range(r + 1)], r)
+        for r in zf.depths()
+        if r
+    }
     return Mould("u", comps, zf.degree)
 
 
@@ -309,44 +293,42 @@ def _require_u(m: Mould, op: str) -> None:
         raise ValueError(f"{op} operates on u-family moulds")
 
 
+def _per_depth(m: Mould, op: str, component) -> Mould:
+    """The u-family with depth-r component component(m^r, r) for each r."""
+    _require_u(m, op)
+    return Mould("u", {r: component(m.component(r), r) for r in m.depths()}, m.degree)
+
+
 def swap(m: Mould) -> Mould:
     """swap: arguments v_r, v_(r-1)-v_r, ..., v_1-v_2."""
-    _require_u(m, "swap")
-    comps = {}
-    for r in m.depths():
-        images = []
-        for k in range(1, r + 1):  # u_k -> v_(r-k+1) - v_(r-k+2)
-            form = [0] * r
-            form[r - k] = 1
-            if k >= 2:
-                form[r - k + 1] -= 1
-            images.append(tuple(form))
-        comps[r] = m.component(r).subst(images, r)
-    return Mould("u", comps, m.degree)
+    return _per_depth(
+        m,
+        "swap",
+        # u_1 -> v_r, u_k -> v_(r-k+1) - v_(r-k+2)
+        lambda p, r: p.subst(
+            [{r - 1: 1}] + [{r - k: 1, r - k + 1: -1} for k in range(2, r + 1)], r
+        ),
+    )
 
 
 def mantar(m: Mould) -> Mould:
     """mantar: (-1)^(r-1) times the argument reversal."""
-    _require_u(m, "mantar")
-    comps = {}
-    for r in m.depths():
-        rev = _var_images(r, [r - 1 - k for k in range(r)], r)
-        comps[r] = m.component(r).subst(rev, r).scale(1 if (r - 1) % 2 == 0 else -1)
-    return Mould("u", comps, m.degree)
+    return _per_depth(
+        m,
+        "mantar",
+        lambda p, r: p.subst([{r - 1 - k: 1} for k in range(r)], r).scale(
+            1 if (r - 1) % 2 == 0 else -1
+        ),
+    )
 
 
 def push_mould(m: Mould) -> Mould:
     """push: arguments -u_1-...-u_r, u_1, ..., u_(r-1)."""
-    _require_u(m, "push")
-    comps = {}
-    for r in m.depths():
-        images = [tuple(-1 for _ in range(r))]
-        for k in range(r - 1):
-            form = [0] * r
-            form[k] = 1
-            images.append(tuple(form))
-        comps[r] = m.component(r).subst(images, r)
-    return Mould("u", comps, m.degree)
+    return _per_depth(
+        m,
+        "push",
+        lambda p, r: p.subst([dict.fromkeys(range(r), -1)] + [{k: 1} for k in range(r - 1)], r),
+    )
 
 
 def teru(m: Mould) -> Mould:
@@ -366,13 +348,9 @@ def teru(m: Mould) -> Mould:
             continue
         prev = m.component(r - 1)
         if prev:
-            merged = _var_images(r - 1, list(range(r - 2)) + [r - 2], r)
-            merged[r - 2] = tuple(
-                1 if (j == r - 2 or j == r - 1) else 0 for j in range(r)
-            )
-            plus = prev.subst(merged, r)
-            kept = prev.subst(_var_images(r - 1, list(range(r - 1)), r), r)
-            base = base + (plus - kept).div_var(r - 1)
+            kept = [{k: 1} for k in range(r - 1)]
+            plus = prev.subst(kept[:-1] + [{r - 2: 1, r - 1: 1}], r)
+            base = base + (plus - prev.subst(kept, r)).div_var(r - 1)
         if base:
             comps[r] = base
     return Mould("u", comps, m.degree)
@@ -417,32 +395,23 @@ def ad_basis_coefficients(f: Poly) -> dict[tuple[int, ...], Coeff]:
         return {}
     if not f.is_homogeneous():
         raise ValueError("ad_basis_coefficients requires homogeneous input")
-    n = f.degree()
+    # every c with x^(c_1) y ... x^(c_r) y of degree n, in decreasing
+    # lexicographic order: the compositions of n, each part minus 1
+    desc =[tuple(p - 1 for p in c) for c in reversed(compositions(f.degree()))]
     out: dict[tuple[int, ...], Coeff] = {}
     for r in f.depths():
         if r == 0:
             raise ValueError("depth-0 parts are not spanned by ad(x)-products")
         residual = dict(f.depth_part(r).terms)
-
-        def comps_desc(total: int, parts: int) -> list[tuple[int, ...]]:
-            if parts == 1:
-                return [(total,)]
-            acc = []
-            for first in range(total, -1, -1):
-                for rest in comps_desc(total - first, parts - 1):
-                    acc.append((first,) + rest)
-            return acc
-
-        for c in comps_desc(n - r, r):
+        for c in desc:
+            if len(c) != r:
+                continue
             w = words.code_from_exponents(c + (0,))  # x^(c_1) y ... x^(c_r) y
             b = residual.get(w, 0)
             if not b:
                 continue
             out[c] = b
-            prod = ad_power(c[0])
-            for ci in c[1:]:
-                prod = prod * ad_power(ci)
-            accumulate(residual, prod.terms.items(), -b)
+            accumulate(residual, reduce(mul, map(ad_power, c)).terms.items(), -b)
         if residual:
             raise NotLieError(
                 "polynomial is not a combination of ad(x)-products", Poly(residual)
@@ -453,10 +422,7 @@ def ad_basis_coefficients(f: Poly) -> dict[tuple[int, ...], Coeff]:
 def poly_from_ad_basis(coeffs: dict[tuple[int, ...], Coeff]) -> Poly:
     terms: dict[int, Coeff] = {}
     for c, b in coeffs.items():
-        prod = ad_power(c[0])
-        for ci in c[1:]:
-            prod = prod * ad_power(ci)
-        accumulate(terms, prod.terms.items(), b)
+        accumulate(terms, reduce(mul, map(ad_power, c)).terms.items(), b)
     return Poly._of(terms)
 
 
@@ -501,7 +467,7 @@ def negation_rule_check(f: Poly) -> bool:
     zf = z_family(f)
     for r in zf.depths():
         p = zf.component(r)
-        neg = p.subst([tuple(-1 if j == k else 0 for j in range(r + 1)) for k in range(r + 1)], r + 1)
+        neg = p.subst([{k: -1} for k in range(r + 1)], r + 1)
         sign = 1 if (n - r) % 2 == 0 else -1
         if neg != p.scale(sign):
             return False
@@ -516,14 +482,8 @@ def translation_rule_check(f: Poly) -> bool:
         if r == 0:
             continue
         p = zf.component(r)
-        images = []
-        for k in range(r + 1):  # z_k -> z_k - z_0 (z_0 -> 0)
-            form = [0] * (r + 1)
-            if k:
-                form[k] = 1
-                form[0] = -1
-            images.append(tuple(form))
-        if p.subst(images, r + 1) != p:
+        # z_0 -> 0, z_k -> z_k - z_0
+        if p.subst([{}] + [{0: -1, k: 1} for k in range(1, r + 1)], r + 1) != p:
             return False
     return True
 
@@ -573,20 +533,21 @@ def ecalle_bridge_check(f: Poly) -> dict:
         vprev = zf.component(r - 1)
 
         # vimo^r(0, v_r, ..., v_1)
-        a = vr.subst(_var_images(r + 1, [None] + [r - k for k in range(1, r + 1)], r), r)
+        a = vr.subst([{}] + [{r - k: 1} for k in range(1, r + 1)], r)
         # vimo^(r-1)(0, v_r, ..., v_3, v_1) and (..., v_2)
-        picks_hi = [None] + [r - k for k in range(1, r - 1)]
-        b1 = vprev.subst(_var_images(r, picks_hi + [0], r), r)
-        b2 = vprev.subst(_var_images(r, picks_hi + [1], r), r)
+        hi = [{}] + [{r - k: 1} for k in range(1, r - 1)]
+        b1 = vprev.subst(hi + [{0: 1}], r)
+        b2 = vprev.subst(hi + [{1: 1}], r)
         lhs_form = a + (b1 - b2).div_diff(0, 1)
         if lhs_form != lhs_op.component(r):
             report["lhs_match"] = False
 
         # vimo^r(v_2, ..., v_r, 0, v_1)
-        c = vr.subst(_var_images(r + 1, [k + 1 for k in range(r - 1)] + [None, 0], r), r)
+        shifted = [{k + 1: 1} for k in range(r - 1)]
+        c = vr.subst(shifted + [{}, {0: 1}], r)
         # vimo^(r-1)(v_2, ..., v_r, v_1) and (..., 0)
-        d1 = vprev.subst(_var_images(r, [k + 1 for k in range(r - 1)] + [0], r), r)
-        d2 = vprev.subst(_var_images(r, [k + 1 for k in range(r - 1)] + [None], r), r)
+        d1 = vprev.subst(shifted + [{0: 1}], r)
+        d2 = vprev.subst(shifted + [{}], r)
         rhs_form = (c + (d1 - d2).div_var(0)).scale(sign)
         if rhs_form != rhs_op.component(r):
             report["rhs_match"] = False
@@ -627,19 +588,15 @@ def antipal_bridge_check(f: Poly) -> dict:
         vnext = zf.component(r + 1)
         vr = zf.component(r)
 
-        a = vnext.subst(_var_images(r + 2, list(range(r + 1)) + [None], r + 1), r + 1)
-        cut = vr.subst(_var_images(r + 1, list(range(r)) + [None], r + 1), r + 1)
-        full = vr.subst(_var_images(r + 1, list(range(r + 1)), r + 1), r + 1)
-        lhs = a + (full - cut).div_var(r)
+        ident = [{k: 1} for k in range(r + 1)]  # z_0, ..., z_r
+        a = vnext.subst(ident + [{}], r + 1)
+        cut = vr.subst(ident[:r] + [{}], r + 1)
+        lhs = a + (vr - cut).div_var(r)
 
-        arev = vnext.subst(
-            _var_images(r + 2, [r - k for k in range(r + 1)] + [None], r + 1), r + 1
-        )
-        grev = vr.subst(_var_images(r + 1, [r - k for k in range(r + 1)], r + 1), r + 1)
-        gcut = vr.subst(
-            _var_images(r + 1, [r - k for k in range(r)] + [None], r + 1), r + 1
-        )
-        rhs = (arev + (grev - gcut).div_var(0)).scale(sign)
+        rev = ident[::-1]  # z_r, ..., z_0
+        arev = vnext.subst(rev + [{}], r + 1)
+        gcut = vr.subst(rev[:r] + [{}], r + 1)
+        rhs = (arev + (vr.subst(rev, r + 1) - gcut).div_var(0)).scale(sign)
 
         if lhs != zh.component(r):
             formula_matches = False

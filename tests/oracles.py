@@ -10,7 +10,8 @@ the candidate basis against every constraint row.  The group layer is
 defined straight from its formulas on Poly ring arithmetic alone: every
 product is built in full and truncated afterwards.  The rational
 nullspace comes from fraction-free Bareiss elimination and
-back-substitution.
+back-substitution.  Commutative polynomials are evaluated at points,
+which checks a change of variables without expanding it.
 """
 
 from __future__ import annotations
@@ -329,3 +330,17 @@ def fold_sum(start: dict, steps: list[tuple[dict, object]]) -> Poly:
         scaled = Poly(src).scale(c).terms
         out = Poly({**out.terms, **{k: out.terms.get(k, 0) + v for k, v in scaled.items()}})
     return out
+
+
+# -- commutative polynomials -----------------------------------------------------
+
+
+def evaluate(terms: dict[tuple[int, ...], object], point: list) -> Fraction:
+    """Value at a point of the polynomial sum c * prod_i point[i]**e[i]."""
+    total = Fraction(0)
+    for exps, c in terms.items():
+        value = Fraction(c)
+        for x, e in zip(point, exps, strict=True):
+            value *= Fraction(x) ** e
+        total += value
+    return total

@@ -216,6 +216,24 @@ def test_bracket_negative_index_is_a_usage_error(capsys, flag):
     assert "basis index out of range" in captured.err
 
 
+@pytest.mark.parametrize("flags", [["--weight", "7"], ["--weights", "7"], ["--weights", "3..5"]])
+def test_bracket_rejects_weight_flags(capsys, flags):
+    code = cli.main(["bracket", "3", "5", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # not the weight-8 bracket
+    assert "bracket takes its weights as w1 w2" in captured.err
+
+
+def test_bracket_accepts_the_common_sampling_flags(capsys):
+    # the benchmark passes these to every command
+    code, rep = run_json(
+        capsys, "bracket", "3", "5", "--seed", "4", "--count", "5", "--truncate", "12"
+    )
+    assert code == 0
+    assert rep["payload"]["weight"] == 8
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -89,3 +90,16 @@ def test_cross_checks_survive_optimized_mode():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["raised"] * 4
+
+
+def test_library_has_no_bare_asserts():
+    # python -O strips assert statements; a library check must raise
+    files = sorted((Path(__file__).resolve().parents[1] / "src" / "dskrv").glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

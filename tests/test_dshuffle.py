@@ -96,15 +96,14 @@ def test_composition_encoding_roundtrip():
 def test_generator_membership(f3):
     assert dshuffle.is_ds(f3)
     assert dshuffle.is_ds(f3, strict=True)
-    ok, failures = dshuffle.is_ds(f3, with_failures=True)
-    assert ok and failures == []
+    assert dshuffle.stuffle_failures(f3) == []
 
 
 def test_random_lie_elements_are_rejected():
     for seed in range(5):
         f = lie.random_lie(5, seed)
-        ok, failures = dshuffle.is_ds(f, with_failures=True)
-        assert not ok
+        assert not dshuffle.is_ds(f)
+        failures = dshuffle.stuffle_failures(f)
         assert failures  # witnesses are reported
         u, v, val = failures[0]
         assert f.pairing(dshuffle.stuffle(u, v)) == val != 0
@@ -136,7 +135,7 @@ def test_strict_membership_cross_checks_starred_form(f5):
     assert dshuffle.is_ds(f5, strict=True)
 
 
-# Failure lists of is_ds(g, with_failures=True) as computed by summing the
+# Failure lists of stuffle_failures(g) as computed by summing the
 # Fraction products coefficient by coefficient: the integer-numerator
 # pairing must report the same pairs, the same values and the same value
 # types (a Fraction wherever a Fraction coefficient enters the residual).
@@ -182,11 +181,10 @@ def mixed_coefficients():
 def test_failure_witnesses_keep_values_and_types(f5, make, expected):
     g = make(f5)
     for strict in (False, True):
-        ok, failures = dshuffle.is_ds(g, strict=strict, with_failures=True)
-        assert not ok
-        assert [(u, v, c, type(c)) for u, v, c in failures] == [
-            (u, v, c, type(c)) for u, v, c in expected
-        ]
+        assert dshuffle.is_ds(g, strict=strict) is False
+    assert [(u, v, c, type(c)) for u, v, c in dshuffle.stuffle_failures(g)] == [
+        (u, v, c, type(c)) for u, v, c in expected
+    ]
 
 
 # -- bases -------------------------------------------------------------------

@@ -149,14 +149,3 @@ def test_random_lie_is_deterministic_and_lie():
     assert f == lie.random_lie(5, 42)
     assert f != lie.random_lie(5, 43)
     assert lie.is_lie(f)
-
-
-def test_theta_apply_composes_adjoint_actions():
-    # theta(l1...lm) = ad(l1) o ... o ad(lm)
-    assert lie.theta_apply("x", Y) == lie.bracket(X, Y)
-    assert lie.theta_apply("xy", X) == lie.bracket(X, lie.bracket(Y, X))
-    # linearity in the first argument
-    u1, u2 = Poly.word("xx"), Poly.word("xy")
-    v = lie.random_lie(2, 9)
-    lhs = lie.theta_apply(u1 + u2, v)
-    assert lhs == lie.theta_apply(u1, v) + lie.theta_apply(u2, v)

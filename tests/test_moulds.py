@@ -12,7 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from dskrv import dshuffle, lie, moulds, poly
 from dskrv.lie import NotLieError
 from dskrv.moulds import CPoly, InexactDivision, Mould
@@ -46,10 +49,49 @@ def test_cpoly_arity_validation():
 def test_cpoly_subst_linear_forms():
     # substitute u1 -> v1, u2 -> v1 + v2 into u1*u2
     p = CPoly.monomial((1, 1))
-    q = p.subst([(1, 0), (1, 1)], 2)
+    q = p.subst([{0: 1}, {0: 1, 1: 1}], 2)
     assert q.terms == {(2, 0): 1, (1, 1): 1}
     # prefix sums of (u1, u2) recover a polynomial in new variables
-    assert p.subst([(1,), (1,)], 1).terms == {(2,): 1}
+    assert p.subst([{0: 1}, {0: 1}], 1).terms == {(2,): 1}
+    # the empty form sends a variable to 0
+    assert p.subst([{}, {0: 1}], 1) == CPoly.zero(1)
+
+
+@pytest.mark.parametrize(
+    "forms, new_arity",
+    [([{0: 1}], 2), ([{0: 1}, {0: 1}, {1: 1}], 2), ([{0: 1}, {2: 1}], 2), ([{0: 1}, {-1: 1}], 2)],
+    ids=["too-few-forms", "too-many-forms", "index-past-arity", "negative-index"],
+)
+def test_cpoly_subst_rejects_malformed_forms(forms, new_arity):
+    with pytest.raises(ValueError):
+        CPoly.monomial((1, 1)).subst(forms, new_arity)
+
+
+_coeff = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), arity=st.integers(0, 3), new_arity=st.integers(0, 3))
+def test_cpoly_subst_agrees_with_point_evaluation(data, arity, new_arity):
+    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    p = CPoly(arity, data.draw(st.dictionaries(exps, _coeff, max_size=4)))
+    forms = data.draw(
+        st.lists(
+            st.dictionaries(st.integers(0, new_arity - 1), _coeff.filter(bool), max_size=new_arity)
+            if new_arity
+            else st.just({}),
+            min_size=arity,
+            max_size=arity,
+        )
+    )
+    point = data.draw(st.lists(st.integers(-4, 4), min_size=new_arity, max_size=new_arity))
+    q = p.subst(forms, new_arity)
+    assert q.arity == new_arity
+    image = [sum(c * point[j] for j, c in form.items()) for form in forms]
+    assert oracles.evaluate(q.terms, point) == oracles.evaluate(p.terms, image)
 
 
 def test_cpoly_exact_division_by_variable():
@@ -118,7 +160,7 @@ def test_swap_hand_value(f3):
     s = moulds.swap(m)
     z = moulds.z_family(f3)
     # depth 1: swap(ma)(v1) must equal vimo(0, v1) as a 1-variable rule
-    sub = z.component(1).subst([(0,), (1,)], 1)
+    sub = z.component(1).subst([{}, {0: 1}], 1)
     assert s.component(1) == sub
 
 
@@ -129,10 +171,7 @@ def test_swap_substitution_is_invertible(f3, f5):
         m = moulds.u_family(f)
         s = moulds.swap(m)
         for r in m.depths():
-            images = [
-                tuple(1 if k <= r - j else 0 for k in range(r))
-                for j in range(1, r + 1)
-            ]
+            images = [dict.fromkeys(range(r - j + 1), 1) for j in range(1, r + 1)]
             assert s.component(r).subst(images, r) == m.component(r)
 
 
@@ -325,8 +364,3 @@ def test_antipal_bridge_formula_is_formal(seed):
     assert rep["agrees_with_direct_predicate"]
     fx, fy = poly.decompose_right(f)
     assert rep["verdict"] == poly.is_antipalindromic(fx + fy)
-
-
-def test_var_images_rejects_wrong_pick_count():
-    with pytest.raises(ValueError):
-        moulds._var_images(2, [0], 1)
