@@ -161,22 +161,32 @@ def pairing_failures(table, num: dict[int, int], den: int):
     return i + 1
 
 
-def _pair_table(n: int, words_of, product):
-    """(u, v, product(u, v)) over 1 <= deg u <= deg v, deg u + deg v <= n.
+def _pair_table(degrees, words_of, product):
+    """(u, v, product(u, v)) for each (deg u, deg v) of degrees, deg u <= deg v.
 
-    words_of(d) lists the words of degree d in code order; pairs run by
-    deg u, then deg v, then u, then v, with v >= u when the degrees agree.
+    words_of(d) lists the words of degree d in code order; pairs run in
+    the order of degrees, then by u, then by v, with v >= u when the
+    degrees agree.
     """
-    for a in range(1, n // 2 + 1):
-        for b in range(a, n - a + 1):
-            for i, u in enumerate(words_of(a)):
-                for v in words_of(b)[i:] if a == b else words_of(b):
-                    yield u, v, product(u, v)
+    for a, b in degrees:
+        for i, u in enumerate(words_of(a)):
+            for v in words_of(b)[i:] if a == b else words_of(b):
+                yield u, v, product(u, v)
+
+
+def _degrees_up_to(n: int):
+    """(a, b) with 1 <= a <= b and a + b <= n, by a, then b."""
+    return ((a, b) for a in range(1, n // 2 + 1) for b in range(a, n - a + 1))
 
 
 def shuffle_table(n: int):
     """The shuffle pairs (u, v, sh(u, v)) of nonempty words up to degree n."""
-    return _pair_table(n, words.all_words, _sh)
+    return _pair_table(_degrees_up_to(n), words.all_words, _sh)
+
+
+def shuffle_table_of_degree(n: int):
+    """The shuffle pairs (u, v, sh(u, v)) of nonempty words with deg u + deg v = n."""
+    return _pair_table(((a, n - a) for a in range(1, n // 2 + 1)), words.all_words, _sh)
 
 
 def stuffle_table(n: int):
@@ -186,7 +196,7 @@ def stuffle_table(n: int):
         return words.all_words(d)[1::2]
 
     comp = {w: composition_of(w) for d in range(1, n) for w in ending_in_y(d)}
-    return _pair_table(n, ending_in_y, lambda u, v: _st(comp[u], comp[v]))
+    return _pair_table(_degrees_up_to(n), ending_in_y, lambda u, v: _st(comp[u], comp[v]))
 
 
 # -- membership --------------------------------------------------------------
@@ -266,9 +276,11 @@ def is_ds(f: Poly, strict: bool = False) -> bool:
         raise ValueError("is_ds requires a nonzero homogeneous polynomial")
     if n < 3:
         raise ValueError("double shuffle elements have degree >= 3")
-    failures = stuffle_failures(f)
+    stuffles_hold = not any(
+        pairing_failures(_stuffle_entries(stuffle_pairs(n)), *numerators(f))
+    )
     in_lie = is_lie(f)
-    verdict = in_lie and not failures
+    verdict = in_lie and stuffles_hold
     if strict and in_lie:
         entries = _stuffle_entries(_all_pairs(n))
         star_verdict = not any(pairing_failures(entries, *numerators(starred_part(f))))

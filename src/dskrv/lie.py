@@ -85,7 +85,7 @@ def is_lie(f: Poly, cross_check: bool = False) -> bool:
             verdict = False
             break
     if cross_check:
-        from .dshuffle import pairing_failures, shuffle_table
+        from .dshuffle import pairing_failures, shuffle_table_of_degree
 
         dynkin_verdict = True
         sh_verdict = True
@@ -96,10 +96,8 @@ def is_lie(f: Poly, cross_check: bool = False) -> bool:
             part = f.homogeneous_part(n)
             if dynkin_phi(part) != part.scale(n):
                 dynkin_verdict = False
-            # the table's pairs of total degree below n pair to 0 on both
-            # sides, so this is (part | sh(u, v)) = 0 for deg u + deg v = n
             sh_verdict = sh_verdict and not any(
-                pairing_failures(shuffle_table(n), *numerators(part))
+                pairing_failures(shuffle_table_of_degree(n), *numerators(part))
             )
         if not verdict == dynkin_verdict == sh_verdict:
             raise CrossCheckError(

@@ -285,21 +285,65 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
     """Algebra substitution x -> x_image, y -> y_image.
 
     Both images must be homogeneous of degree 1, so the substitution
-    preserves grading.
+    preserves grading.  With x -> a x + b y and y -> c x + d y it acts on
+    the words of length n as the n-fold Kronecker power of the matrix
+    ((a, b), (c, d)), applied as a sparse butterfly on the integer
+    numerators of f: one pass per letter position, in which a word with
+    x there sends a*p to itself and b*p to the word with y there, a word
+    with y sends c*p to the word with x there and d*p to itself, and
+    shorter words pass through.  Only words reachable from f are held,
+    and each output coefficient is divided out once, at the end.
+
+    Terms come in ascending code order.  An output coefficient is a
+    Fraction when a Fraction, of f or of an image entry on its path,
+    contributes to it, and an int otherwise.
     """
     for g in (x_image, y_image):
         if g and (not g.is_homogeneous() or g.degree() != 1):
             raise ValueError("substitution images must be linear in x, y")
-    images = (x_image, y_image)
-    terms: dict[int, Coeff] = {}
-    for w, c in f.terms.items():
-        if w == EMPTY:
-            raise ValueError("subst_linear is not defined on the empty word")
-        prod = Poly.one()
-        for bit in words.letters_of(w):
-            prod = prod * images[bit]
-        accumulate(terms, prod.terms.items(), c)
-    return Poly._of(terms)
+    if EMPTY in f.terms:
+        raise ValueError("subst_linear is not defined on the empty word")
+    entries = [g.terms.get(w, 0) for g in (x_image, y_image) for w in (words.X_CODE, words.Y_CODE)]
+    scale = lcm(1, *(v.denominator for v in entries))
+    a, b, c, d = (int(v * scale) for v in entries)
+    ta, tb, tc, td = (isinstance(v, Fraction) for v in entries)
+    num, den = numerators(f)
+    # A key is code << 1 | t, where t = 1 marks the share of a coefficient
+    # that a Fraction has entered; it stays apart from the int share.
+    cur = {w << 1 | isinstance(f.terms[w], Fraction): p for w, p in num.items()}
+    done: dict[int, int] = {}
+    for i in range(max(map(words.degree, num), default=0)):
+        bit = 2 << i  # letter position i, in a key
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, p in cur.items():
+            if not p:
+                continue
+            if key >> (i + 1) == 1:  # a word of degree i: every position is done
+                done[key] = p
+            elif key & bit:  # y at position i
+                if c:
+                    k = (key ^ bit) | tc
+                    nxt[k] = get(k, 0) + c * p
+                if d:
+                    k = key | td
+                    nxt[k] = get(k, 0) + d * p
+            else:
+                if a:
+                    k = key | ta
+                    nxt[k] = get(k, 0) + a * p
+                if b:
+                    k = key | bit | tb
+                    nxt[k] = get(k, 0) + b * p
+        cur = nxt
+    done.update(cur)
+
+    def share(key: int, p: int) -> Coeff:
+        q = den * scale ** (key.bit_length() - 2)
+        return Fraction(p, q) if key & 1 else p // q
+
+    pairs = ((key >> 1, share(key, p)) for key, p in sorted(done.items()) if p)
+    return Poly._of(accumulate({}, pairs))
 
 
 def numerators(f: Poly) -> tuple[dict[int, int], int]:

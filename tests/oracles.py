@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from dskrv import linalg, words
-from dskrv.poly import Poly
+from dskrv.poly import Poly, accumulate
 
 MODULUS = 2_000_003  # prime; squares stay far below 2**63
 
@@ -217,6 +217,22 @@ def substitute_letters(h: Poly, x_image: Poly, y_image: Poly) -> Poly:
             piece = Poly.word(pre) * images[(w >> i) & 1] * Poly.word(post)
             out = out + piece.scale(c)
     return out
+
+
+def expand_substitution(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
+    """The algebra substitution x -> x_image, y -> y_image, word by word.
+
+    Each word is expanded as the product of the images of its letters,
+    and c times that product is added into the result.
+    """
+    images = (x_image, y_image)
+    terms: dict[int, object] = {}
+    for w, c in f.terms.items():
+        prod = Poly.one()
+        for bit in words.letters_of(w):
+            prod = prod * images[bit]
+        accumulate(terms, prod.terms.items(), c)
+    return Poly(terms)
 
 
 def d_f(f: Poly, g: Poly) -> Poly:

@@ -107,6 +107,9 @@ def test_random_lie_elements_are_rejected():
         assert failures  # witnesses are reported
         u, v, val = failures[0]
         assert f.pairing(dshuffle.stuffle(u, v)) == val != 0
+    g = lie.random_lie(10, 0)
+    assert dshuffle.is_ds(g) is False
+    assert dshuffle.is_ds(g, strict=True) is False
 
 
 def test_low_degree_raises_and_non_lie_is_rejected():

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from dskrv import lie
+from dskrv import dshuffle, lie, words
 from dskrv.lie import NotLieError
-from dskrv.poly import Poly
+from dskrv.poly import Poly, numerators
 
 X = Poly.word("x")
 Y = Poly.word("y")
@@ -110,6 +110,22 @@ def test_is_lie_agrees_with_dynkin_criterion(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_is_lie_three_criteria_agree(n):
     for f in lie_membership_cases(n):
+        assert lie.is_lie(f, cross_check=True) == dynkin_verdict(f)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cross_check_sweeps_only_pairs_of_the_part_degree(n):
+    # the full table adds only pairs of total degree below n, which pair to
+    # 0 with a degree-n part on both sides, so no verdict changes
+    full = list(dshuffle.shuffle_table(n))
+    top = [e for e in full if words.degree(e[0]) + words.degree(e[1]) == n]
+    assert list(dshuffle.shuffle_table_of_degree(n)) == top
+    for f in lie_membership_cases(n):
+        part = f.homogeneous_part(n)
+        num, den = numerators(part)
+        verdict = not any(dshuffle.pairing_failures(full, num, den))
+        assert verdict == (not any(dshuffle.pairing_failures(top, num, den)))
+        assert verdict == dynkin_verdict(part)
         assert lie.is_lie(f, cross_check=True) == dynkin_verdict(f)
 
 

@@ -120,6 +120,19 @@ def test_subst_linear():
     # substituting the identity is a no-op
     g = P(("xxy", 2), ("yxy", -1))
     assert poly.subst_linear(g, x, y) == g
+    with pytest.raises(ValueError, match="linear"):
+        poly.subst_linear(g, x * y, y)
+    with pytest.raises(ValueError, match="empty word"):
+        poly.subst_linear(Poly.one() + g, -x - y, y)
+
+
+def test_subst_linear_holds_only_reachable_words():
+    # a pass over every word of length 40 would need 2^40 slots
+    x, y = Poly.word("x"), Poly.word("y")
+    y40 = Poly.word("y" * 40)
+    assert poly.subst_linear(y40, -x - y, y) == y40
+    xy39 = Poly.word("x" + "y" * 39)
+    assert poly.subst_linear(xy39, -x - y, y) == -xy39 - y40
 
 
 def test_right_and_left_decomposition():
@@ -206,3 +219,49 @@ def test_accumulate_matches_the_ring_fold(data):
             assert poly.accumulate(terms, src.items(), c) is terms
         steps += new
     assert typed(terms) == typed(oracles.fold_sum(start, steps).terms)
+
+
+_X, _Y = Poly.word("x"), Poly.word("y")
+# (x image, y image): the substitution of the injection, the identity, the
+# swap, a shear, a scaling by a Fraction and an int, a map with Fraction
+# entries only, and two zero images.  On an input whose coefficients are all
+# int or all Fraction, each of these gives every output coefficient one type
+# whatever the order of the sums.
+_SUBSTITUTIONS = (
+    (-_X - _Y, _Y),
+    (_X, _Y),
+    (_Y, _X),
+    (_X + _Y, _X - _Y),
+    (_X.scale(Fraction(1, 2)), _Y.scale(3)),
+    (_X.scale(Fraction(1, 2)) - _Y.scale(Fraction(1, 3)), (_X + _Y).scale(Fraction(1, 3))),
+    (Poly.zero(), _Y),
+    (_X, Poly.zero()),
+)
+_KIND_COEFFS = {
+    "int": st.integers(-3, 3).filter(bool),
+    "fraction": st.fractions(-2, 2, max_denominator=4).filter(bool),
+    "mixed": _coeffs,
+}
+
+
+def _codes(low: int, high: int):
+    """Word codes of the degrees low..high."""
+    return st.integers(low, high).flatmap(lambda n: st.integers(1 << n, (2 << n) - 1))
+
+
+@given(st.data())
+def test_subst_linear_matches_the_word_by_word_expansion(data):
+    kind = data.draw(st.sampled_from(sorted(_KIND_COEFFS)), label="kind")
+    if data.draw(st.booleans(), label="homogeneous"):
+        n = data.draw(st.integers(1, 6), label="degree")
+        codes = _codes(n, n)
+    else:
+        codes = _codes(1, 6)
+    f = Poly(data.draw(st.dictionaries(codes, _KIND_COEFFS[kind], min_size=1, max_size=8)))
+    for images in _SUBSTITUTIONS:
+        got = poly.subst_linear(f, *images)
+        want = oracles.expand_substitution(f, *images)
+        assert got == want
+        assert list(got.terms) == sorted(got.terms)
+        if kind != "mixed":
+            assert typed(got.terms) == sorted(typed(want.terms))
