@@ -45,6 +45,7 @@ from .poly import (
 
 X = Poly.word("x")
 Y = Poly.word("y")
+_UNSET = object()  # a cached value not computed yet
 
 
 # -- cyclic words -------------------------------------------------------------
@@ -78,9 +79,13 @@ def trace(f: Poly) -> CyclicPoly:
 
 
 class TangentialDerivation:
-    """The derivation x -> [x, G], y -> [y, F] attached to a pair (F, G)."""
+    """The derivation x -> [x, G], y -> [y, F] attached to a pair (F, G).
 
-    __slots__ = ("F", "G")
+    The images ([x, G], [y, F]) of x and y are built once, with the
+    instance, and the trace constant on first use.
+    """
+
+    __slots__ = ("F", "G", "images", "_trace")
 
     def __init__(self, F: Poly, G: Poly, check: bool = True):
         if check:
@@ -93,6 +98,8 @@ class TangentialDerivation:
                 raise ValueError("F and G must have the same degree")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "G", G)
+        object.__setattr__(self, "images", (bracket(X, G), bracket(Y, F)))
+        object.__setattr__(self, "_trace", _UNSET)
 
     def __setattr__(self, name, value):
         raise AttributeError("TangentialDerivation is immutable")
@@ -106,11 +113,12 @@ class TangentialDerivation:
 
         With trunc given, terms of degree > trunc are never built.
         """
-        return derive(h, bracket(X, self.G), bracket(Y, self.F), trunc)
+        return derive(h, *self.images, trunc)
 
     def special_residual(self) -> Poly:
         """[x, G] + [y, F]; zero exactly for special derivations."""
-        return bracket(X, self.G) + bracket(Y, self.F)
+        x_image, y_image = self.images
+        return x_image + y_image
 
     def is_special(self) -> bool:
         return not self.special_residual()
@@ -283,8 +291,14 @@ def trace_constant(d: TangentialDerivation) -> Fraction | None:
     """The rational A with tr(F_y y + G_x x) = A tr((x+y)^n - x^n - y^n).
 
     Returns None when the trace condition fails.  Degree-1 derivations
-    satisfy it trivially with A = 0.
+    satisfy it trivially with A = 0.  Computed once per derivation.
     """
+    if d._trace is _UNSET:
+        object.__setattr__(d, "_trace", _trace_constant(d))
+    return d._trace
+
+
+def _trace_constant(d: TangentialDerivation) -> Fraction | None:
     n = d.degree
     if n is None or n == 1:
         return Fraction(0)

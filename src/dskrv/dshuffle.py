@@ -12,9 +12,13 @@ nullspace is the certified multi-modular one of linalg.nullspace
 (exact rationals, checked against every constraint row), normalized
 to reduced echelon form with a fixed scaling convention.
 
-Every shuffle or stuffle identity of the package, (f | st(u, v)) = 0
-here, group-likeness in groupexp and shuffle orthogonality in lie, is
-one sweep of pairing_failures over a table of (u, v, product) entries.
+The identities that test a few products, (f | st(u, v)) = 0 here and
+shuffle orthogonality in lie, are sweeps of pairing_failures over a
+table of (u, v, product) entries built from the cached products.  The
+group-likeness checks of groupexp pair a whole series with every
+product up to a degree; they read all those pairings off one pass of
+the dual coproduct (shuffle_coproduct, stuffle_coproduct) instead, and
+build no product.
 """
 
 from __future__ import annotations
@@ -140,6 +144,97 @@ def stuffle(u: WordLike, v: WordLike) -> Poly:
     return Poly._of(dict(_st(composition_of(as_code(u)), composition_of(as_code(v)))))
 
 
+# -- the dual coproducts ---------------------------------------------------------
+
+
+def _coproduct(series: dict[int, Coeff], first_unit, unit_coproduct, reach: int = 0):
+    """The coproduct of series = {word: c}, as {(deg u, deg v): {(u, v): c}}.
+
+    Delta is multiplicative for concatenation, so with first_unit(w) =
+    (p, rest) splitting off the first unit p of each nonempty word,
+    Delta(series) = c_empty 1(x)1 + sum_p Delta(p) Delta(p^-1 series),
+    where unit_coproduct(p) lists the terms (l, r) of Delta(p).
+    Prepending a word l to a word u of degree m adds (l - 1) << m to
+    its code.  The residuals have the prefix of degree reach still to
+    come; a bucket with deg u > deg v + reach can never reach
+    deg u <= deg v, so it is dropped.
+    """
+    out: dict[tuple[int, int], dict[tuple[int, int], Coeff]] = {}
+    residuals: dict[int, dict[int, Coeff]] = {}
+    for w, c in series.items():
+        if w == EMPTY:
+            out[0, 0] = {(EMPTY, EMPTY): c}
+        else:
+            p, rest = first_unit(w)
+            residuals.setdefault(p, {})[rest] = c
+    for p, residual in residuals.items():
+        pieces = [(l, r, words.degree(l), words.degree(r)) for l, r in unit_coproduct(p)]
+        sub = _coproduct(residual, first_unit, unit_coproduct, reach + words.degree(p))
+        for (a, b), entries in sub.items():
+            for l, r, dl, dr in pieces:
+                if a + dl > b + dr + reach:
+                    continue
+                du, dv = (l - 1) << a, (r - 1) << b
+                dst = out.get((a + dl, b + dr))
+                if dst is None:
+                    out[a + dl, b + dr] = {(u + du, v + dv): c for (u, v), c in entries.items()}
+                    continue
+                for (u, v), c in entries.items():
+                    key = (u + du, v + dv)
+                    dst[key] = dst.get(key, 0) + c
+    return out
+
+
+def _flat(buckets) -> dict[tuple[int, int], Coeff]:
+    return {k: c for entries in buckets.values() for k, c in entries.items()}
+
+
+def _first_letter(w: int) -> tuple[int, int]:
+    t, rest = _strip_first(w)
+    return 2 + t, rest
+
+
+def _letter_coproduct(p: int) -> tuple[tuple[int, int], ...]:
+    return (p, EMPTY), (EMPTY, p)
+
+
+def shuffle_coproduct(series: dict[int, Coeff]) -> dict[tuple[int, int], Coeff]:
+    """(f | sh(u, v)) for the series f = {word: c}, as {(u, v): value}.
+
+    The entries are the coefficients of Delta(f) for the coproduct dual
+    to the shuffle, which makes every letter primitive.  Only pairs with
+    deg u <= deg v are kept (Delta is cocommutative); a missing pair
+    pairs to 0.  No shuffle product is built.
+    """
+    return _flat(_coproduct(series, _first_letter, _letter_coproduct))
+
+
+def _first_block(w: int) -> tuple[int, int]:
+    """(code of the first block x^(j-1) y, code of the rest) of a word ending in y."""
+    n = words.degree(w)
+    rest = w ^ (1 << n)  # the block's y becomes the rest's length prefix
+    j = n - words.degree(rest)
+    return (1 << j) | 1, rest
+
+
+def _block_coproduct(p: int) -> list[tuple[int, int]]:
+    """Delta(y_j) = sum over i + k = j of y_i (x) y_k; y_i has code
+    (1 << i) | 1, which for i = 0 is the empty word."""
+    j = words.degree(p)
+    return [((1 << i) | 1, (1 << (j - i)) | 1) for i in range(j + 1)]
+
+
+def stuffle_coproduct(series: dict[int, Coeff]) -> dict[tuple[int, int], Coeff]:
+    """(f | st(u, v)) for a series f = {word: c} of words ending in y.
+
+    The coproduct dual to the stuffle has Delta(y_j) = sum over
+    i + k = j of y_i (x) y_k with y_0 = 1 (Hoffman, quasi-shuffle
+    products).  As in shuffle_coproduct, only pairs with
+    deg u <= deg v are kept and a missing pair pairs to 0.
+    """
+    return _flat(_coproduct(series, _first_block, _block_coproduct))
+
+
 # -- the pairing kernel -------------------------------------------------------
 
 
@@ -161,8 +256,8 @@ def pairing_failures(table, num: dict[int, int], den: int):
     return i + 1
 
 
-def _pair_table(degrees, words_of, product):
-    """(u, v, product(u, v)) for each (deg u, deg v) of degrees, deg u <= deg v.
+def _pair_table(degrees, words_of):
+    """(u, v) for each (deg u, deg v) of degrees, deg u <= deg v.
 
     words_of(d) lists the words of degree d in code order; pairs run in
     the order of degrees, then by u, then by v, with v >= u when the
@@ -171,7 +266,7 @@ def _pair_table(degrees, words_of, product):
     for a, b in degrees:
         for i, u in enumerate(words_of(a)):
             for v in words_of(b)[i:] if a == b else words_of(b):
-                yield u, v, product(u, v)
+                yield u, v
 
 
 def _degrees_up_to(n: int):
@@ -179,24 +274,29 @@ def _degrees_up_to(n: int):
     return ((a, b) for a in range(1, n // 2 + 1) for b in range(a, n - a + 1))
 
 
+def _ending_in_y(d: int) -> range:
+    return words.all_words(d)[1::2]
+
+
+def word_pairs(n: int, y_ending: bool = False):
+    """The pairs (u, v) of nonempty words (ending in y, with y_ending)
+    with deg u <= deg v and deg u + deg v <= n, in the order of
+    _pair_table over _degrees_up_to(n)."""
+    return _pair_table(_degrees_up_to(n), _ending_in_y if y_ending else words.all_words)
+
+
+def _with_shuffles(pairs):
+    return ((u, v, _sh(u, v)) for u, v in pairs)
+
+
 def shuffle_table(n: int):
     """The shuffle pairs (u, v, sh(u, v)) of nonempty words up to degree n."""
-    return _pair_table(_degrees_up_to(n), words.all_words, _sh)
+    return _with_shuffles(word_pairs(n))
 
 
 def shuffle_table_of_degree(n: int):
     """The shuffle pairs (u, v, sh(u, v)) of nonempty words with deg u + deg v = n."""
-    return _pair_table(((a, n - a) for a in range(1, n // 2 + 1)), words.all_words, _sh)
-
-
-def stuffle_table(n: int):
-    """The stuffle pairs (u, v, st(u, v)) of words ending in y up to degree n."""
-
-    def ending_in_y(d: int) -> range:
-        return words.all_words(d)[1::2]
-
-    comp = {w: composition_of(w) for d in range(1, n) for w in ending_in_y(d)}
-    return _pair_table(_degrees_up_to(n), ending_in_y, lambda u, v: _st(comp[u], comp[v]))
+    return _with_shuffles(_pair_table(((a, n - a) for a in range(1, n // 2 + 1)), words.all_words))
 
 
 # -- membership --------------------------------------------------------------

@@ -12,7 +12,9 @@ degree truncation N, this module provides:
   - group-likeness checks: (Phi | sh(u,v)) = (Phi|u)(Phi|v) over all
     word pairs, and the stuffle analog on the corrected series
     Phi_* = exp(sum_{n>=1} ((-1)^(n-1)/n) (Phi|x^(n-1)y) y^n) pi_y(Phi)
-    over pairs of words ending in y;
+    over pairs of words ending in y; (Phi | sh(u,v)) is the (u, v)
+    coefficient of the shuffle coproduct of Phi, so one pass over the
+    words of Phi gives every pairing and no product is built;
   - exponentials of tangential derivations as automorphisms of the
     free Lie algebra, with certificates that special derivations
     exponentiate to automorphisms fixing x + y;
@@ -29,7 +31,7 @@ from math import factorial
 from . import words
 from .poly import Coeff, Poly, accumulate, numerators, poly_to_json, truncated_mul
 from .lie import NotLieError, bracket, is_lie
-from .dshuffle import d_f, is_ds, pairing_failures, shuffle_table, stuffle_table
+from .dshuffle import d_f, is_ds, shuffle_coproduct, stuffle_coproduct, word_pairs
 from .derivations import TangentialDerivation, ds_to_krv
 
 DEFAULT_TRUNCATION = 12
@@ -186,18 +188,22 @@ def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
 # -- group-likeness -------------------------------------------------------------
 
 
-def _first_failure(sweep) -> dict:
-    """The verdict of a pairing_failures sweep, the witness pair of its first
-    failure, and the number of pairs checked before it (all, on a pass)."""
-    try:
-        pairs, (u, v, _), _ = next(sweep)
-    except StopIteration as done:
-        return {"verdict": True, "witness": None, "pairs": done.value}
-    return {
-        "verdict": False,
-        "witness": (words.str_from_code(u), words.str_from_code(v)),
-        "pairs": pairs,
-    }
+def _first_failure(pairs, delta: dict, num: dict[int, int], den: int) -> dict:
+    """Certify den * delta[u, v] == num(u) num(v) along pairs, where
+    delta holds the coproduct entries (num | product(u, v)) of the
+    series num/den, a missing entry counting as 0.  Returns the verdict,
+    the witness pair of the first failure, and the number of pairs
+    checked before it (all, on a pass)."""
+    get = num.get
+    i = -1
+    for i, (u, v) in enumerate(pairs):
+        if den * delta.get((u, v), 0) != get(u, 0) * get(v, 0):
+            return {
+                "verdict": False,
+                "witness": (words.str_from_code(u), words.str_from_code(v)),
+                "pairs": i,
+            }
+    return {"verdict": True, "witness": None, "pairs": i + 1}
 
 
 def grouplike_shuffle_check(phi: TruncSeries) -> dict:
@@ -205,9 +211,11 @@ def grouplike_shuffle_check(phi: TruncSeries) -> dict:
 
     Pairs are swept over 1 <= deg u <= deg v with deg u + deg v up to
     the truncation order.  Returns the verdict, a witness pair on
-    failure, and the number of pairs checked.
+    failure, and the number of pairs checked.  Every pairing is read off
+    the shuffle coproduct of Phi's numerators; no product is built.
     """
-    return _first_failure(pairing_failures(shuffle_table(phi.trunc), *numerators(phi.poly)))
+    num, den = numerators(phi.poly)
+    return _first_failure(word_pairs(phi.trunc), shuffle_coproduct(num), num, den)
 
 
 def star_series(phi: TruncSeries) -> TruncSeries:
@@ -244,9 +252,13 @@ def star_series(phi: TruncSeries) -> TruncSeries:
 
 
 def grouplike_stuffle_check(phi: TruncSeries) -> dict:
-    """Check (Phi_* | st(u, v)) = Phi_*(u) Phi_*(v) for y-ending pairs."""
+    """Check (Phi_* | st(u, v)) = Phi_*(u) Phi_*(v) for y-ending pairs.
+
+    The pairs and the report are as in grouplike_shuffle_check, over
+    words ending in y; the pairings come from the stuffle coproduct.
+    """
     num, den = numerators(star_series(phi).poly)
-    return _first_failure(pairing_failures(stuffle_table(phi.trunc), num, den))
+    return _first_failure(word_pairs(phi.trunc, y_ending=True), stuffle_coproduct(num), num, den)
 
 
 # -- exponentials of tangential derivations --------------------------------------

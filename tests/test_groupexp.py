@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,75 @@ def test_bounded_products_equal_truncated_full_ones(element, f3):
         assert groupexp.circle(element, g, trunc) == oracles.cut(
             groupexp.circle(element, g), trunc
         )
+
+
+# -- the dual coproducts against the oracle products ------------------------------
+
+
+@functools.cache
+def _oracle_pairing_table(kind: str, trunc: int) -> dict[tuple[int, int], dict[int, int]]:
+    """{(u, v): product} for every pair with deg u <= deg v and
+    deg u + deg v <= trunc, empty words included (y-ending words for the
+    stuffle), from the independent products of tests/oracles.py."""
+
+    def comp(u: str) -> tuple[int, ...]:
+        return oracles.composition_of_word(u) if u else ()
+
+    table = {}
+    for a in range(trunc // 2 + 1):
+        for b in range(a, trunc - a + 1):
+            for u in oracles.all_degree_words(a):
+                for v in oracles.all_degree_words(b):
+                    if kind == "shuffle":
+                        product = oracles.interleave_shuffle(u, v)
+                    elif all(w[-1:] in ("", "y") for w in (u, v)):
+                        product = {
+                            oracles.word_of_composition(c): m
+                            for c, m in oracles.surjection_stuffle(comp(u), comp(v)).items()
+                        }
+                    else:
+                        continue
+                    key = (words.code_from_str(u), words.code_from_str(v))
+                    table[key] = {words.code_from_str(w): m for w, m in product.items()}
+    return table
+
+
+def _coproduct_series(name: str, trunc: int, f3) -> Poly:
+    if name == "f3":
+        return groupexp.exp_circle(f3, trunc).poly
+    if name == "random":
+        return groupexp.exp_circle(lie.random_lie(4, 3), trunc).poly
+    # a series that is not group-like, with Fraction coefficients off
+    off = Poly.word("y", Fraction(-2, 7)) + Poly.word("xyxy", Fraction(3, 5))
+    return groupexp.exp_circle(f3, trunc).poly + oracles.cut(off, trunc)
+
+
+@pytest.mark.parametrize("kind", ["shuffle", "stuffle"])
+@pytest.mark.parametrize("name", ["f3", "random", "perturbed"])
+@pytest.mark.parametrize("trunc", range(1, 9))
+def test_coproduct_entries_are_the_oracle_pairings(f3, name, trunc, kind):
+    series = _coproduct_series(name, trunc, f3)
+    if kind == "shuffle":
+        coproduct = dshuffle.shuffle_coproduct(series.terms)
+    else:
+        series = groupexp.star_series(TruncSeries(series, trunc)).poly
+        coproduct = dshuffle.stuffle_coproduct(series.terms)
+    expected = {
+        pair: sum(series.terms.get(w, 0) * m for w, m in product.items())
+        for pair, product in _oracle_pairing_table(kind, trunc).items()
+    }
+    assert set(coproduct) <= set(expected)
+    assert {pair: coproduct.get(pair, 0) for pair in expected} == expected
+
+
+def test_grouplike_checks_build_no_products(f3):
+    phi = groupexp.exp_circle(f3, 10)
+    dshuffle._sh_cache.clear()
+    dshuffle._st_cache.clear()
+    assert groupexp.grouplike_shuffle_check(phi)["verdict"]
+    assert groupexp.grouplike_stuffle_check(phi)["verdict"]
+    assert not dshuffle._sh_cache
+    assert not dshuffle._st_cache
 
 
 # -- the failure path of the pairing sweeps, frozen ------------------------------
