@@ -104,6 +104,9 @@ class TangentialDerivation:
     def __setattr__(self, name, value):
         raise AttributeError("TangentialDerivation is immutable")
 
+    def __reduce__(self):
+        return TangentialDerivation, (self.F, self.G, False)
+
     @property
     def degree(self) -> int | None:
         return self.F.degree() if self.F else self.G.degree()

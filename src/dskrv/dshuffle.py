@@ -285,18 +285,10 @@ def word_pairs(n: int, y_ending: bool = False):
     return _pair_table(_degrees_up_to(n), _ending_in_y if y_ending else words.all_words)
 
 
-def _with_shuffles(pairs):
-    return ((u, v, _sh(u, v)) for u, v in pairs)
-
-
-def shuffle_table(n: int):
-    """The shuffle pairs (u, v, sh(u, v)) of nonempty words up to degree n."""
-    return _with_shuffles(word_pairs(n))
-
-
 def shuffle_table_of_degree(n: int):
     """The shuffle pairs (u, v, sh(u, v)) of nonempty words with deg u + deg v = n."""
-    return _with_shuffles(_pair_table(((a, n - a) for a in range(1, n // 2 + 1)), words.all_words))
+    pairs = _pair_table(((a, n - a) for a in range(1, n // 2 + 1)), words.all_words)
+    return ((u, v, _sh(u, v)) for u, v in pairs)
 
 
 # -- membership --------------------------------------------------------------
@@ -454,6 +446,16 @@ class BasisResult:
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisResult is immutable")
+
+    def __reduce__(self):
+        return BasisResult, (
+            self.weight,
+            self.dimension,
+            self.basis,
+            self.coords,
+            dict(self.constraint_stats),
+            dict(self.certificates),
+        )
 
     def to_json(self) -> dict:
         from .poly import poly_to_json

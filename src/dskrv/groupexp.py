@@ -55,6 +55,9 @@ class TruncSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
+    def __reduce__(self):
+        return TruncSeries, (self.poly, self.trunc)
+
     @classmethod
     def one(cls, trunc: int) -> "TruncSeries":
         return cls(Poly.one(), trunc)

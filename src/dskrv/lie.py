@@ -220,25 +220,3 @@ def random_lie(n: int, seed: int) -> Poly:
         coords = [rng.randint(-9, 9) for _ in range(dim)]
         if any(coords):
             return from_coords(coords, n)
-
-
-def witt_dimension(n: int) -> int:
-    """Dimension of the degree-n part of the free Lie algebra on two letters."""
-
-    def mobius(d: int) -> int:
-        out, p = 1, 2
-        while p * p <= d:
-            if d % p == 0:
-                d //= p
-                if d % p == 0:
-                    return 0
-                out = -out
-            p += 1
-        if d > 1:
-            out = -out
-        return out
-
-    total = sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    if total % n:
-        raise CrossCheckError(f"necklace count {total} at degree {n} is not divisible by {n}")
-    return total // n

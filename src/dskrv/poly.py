@@ -77,6 +77,10 @@ class Terms:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        """Copies and pickles rebuild through the constructor, not by slot assignment."""
+        return type(self), (self.terms,)
+
     def __add__(self, other):
         return self._like(accumulate(dict(self.terms), other.terms.items()))
 

@@ -222,6 +222,9 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        return Word, (self.code,)
+
     @property
     def degree(self) -> int:
         return degree(self.code)

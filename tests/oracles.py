@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from dskrv import linalg, words
+from dskrv import dshuffle, linalg, words
+from dskrv.moulds import CPoly
 from dskrv.poly import Poly, accumulate
 
 MODULUS = 2_000_003  # prime; squares stay far below 2**63
@@ -42,6 +43,16 @@ def interleave_shuffle(u: str, v: str) -> dict[str, int]:
         s = "".join(w)
         out[s] = out.get(s, 0) + 1
     return out
+
+
+def shuffle_table(n: int):
+    """The triples (u, v, sh(u, v)) over the pairs of dshuffle.word_pairs(n).
+
+    Words are codes, and each shuffle comes from interleave_shuffle.
+    """
+    for u, v in dshuffle.word_pairs(n):
+        sh = interleave_shuffle(words.str_from_code(u), words.str_from_code(v))
+        yield u, v, {words.code_from_str(w): c for w, c in sh.items()}
 
 
 def composition_of_word(w: str) -> tuple[int, ...]:
@@ -93,6 +104,29 @@ def surjection_stuffle(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int
 
 def all_degree_words(n: int) -> list[str]:
     return [format(k, "b")[1:].replace("0", "x").replace("1", "y") for k in range(1 << n, 2 << n)]
+
+
+def witt_dimension(n: int) -> int:
+    """Dimension of the degree-n part of the free Lie algebra on two letters,
+    by Witt's formula (1/n) sum over d | n of mu(d) 2^(n/d)."""
+
+    def mobius(d: int) -> int:
+        out, p = 1, 2
+        while p * p <= d:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        if d > 1:
+            out = -out
+        return out
+
+    total = sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    if total % n:
+        raise AssertionError(f"necklace count {total} at degree {n} is not divisible by {n}")
+    return total // n
 
 
 def constraint_rows(n: int) -> list[dict[str, int]]:
@@ -233,6 +267,36 @@ def expand_substitution(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
             prod = prod * images[bit]
         accumulate(terms, prod.terms.items(), c)
     return Poly(terms)
+
+
+def expand_cpoly_subst(p: CPoly, images: list[dict[int, object]], new_arity: int) -> CPoly:
+    """CPoly.subst one linear factor at a time.
+
+    Each monomial c * prod_i v_i^(e_i) is expanded by multiplying in the
+    form of variable i, e_i times, one sparse Fraction-or-int dict per
+    factor, and the expansion is added into the result.
+    """
+    if len(images) != p.arity:
+        raise ValueError(f"expected {p.arity} linear forms, got {len(images)}")
+    for form in images:
+        if any(not 0 <= j < new_arity for j in form):
+            raise ValueError(f"linear form {form} leaves the {new_arity} new variables")
+    zero = (0,) * new_arity
+    out: dict[tuple[int, ...], object] = {}
+    for exps, c in p.terms.items():
+        acc = {zero: c}
+        for form, e in zip(images, exps):
+            for _ in range(e):
+                acc = accumulate(
+                    {},
+                    (
+                        (t[:j] + (t[j] + 1,) + t[j + 1 :], tc * a)
+                        for t, tc in acc.items()
+                        for j, a in form.items()
+                    ),
+                )
+        accumulate(out, acc.items())
+    return CPoly(new_arity, out)
 
 
 def d_f(f: Poly, g: Poly) -> Poly:

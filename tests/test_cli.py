@@ -379,6 +379,10 @@ GOLDEN_REPORTS = {
         "json": "e53f7944fdba877eac755e6ad526d1e398bf8740c10e31bba6988e90989c3975",
         "text": "d2c4c1edb0804760009d35a0471d09f9a9b76cde25aa175bcc7a4c54b36dc200",
     },
+    "verify ecalleA8 --weights 3..8": {
+        "json": "a0e3e74d6cb76aef8be80b5be21499fad3f745859022f07eb57618a30dad97b7",
+        "text": "ca72bbc40b0bd8f3e941925622e5f143ee0b6bee191ed33ccad8f493c9d8e66f",
+    },
     "verify ecalleA8 --weights 3..5 --strict": {
         "json": "b1b99c9ea4da9be1cd50d06bed0acbc30065bcbc4a279d9f5c0162a33bbcf063",
         "text": "33b9f01726770a6cd918138ae4720f45f5c4af645740a35ccf3aa1f08aa20bfb",
@@ -406,6 +410,10 @@ GOLDEN_REPORTS = {
     "mould --weights 3..5 --check all": {
         "json": "ea223f2237e9e2954b40cd55e5c7cab93fad408d9ed288ede817acfeb0e93055",
         "text": "7ba2648c11afe7c35bef09041243c0cfe98f25ebcb0a702c95fd7bdd922320ff",
+    },
+    "mould --weights 3..8 --check all": {
+        "json": "0c916563395b114e0f6678cf0bdda56b54308e12376ba02875a38828b7c28ef2",
+        "text": "235f2a024493e14025b6436b4bd9276728d0d20ae6ca72ab9cd4e8b4e2a4552b",
     },
     "mould --weights 3..5 --check fixed": {
         "json": "891b3bc0c322e658bc5523b1d2673069d80c735535213499bcc87d517f3dc57d",

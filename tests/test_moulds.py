@@ -94,6 +94,61 @@ def test_cpoly_subst_agrees_with_point_evaluation(data, arity, new_arity):
     assert oracles.evaluate(q.terms, point) == oracles.evaluate(p.terms, image)
 
 
+def _int_share(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if type(c) is int}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    arity=st.integers(0, 4),
+    new_arity=st.integers(0, 3),
+    flaw=st.sampled_from([None, None, None, None, "short", "long", "index"]),
+)
+def test_cpoly_subst_matches_the_factor_by_factor_expansion(data, arity, new_arity, flaw):
+    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    p = CPoly(arity, data.draw(st.dictionaries(exps, _coeff, max_size=6)))
+    forms = data.draw(
+        st.lists(
+            # new_arity < arity sends several old variables to one new one
+            st.dictionaries(st.integers(0, new_arity - 1), _coeff.filter(bool), max_size=new_arity)
+            if new_arity
+            else st.just({}),
+            min_size=arity,
+            max_size=arity,
+        )
+    )
+    if flaw == "short":
+        forms = forms[:-1]
+    elif flaw == "long":
+        forms = forms + [{}]
+    elif flaw == "index":
+        forms = forms + [{data.draw(st.sampled_from([-1, new_arity])): 1}]
+        p = CPoly(arity + 1, {e + (1,): c for e, c in p.terms.items()})
+    try:
+        expected = oracles.expand_cpoly_subst(p, forms, new_arity)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            p.subst(forms, new_arity)
+        assert str(raised.value) == str(exc)
+        return
+    q = p.subst(forms, new_arity)
+    assert q.arity == new_arity and q.terms == expected.terms
+    # the share of each coefficient that no Fraction enters: int terms of p
+    # through int form entries only
+    int_share = oracles.expand_cpoly_subst(
+        CPoly(p.arity, _int_share(p.terms)), [_int_share(f) for f in forms], new_arity
+    ).terms
+    for k, c in q.terms.items():
+        assert isinstance(c, Fraction) == bool(c - int_share.get(k, 0))
+    # with no int and Fraction shares to mix, the type is the expansion's own
+    all_int = all(type(c) is int for f in [p.terms, *forms] for c in f.values())
+    if all_int or not _int_share(p.terms):
+        assert {k: type(c) for k, c in q.terms.items()} == {
+            k: type(c) for k, c in expected.terms.items()
+        }
+
+
 def test_cpoly_exact_division_by_variable():
     p = CPoly(2, {(2, 1): 1, (1, 1): -2})
     q = p.div_var(0)

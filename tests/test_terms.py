@@ -9,16 +9,20 @@ dropped, as in oracles.fold_sum.
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dskrv import derivations, dshuffle
+from dskrv import derivations, dshuffle, groupexp, moulds
 from dskrv.derivations import CyclicPoly
 from dskrv.moulds import CPoly
-from dskrv.poly import Poly
+from dskrv.poly import Poly, Terms
+from dskrv.words import Word
 
 _coeffs = st.one_of(
     st.integers(-3, 3).filter(bool),
@@ -136,3 +140,46 @@ def test_ds_identities_on_random_multiples(f):
     antipal = dshuffle.antipal_sum_check(f)
     assert antipal["verdict"] and antipal["consistent"]
     assert dshuffle.signed_push_sums_check(f)["verdict"]
+
+
+# -- copies and pickles of the immutable value types -------------------------------
+
+_VALUES = {
+    "Poly": lambda f3: f3 + Poly.word("xy", Fraction(1, 2)) + Poly.word("y", 3),
+    "CPoly": lambda f3: CPoly(2, {(1, 0): 1, (0, 2): Fraction(-1, 3)}),
+    "CyclicPoly": lambda f3: derivations.trace(f3 + Poly.word("xxy", 2)),
+    "Word": lambda f3: Word("xyy"),
+    "Mould": lambda f3: moulds.u_family(f3),
+    "TruncSeries": lambda f3: groupexp.exp_circle(f3, 5),
+    "BasisResult": lambda f3: dshuffle.ds_basis(3),
+    "TangentialDerivation": lambda f3: derivations.ds_to_krv(f3),
+}
+
+
+def _state(obj) -> tuple:
+    """The public slots of obj, with the type of every coefficient."""
+    if isinstance(obj, Terms):
+        return type(obj), getattr(obj, "arity", None), typed(obj.terms)
+    names = [n for cls in type(obj).__mro__ for n in getattr(cls, "__slots__", ())]
+    return type(obj), {
+        n: dict(v) if isinstance(v, MappingProxyType) else v
+        for n in names
+        if not n.startswith("_")
+        for v in [getattr(obj, n)]
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_VALUES))
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_value_types_copy_and_pickle(f3, kind, clone):
+    value = _VALUES[kind](f3)
+    twin = clone(value)
+    assert type(twin) is type(value) and _state(twin) == _state(value)
+    if type(value).__eq__ is not object.__eq__:
+        assert twin == value
+    with pytest.raises(AttributeError, match="immutable"):
+        twin.spare = None
