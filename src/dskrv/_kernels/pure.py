@@ -2,7 +2,7 @@
 
 Entries stay integers throughout: every update is
 (pivot * a - lead * b) / previous_pivot with an exact division.  It
-backs `linalg.rank`, `linalg.solve` and `linalg.row_echelon`.
+backs `linalg.solve` and `linalg.row_echelon`.
 """
 
 from __future__ import annotations

@@ -430,14 +430,13 @@ def kv_dimensions(n: int) -> dict:
     weight n, computed by independent linear systems, with the span
     equality of the two models certified element by element."""
     rows_iii, d = _antipalindromy_rows(n)
-    lb = lyndon_basis(n)
+    splits = [decompose_right(e) for e in lyndon_basis(n).expansions]
 
     # krv: antipalindromy plus the trace condition, unknowns (coords, A)
     krv_rows = [r + [0] for r in rows_iii]
     traces = []
-    for e in lb.expansions:
-        _, ey = decompose_right(e)
-        gx, _ = decompose_right(s_prime_map(decompose_right(e)[0]))
+    for ex, ey in splits:
+        gx, _ = decompose_right(s_prime_map(ex))
         traces.append(trace(ey * Y + gx * X))
     r_cyc = mixed_trace(n)
     classes = sorted(set().union(*(set(t.terms) for t in traces), set(r_cyc.terms)))
@@ -447,10 +446,7 @@ def kv_dimensions(n: int) -> dict:
 
     # divisor model: antipalindromy plus push-constancy of F_y - F_x
     vkv_rows = [r + [0] for r in rows_iii]
-    diffs = []
-    for e in lb.expansions:
-        ex, ey = decompose_right(e)
-        diffs.append(ey - ex)
+    diffs = [ey - ex for ex, ey in splits]
     m = n - 1
     for orbit in words.push_orbits(m):
         w = orbit[0]
@@ -472,7 +468,7 @@ def kv_dimensions(n: int) -> dict:
 
     return {
         "weight": n,
-        "dim_special": len(special_subspace(n)),
+        "dim_special": len(linalg.nullspace(rows_iii, d)),
         "dim_krv": len(krv_null),
         "dim_vkv": len(vkv_null),
         "same_span": same_span,

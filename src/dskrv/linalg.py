@@ -4,11 +4,11 @@
 reduced modulo a deterministic sequence of word-size primes, the kernel
 bases are combined by the Chinese remainder theorem and rationally
 reconstructed, and a candidate is returned only after it annihilates
-every input row exactly.  `rank`, `solve` and `row_echelon` run
-fraction-free Bareiss elimination over the integers
-(`dskrv._kernels.pure`) with rational back-substitution here.  Rows may
-be given with int or Fraction entries; each row is scaled to integers
-first, which changes neither rank, nullspace nor solvability.
+every input row exactly.  `solve` and `row_echelon` run fraction-free
+Bareiss elimination over the integers (`dskrv._kernels.pure`) with
+rational back-substitution here.  Rows may be given with int or Fraction
+entries; each row is scaled to integers first, which changes neither
+rank, nullspace nor solvability.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ def integerize_row(row: list) -> list[int]:
 
 def row_echelon(rows: list[list], ncols: int) -> tuple[list[list[int]], list[int]]:
     return pure.row_echelon([integerize_row(r) for r in rows], ncols)
-
-
-def rank(rows: list[list], ncols: int) -> int:
-    return len(row_echelon(rows, ncols)[1])
 
 
 def _back_substitute(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, lcm
+from math import comb
 from operator import add, mul
 
 from . import words
@@ -39,6 +39,7 @@ from .poly import (
     coeff_to_str,
     decompose_right,
     is_antipalindromic,
+    numerators,
 )
 from .dshuffle import compositions, is_ds
 
@@ -119,47 +120,39 @@ class CPoly(Terms):
         A form maps new variables (indices below new_arity) to nonzero
         coefficients; the empty form {} sends the variable to 0.
 
-        The work is done on integer numerators: self is P/D, with D the
-        lcm of its denominators, and every form is scaled by s, the lcm
-        of the denominators of all form coefficients.  One pass over P
-        maps the exponents of every old variable whose form has at most
-        one entry: the term is dropped when the form is {}, and otherwise
-        the variable is renamed to its new variable and the term scaled
-        by a^e.  Every other old variable (a form with several entries,
-        or one entry on a new variable that an earlier old variable has
-        taken) then takes one pass over the whole dict, which expands
+        The work is done on the integer numerators P of self = P/D, D
+        the lcm of its denominators.  One pass over P maps the exponents
+        of every old variable whose form has at most one entry: the term
+        is dropped when the form is {}, and otherwise the variable is
+        renamed to its new variable and the term multiplied by a^e.
+        Every other old variable (a form with several entries, or one
+        entry on a new variable that an earlier old variable has taken)
+        then takes one pass over the whole dict, which expands
         (sum_j a_j v_j)^e by the multinomial theorem, once per exponent.
-        Each output coefficient is divided once, at the end, by
-        D * s^degree.
 
-        An output coefficient is a Fraction when the share of it that a
-        Fraction has entered (a coefficient of self, or a form
-        coefficient on the path) is nonzero, and an int otherwise.
+        Each output coefficient is P_k / D: P_k itself when D = 1, an int
+        when the form coefficients are ints, and Fraction(P_k, D) when D > 1.
+        Fraction form coefficients are carried through, so values are exact.
         """
         if len(images) != self.arity:
             raise ValueError(f"expected {self.arity} linear forms, got {len(images)}")
         for form in images:
             if any(not 0 <= j < new_arity for j in form):
                 raise ValueError(f"linear form {form} leaves the {new_arity} new variables")
-        if not self.terms:
-            return CPoly.zero(new_arity)
-        scale = lcm(1, *(a.denominator for form in images for a in form.values()))
         # pick[j]: the old variable whose exponent key slot j takes, or the
         # arity, which indexes the 0 padded onto every exponent tuple
         pad = self.arity
         pick = [pad] * new_arity
-        dropped, scaled, tainted, expanded = [], [], [], []
+        dropped, powered, expanded = [], [], []
         for i, form in enumerate(images):
-            entries = [(j, int(a * scale), isinstance(a, Fraction)) for j, a in form.items() if a]
+            entries = [(j, a) for j, a in form.items() if a]
             if not entries:
                 dropped.append(i)
             elif len(entries) == 1 and pick[entries[0][0]] == pad:
-                j, a, ta = entries[0]
+                j, a = entries[0]
                 pick[j] = i
                 if a != 1:
-                    scaled.append((i, a))
-                if ta:
-                    tainted.append(i)
+                    powered.append((i, a))
             else:
                 expanded.append((i, entries))
         # the slots past the new variables hold the exponents that wait for
@@ -167,42 +160,32 @@ class CPoly(Terms):
         # expands the last slot; in order, the short forms of the prefix sums
         # z_i -> u_1 + ... + u_i go first, which keeps the dict small
         pick += [i for i, _ in reversed(expanded)]
-        den = lcm(1, *(c.denominator for c in self.terms.values()))
-        # shares[t]: the numerators that a Fraction has (t = 1) or has not entered
-        shares: tuple[dict, dict] = ({}, {})
-        for exps, c in self.terms.items():
+        nums, den = numerators(self)
+        terms: dict[tuple[int, ...], Coeff] = {}
+        for exps, p in nums.items():
             if dropped and any(map(exps.__getitem__, dropped)):
                 continue
-            t = isinstance(c, Fraction)
-            p = c.numerator * (den // c.denominator)
-            for i, a in scaled:
+            for i, a in powered:
                 p *= a ** exps[i]
-            if tainted and not t:
-                t = any(map(exps.__getitem__, tainted))
             key = tuple(map((*exps, 0).__getitem__, pick))
-            share = shares[t]
-            share[key] = share.get(key, 0) + p
+            terms[key] = terms.get(key, 0) + p
         for m, (_, entries) in enumerate(expanded, 1):
-            width = len(pick) - m
             powers: dict[int, list] = {}
-            grown: tuple[dict, dict] = ({}, {})
-            for t, share in enumerate(shares):
-                for key, p in share.items():
-                    if not p:
-                        continue
-                    e = key[-1]
-                    if e not in powers:
-                        powers[e] = _power_of_form(entries, e, width)
-                    base = key[:-1]
-                    for delta, c, tc in powers[e]:
-                        k = tuple(map(add, base, delta))
-                        out = grown[t | tc]
-                        out[k] = out.get(k, 0) + c * p
-            shares = grown
-        out = {k: Fraction(p, den * scale ** sum(k)) for k, p in shares[1].items() if p}
-        # a key in both shares gets int + Fraction, a Fraction, or cancels
-        accumulate(out, ((k, p // (den * scale ** sum(k))) for k, p in shares[0].items() if p))
-        return CPoly._of(out, new_arity)
+            grown: dict[tuple[int, ...], Coeff] = {}
+            for key, p in terms.items():
+                if not p:
+                    continue
+                e = key[-1]
+                if e not in powers:
+                    powers[e] = _power_of_form(entries, e, len(pick) - m)
+                base = key[:-1]
+                for delta, c in powers[e]:
+                    k = tuple(map(add, base, delta))
+                    grown[k] = grown.get(k, 0) + c * p
+            terms = grown
+        return CPoly._of(
+            {k: p if den == 1 else Fraction(p, den) for k, p in terms.items() if p}, new_arity
+        )
 
     def div_var(self, k: int) -> "CPoly":
         """Exact division by variable k; raises InexactDivision on remainder."""
@@ -230,22 +213,21 @@ class CPoly(Terms):
         return f"<CPoly({self.arity}) {dict(self.items())}>"
 
 
-def _power_of_form(form: list[tuple[int, int, bool]], e: int, width: int) -> list[tuple]:
-    """(sum of a v_j over (j, a, t) in form)^e by the multinomial theorem.
+def _power_of_form(form: list[tuple[int, Coeff]], e: int, width: int) -> list[tuple]:
+    """(sum of a v_j over (j, a) in form)^e by the multinomial theorem.
 
-    Returns (exponent vector of length width, coefficient, t) for each
-    term, where t marks a term that takes some v_j whose t is set.
+    Returns (exponent vector of length width, coefficient) for each term.
     """
-    parts = [([0] * width, 1, False, e)]  # exponents, coefficient, t, degree left
-    for n, (j, a, ta) in enumerate(form, 1):
+    parts = [([0] * width, 1, e)]  # exponents, coefficient, degree left
+    for n, (j, a) in enumerate(form, 1):
         grown = []
-        for exps, c, t, left in parts:
+        for exps, c, left in parts:
             for k in range(left + 1) if n < len(form) else (left,):
                 picked = exps.copy()
                 picked[j] = k
-                grown.append((picked, c * comb(left, k) * a**k, t or (ta and k > 0), left - k))
+                grown.append((picked, c * comb(left, k) * a**k, left - k))
         parts = grown
-    return [(tuple(exps), c, t) for exps, c, t, _ in parts]
+    return [(tuple(exps), c) for exps, c, _ in parts]
 
 
 class Mould:

@@ -427,24 +427,32 @@ def decompose_left(f: Poly) -> tuple[Poly, Poly]:
     return Poly._of(fx), Poly._of(fy)
 
 
+def _section_map(h: Poly, right: bool) -> Poly:
+    """sum_i (-1)^i/i! (d/dx)^i(h) y x^i if right, else sum_i (-1)^i/i! x^i y (d/dx)^i(h)."""
+    terms: dict[int, Coeff] = {}
+    term = h
+    i = 0
+    fact = 1
+    while term:
+        if right:
+            product = term * Poly.word(words.concat_codes(words.Y_CODE, words.x_power(i)))
+        else:
+            product = Poly.word(words.concat_codes(words.x_power(i), words.Y_CODE)) * term
+        sign = -1 if i & 1 else 1
+        accumulate(terms, product.terms.items(), Fraction(sign, fact))
+        i += 1
+        fact *= i
+        term = partial_x(term)
+    return Poly._of(terms)
+
+
 def s_map(h: Poly) -> Poly:
     """Section map h -> sum_i (-1)^i/i! (d/dx)^i(h) y x^i.
 
     Rebuilds a Lie element f from its right factor: f = s_map(f_y)
     whenever f is Lie of degree >= 2.
     """
-    terms: dict[int, Coeff] = {}
-    term = h
-    i = 0
-    fact = 1
-    while term:
-        tail = Poly.word(words.concat_codes(words.Y_CODE, words.x_power(i)))  # y x^i
-        sign = -1 if i & 1 else 1
-        accumulate(terms, (term * tail).terms.items(), Fraction(sign, fact))
-        i += 1
-        fact *= i
-        term = partial_x(term)
-    return Poly._of(terms)
+    return _section_map(h, right=True)
 
 
 def s_prime_map(h: Poly) -> Poly:
@@ -452,18 +460,7 @@ def s_prime_map(h: Poly) -> Poly:
 
     Rebuilds a Lie element from its left factor: f = s_prime_map(f^y).
     """
-    terms: dict[int, Coeff] = {}
-    term = h
-    i = 0
-    fact = 1
-    while term:
-        head = Poly.word(words.concat_codes(words.x_power(i), words.Y_CODE))  # x^i y
-        sign = -1 if i & 1 else 1
-        accumulate(terms, (head * term).terms.items(), Fraction(sign, fact))
-        i += 1
-        fact *= i
-        term = partial_x(term)
-    return Poly._of(terms)
+    return _section_map(h, right=False)
 
 
 # -- symmetry predicates ----------------------------------------------------

@@ -371,6 +371,11 @@ def grouplike_sweep(series: Poly, trunc: int, product, y_ending: bool = False) -
 # -- the rational nullspace by Bareiss elimination --------------------------------
 
 
+def rank(rows: list[list], ncols: int) -> int:
+    """Rank of the rows: the pivot count of their fraction-free echelon form."""
+    return len(linalg.row_echelon(rows, ncols)[1])
+
+
 def bareiss_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
     """Canonical rational nullspace basis from fraction-free elimination.
 

@@ -45,10 +45,10 @@ def test_integerize_row():
 
 
 def test_rank():
-    assert linalg.rank([[1, 2], [2, 4]], 2) == 1
-    assert linalg.rank([[1, 0], [0, 1]], 2) == 2
-    assert linalg.rank([], 4) == 0
-    assert linalg.rank([[Fraction(1, 2), 1], [1, 2]], 2) == 1
+    assert oracles.rank([[1, 2], [2, 4]], 2) == 1
+    assert oracles.rank([[1, 0], [0, 1]], 2) == 2
+    assert oracles.rank([], 4) == 0
+    assert oracles.rank([[Fraction(1, 2), 1], [1, 2]], 2) == 1
 
 
 def test_nullspace_is_exact_and_canonical():
@@ -70,7 +70,7 @@ def test_nullspace_annihilates_random_systems(seed):
     nrows, ncols = rng.randint(1, 8), rng.randint(2, 8)
     rows = random_int_matrix(rng, nrows, ncols)
     basis = linalg.nullspace(rows, ncols)
-    assert len(basis) == ncols - linalg.rank(rows, ncols)
+    assert len(basis) == ncols - oracles.rank(rows, ncols)
     for v in basis:
         for r in rows:
             assert sum(Fraction(a) * b for a, b in zip(r, v)) == 0

@@ -1,19 +1,29 @@
-"""The benchmark's tracer names functions that exist in the package."""
+"""The benchmark's tracer and reference digests agree with the package."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from dskrv import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_tracer_target_resolves():
     # a renamed target would leave its per-layer metrics at zero instead of failing
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("tracer")
     assert tracer.TARGETS
     missing = []
     for name, modname, path in tracer.TARGETS:
@@ -23,3 +33,24 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append(name)
     assert missing == []
+
+
+def test_every_reference_digest_is_reproduced():
+    # the benchmark fails an operation whose report digest leaves reference.json
+    workloads, child = _load("workloads"), _load("child")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    argvs = {
+        label: argv
+        for make_ops in workloads.WORKLOADS.values()
+        for small in (False, True)
+        for label, argv in make_ops(0, small)
+    }
+    assert set(argvs) == set(reference)
+    mismatches = []
+    for label, argv in sorted(argvs.items()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        if code != 0 or child.digest(json.loads(out.getvalue())) != reference[label]:
+            mismatches.append(label)
+    assert mismatches == []
