@@ -419,12 +419,6 @@ def _antipalindromy_rows(n: int) -> tuple[list[list[Coeff]], int]:
     return rows, lb.dimension
 
 
-def special_subspace(n: int) -> list[Poly]:
-    """Basis of homogeneous degree-n Lie elements F with F_y antipalindromic."""
-    rows, d = _antipalindromy_rows(n)
-    return [from_coords(vec, n) for vec in linalg.nullspace(rows, d)]
-
-
 def kv_dimensions(n: int) -> dict:
     """Dimensions of the special, krv and divisor-model subspaces at
     weight n, computed by independent linear systems, with the span

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import CrossCheckError, words
 from .poly import Coeff, Poly, accumulate, numerators
@@ -201,14 +202,28 @@ def to_coords(f: Poly, n: int | None = None) -> list[Coeff]:
 
 
 def from_coords(coords: list[Coeff], n: int) -> Poly:
+    """The degree-n Lie element sum c * e over coords and the Lyndon expansions e.
+
+    Each coefficient has the value, the int/Fraction type and the dict
+    position of that sum taken term by term with accumulate.  When every
+    coordinate is a Fraction, as in a nullspace vector, the sum runs on
+    the integer numerators over the lcm D of the denominators, and each
+    coefficient is divided by D once at the end.
+    """
     basis = lyndon_basis(n)
     if len(coords) != basis.dimension:
         raise ValueError(
             f"expected {basis.dimension} coordinates for degree {n}, got {len(coords)}"
         )
+    fractions = all(type(c) is Fraction for c in coords)
+    if fractions:
+        den = lcm(1, *(c.denominator for c in coords))
+        coords = [c.numerator * (den // c.denominator) for c in coords]
     terms: dict[int, Coeff] = {}
     for c, expansion in zip(coords, basis.expansions):
         accumulate(terms, expansion.terms.items(), c)
+    if fractions:
+        terms = {w: Fraction(v, den) for w, v in terms.items()}
     return Poly._of(terms)
 
 

@@ -1,7 +1,11 @@
 """Exact linear algebra over the rationals, deterministic throughout.
 
-`nullspace` is certified multi-modular elimination: the rows are
-reduced modulo a deterministic sequence of word-size primes, the kernel
+`nullspace` is certified multi-modular elimination.  For each prime of a
+deterministic sequence of word-size primes, the kernel mod p is read off
+a forward echelon form by one back-substitution.  The first prime
+eliminates a seeded prefix of the rows and checks every other row
+against the prefix's kernel, eliminating only the rows that fail; the
+later primes eliminate only the rows that raised its rank.  The kernel
 bases are combined by the Chinese remainder theorem and rationally
 reconstructed, and a candidate is returned only after it annihilates
 every input row exactly.  `solve` and `row_echelon` run fraction-free
@@ -13,9 +17,12 @@ rank, nullspace nor solvability.
 
 from __future__ import annotations
 
+import random
 import sys
 from array import array
+from bisect import insort
 from fractions import Fraction
+from itertools import compress, islice
 from math import isqrt, lcm
 from operator import mul
 
@@ -27,6 +34,8 @@ KERNEL = pure.IMPLEMENTATION
 
 def integerize_row(row: list) -> list[int]:
     """Scale one row by the lcm of its denominators to integer entries."""
+    if set(map(type, row)) <= {int}:
+        return list(row)
     m = lcm(*{v.denominator for v in row})
     if m == 1:
         return list(map(int, row))
@@ -54,8 +63,14 @@ def _back_substitute(
 # adding c times another packed row is a single big-integer multiply-add.
 # The primes are below 2**24, so a slot of reduced entries absorbs
 # 2**64 // p**2 - 1 such updates before it has to be reduced again.
+#
+# Elimination keeps a forward echelon form: each pivot row is packed from
+# its lead column on, with entry 1 there, and is never changed once it is
+# a pivot.  The kernel is read off it by one back-substitution.
 
 _SLOT = 64
+_MASK = (1 << _SLOT) - 1
+_ORDER_SEED = 0  # the first prime visits the rows in this seeded shuffled order
 
 
 def _pack(vals) -> int:
@@ -90,47 +105,103 @@ def _primes():
     return (n for n in range((1 << 24) - 1, 8, -2) if _is_prime(n))
 
 
-def _eliminate_mod_p(
-    rows: list[list[int]], order, ncols: int, p: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Reduced row echelon form mod p of the rows listed in order.
+def _reduce(vals: list[int], leads: list[int], prows: dict[int, int], ncols: int, p: int) -> bool:
+    """Reduce a row of residues mod p by the forward echelon (leads, prows).
 
-    Returns the pivot columns, the packed reduced pivot rows (entries in
-    [0, p), leading 1, zero in every other pivot column) and the indices
-    of the rows that raised the rank.  Because the pivot rows stay
-    reduced, the multiple of each one to subtract from a new row is read
-    off the new row's own entries.
+    prows[l] packs the pivot row with lead l from column l on.  The row
+    is reduced by the pivots in increasing lead order until it has a
+    nonzero entry in a column that is no pivot's lead; it then becomes
+    the pivot there.  Returns whether it did, i.e. whether the rank rose.
     """
     limit = (1 << _SLOT) // (p * p) - 1
-    cols: list[int] = []
-    prows: list[int] = []
+    rest, pos, updates = _pack(vals), 0, 0  # rest packs the columns from pos on
+    for lead in leads:
+        if lead > pos:
+            gap = _SLOT * (lead - pos)
+            if any(v % p for v in _unpack(rest & ((1 << gap) - 1), lead - pos)):
+                break
+            rest >>= gap
+        c = (rest & _MASK) % p
+        if c:
+            rest += (p - c) * prows[lead]
+            updates += 1
+            if updates == limit:
+                rest, updates = _pack([v % p for v in _unpack(rest, ncols - lead)]), 0
+        rest >>= _SLOT
+        pos = lead + 1
+    vals = [v % p for v in _unpack(rest, ncols - pos)]
+    j = next((j for j, v in enumerate(vals) if v), None)
+    if j is None:
+        return False
+    inv = pow(vals[j], -1, p)
+    insort(leads, pos + j)
+    prows[pos + j] = _pack([v * inv % p for v in vals[j:]])
+    return True
+
+
+def _dot(coeffs, packed, width: int, p: int) -> array:
+    """The width slots mod p of sum(map(mul, coeffs, packed)); coeffs in [0, p)."""
+    limit = (1 << _SLOT) // (p * p) - 1
+    terms = map(mul, coeffs, packed)
+    total = 0
+    for _ in range(0, len(coeffs), limit):
+        total = _pack([v % p for v in _unpack(sum(islice(terms, limit), total), width)])
+    return _unpack(total, width)
+
+
+def _annihilates(row: list[int], cols: list[int], width: int, p: int) -> bool:
+    """Whether row is orthogonal mod p to every kernel vector packed in cols."""
+    return not any(_dot([v % p for v in filter(None, row)], compress(cols, row), width, p))
+
+
+def _kernel_columns(
+    leads: list[int], prows: dict[int, int], ncols: int, p: int
+) -> tuple[list[int], list[int]]:
+    """The free columns, and each column of the kernel basis mod p packed.
+
+    Basis vector i is the unit vector on the i-th free column, completed
+    by back-substitution through the pivot rows in decreasing lead order:
+    the vector the reduced echelon form gives.  Slot i of the j-th packed
+    int is its entry j.
+    """
+    lead_set = set(leads)
+    free = [j for j in range(ncols) if j not in lead_set]
+    cols = [0] * ncols
+    for i, f in enumerate(free):
+        cols[f] = 1 << (_SLOT * i)
+    for lead in reversed(leads):
+        # entry 1 of the pivot meets cols[lead], still 0
+        slots = _dot(_unpack(prows[lead], ncols - lead), islice(cols, lead, None), len(free), p)
+        cols[lead] = _pack([-v % p for v in slots])
+    return free, cols
+
+
+def _kernel_mod_p(
+    rows: list[list[int]], order: list[int], ncols: int, p: int, prefix: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The kernel mod p of the rows listed in order, from a checked prefix.
+
+    The first prefix rows are eliminated, and every later row is checked
+    against their kernel with one packed dot product.  A row that
+    annihilates the kernel of a set of rows mod p lies in their row space
+    mod p, so eliminating the rows that fail as well gives the kernel of
+    all the rows listed.  Returns the free columns and packed kernel
+    columns (see _kernel_columns) and the indices of the rows that raised
+    the rank.
+    """
+    leads: list[int] = []
+    prows: dict[int, int] = {}
     used: list[int] = []
-    for i in order:
-        row = rows[i]
-        vals = [v % p for v in row]
-        if cols:
-            coeffs = [-row[c] % p for c in cols]
-            packed = _pack(vals)
-            for s in range(0, len(cols), limit):
-                packed = sum(map(mul, coeffs[s : s + limit], prows[s : s + limit]), packed)
-                vals = [v % p for v in _unpack(packed, ncols)]
-                packed = _pack(vals)
-        lead = next((j for j, v in enumerate(vals) if v), None)
-        if lead is None:
-            continue
-        inv = pow(vals[lead], -1, p)
-        new = _pack([v * inv % p for v in vals])
-        shift = _SLOT * lead
-        for k, prow in enumerate(prows):
-            c = (prow >> shift) & 0xFFFFFFFFFFFFFFFF
-            if c:
-                prows[k] = _pack([v % p for v in _unpack(prow + (p - c) * new, ncols)])
-        cols.append(lead)
-        prows.append(new)
-        used.append(i)
-        if len(cols) == ncols:
-            break
-    return cols, prows, used
+    batch, unchecked = order[:prefix], order[prefix:]
+    while True:
+        for i in batch:
+            if len(leads) < ncols and _reduce([v % p for v in rows[i]], leads, prows, ncols, p):
+                used.append(i)
+        free, cols = _kernel_columns(leads, prows, ncols, p)
+        batch = [i for i in unchecked if free and not _annihilates(rows[i], cols, len(free), p)]
+        if not batch:
+            return free, cols, used
+        unchecked = []  # the failed rows are eliminated, so they need no check
 
 
 def _rational(u: int, m: int) -> Fraction | None:
@@ -171,47 +242,46 @@ def _failing_row(rows: list[list[int]], vecs: list[list[Fraction]]) -> int | Non
 def nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
     """Canonical rational nullspace basis (reduced row echelon rows).
 
-    For each prime p the kernel mod p is read off the reduced echelon
-    form, with unit vectors on the free columns.  Primes whose nullity
-    exceeds the smallest one seen are dropped; kernels with the same
-    free columns are combined by CRT and reconstructed as rationals.
-    The result is returned once every reconstructed vector annihilates
-    every row exactly.  That proves it: nullity over Q is at most the
-    nullity mod p of any subset of the rows, and the verified vectors,
-    unit vectors on the free columns, are that many independent kernel
-    elements.  So the primes affect only the speed.  After the first
-    prime only the rows that raised its rank are eliminated, plus any
-    row a candidate failed on.
+    For each prime p the kernel mod p is read off a forward echelon form,
+    with unit vectors on the free columns (see _kernel_mod_p).  The first
+    prime visits the rows in a seeded shuffled order: it eliminates the
+    first ncols of them and checks every other row against their kernel
+    mod p, eliminating only the rows that fail.  The later primes
+    eliminate only the rows that raised its rank, plus any row a
+    candidate failed on.  Primes whose nullity exceeds the smallest one
+    seen are dropped; kernels with the same free columns are combined by
+    CRT and reconstructed as rationals.  The result is returned once
+    every reconstructed vector annihilates every row exactly.  That
+    proves it: nullity over Q is at most the nullity mod p of any subset
+    of the rows, and the verified vectors, unit vectors on the free
+    columns, are that many independent kernel elements.  So the primes,
+    the row order and the checked prefix affect only the speed, and the
+    reduced echelon form of the verified vectors does not depend on them.
     """
     mat = [integerize_row(r) for r in rows]
     if ncols == 0:
         return []
+    order = list(range(len(mat)))
+    random.Random(_ORDER_SEED).shuffle(order)
     best = ncols + 1
     groups: dict[tuple[int, ...], tuple[int, list[list[int]]]] = {}
     subset = None
     for p in _primes():
-        cols, prows, used = _eliminate_mod_p(
-            mat, range(len(mat)) if subset is None else subset, ncols, p
-        )
         if subset is None:
-            subset = used
-        nullity = ncols - len(cols)
+            free, cols, subset = _kernel_mod_p(mat, order, ncols, p, ncols)
+        else:
+            free, cols, _ = _kernel_mod_p(mat, subset, ncols, p, len(subset))
+        nullity = len(free)
         if nullity == 0:
             return []
         if nullity > best:
             continue
         if nullity < best:
             best, groups = nullity, {}
-        pivot_rows = [_unpack(r, ncols) for r in prows]
-        pivot_set = set(cols)
-        free = tuple(c for c in range(ncols) if c not in pivot_set)
+        free = tuple(free)
         modulus, acc = groups.get(free, (1, [[0] * ncols for _ in free]))
         inv = pow(modulus, -1, p)
-        for f, vec in zip(free, acc):
-            residues = [0] * ncols
-            residues[f] = 1
-            for c, prow in zip(cols, pivot_rows):
-                residues[c] = -prow[f] % p
+        for vec, residues in zip(acc, zip(*(_unpack(c, nullity) for c in cols))):
             vec[:] = [x + modulus * ((r - x) * inv % p) for x, r in zip(vec, residues)]
         modulus *= p
         groups[free] = (modulus, acc)

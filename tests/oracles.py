@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from dskrv import dshuffle, linalg, words
+from dskrv import derivations, dshuffle, lie, linalg, words
 from dskrv.moulds import CPoly
 from dskrv.poly import Poly, accumulate
 
@@ -374,6 +374,12 @@ def grouplike_sweep(series: Poly, trunc: int, product, y_ending: bool = False) -
 def rank(rows: list[list], ncols: int) -> int:
     """Rank of the rows: the pivot count of their fraction-free echelon form."""
     return len(linalg.row_echelon(rows, ncols)[1])
+
+
+def special_subspace(n: int) -> list[Poly]:
+    """Basis of homogeneous degree-n Lie elements F with F_y antipalindromic."""
+    rows, d = derivations._antipalindromy_rows(n)
+    return [lie.from_coords(vec, n) for vec in bareiss_nullspace(rows, d)]
 
 
 def bareiss_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:

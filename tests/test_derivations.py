@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from dskrv import derivations, dshuffle, lie, poly, words
 from dskrv.derivations import TangentialDerivation
 from dskrv.lie import NotLieError
@@ -197,7 +198,7 @@ def test_pushconst_transport(f3, f5):
 def test_trace_constant_none_for_non_krv():
     # a special derivation outside the trace-condition locus reports None
     for n in (5, 7):
-        sp = derivations.special_subspace(n)
+        sp = oracles.special_subspace(n)
         outside = [
             F for F in sp
             if derivations.trace_constant(derivations.special_derivation(F)) is None

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from dskrv import dshuffle, lie, words
@@ -151,6 +153,52 @@ def test_coordinate_roundtrip(n):
     coords = lie.to_coords(f)
     assert lie.from_coords(coords, n) == f
     assert len(coords) == lie.lyndon_basis(n).dimension
+
+
+def typed(terms):
+    return [(k, type(v), v) for k, v in terms.items()]
+
+
+def ring_fold(coords, n):
+    """sum of c * e over coords and the Lyndon expansions e, without from_coords."""
+    expansions = lie.lyndon_basis(n).expansions
+    return oracles.fold_sum({}, [(e.terms, c) for e, c in zip(expansions, coords)])
+
+
+# Few coordinate values, so that the sums of a word cancel and come back;
+# 1 first, the value hypothesis draws most.
+_FRACTIONS = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(0), Fraction(-2, 3)]
+)
+_COORDINATES = {
+    "fraction": _FRACTIONS,
+    "int": st.sampled_from([1, -1, 2, 0, -3]),
+    "mixed": st.one_of(_FRACTIONS, st.sampled_from([1, -1, 2, 0, -3])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COORDINATES))
+@given(data=st.data())
+def test_from_coords_matches_the_ring_fold(kind, data):
+    # value, int/Fraction type and dict position of every coefficient; from
+    # degree 5 on, the expansions share words
+    n = data.draw(st.integers(4, 7), label="n")
+    dim = lie.lyndon_basis(n).dimension
+    coords = data.draw(st.lists(_COORDINATES[kind], min_size=dim, max_size=dim), label="coords")
+    assert typed(lie.from_coords(coords, n).terms) == typed(ring_fold(coords, n).terms)
+
+
+def test_from_coords_moves_a_cancelled_word_behind_the_later_ones():
+    # xxyyxy has coefficients 3, -3 and 1 in the Lyndon expansions 3, 4
+    # and 5 of degree 6: coordinates 1, 1 cancel it and 1/2 brings it back
+    coords = [Fraction(0)] * 9
+    coords[3] = coords[4] = Fraction(1)
+    coords[5] = Fraction(1, 2)
+    f = lie.from_coords(coords, 6)
+    assert typed(f.terms) == typed(ring_fold(coords, 6).terms)
+    order = [words.str_from_code(w) for w in f.terms]
+    assert order.index("xxyyxy") > order.index("xyxxyy")  # a word of expansion 4
+    assert f.terms[words.code_from_str("xxyyxy")] == Fraction(1, 2)
 
 
 def test_to_coords_rejects_non_lie():

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 import pytest
 
@@ -42,6 +43,14 @@ def test_integerize_row():
     row = [Fraction(1, 2), Fraction(1, 3), 1]
     assert linalg.integerize_row(row) == [3, 2, 6]
     assert linalg.integerize_row([1, -2]) == [1, -2]
+
+
+def test_integerize_row_returns_a_new_list_of_ints():
+    row = [3, -4]
+    assert linalg.integerize_row(row) == row and linalg.integerize_row(row) is not row
+    assert linalg.integerize_row((3, -4)) == [3, -4]
+    out = linalg.integerize_row([Fraction(4, 2), 3, True])
+    assert out == [2, 3, 1] and {type(v) for v in out} == {int}
 
 
 def test_rank():
@@ -189,3 +198,102 @@ def test_nullspace_combines_primes_when_one_cannot_reconstruct(monkeypatch):
     assert linalg.nullspace(rows, 2) == [[1, Fraction(-100003, 99991)]]
     wide = [[100003 * 3, 99991 * 5, 7919]]
     assert linalg.nullspace(wide, 3) == oracles.bareiss_nullspace(wide, 3)
+
+
+# -- the check-driven first prime ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nullspace_matches_bareiss_on_tall_low_rank_matrices(seed):
+    # 200 rows and 20 columns: the first prime eliminates a prefix of
+    # about 20 rows and checks the other 180 against its kernel
+    rng = random.Random(6000 + seed)
+    rows = low_rank_matrix(rng, 200, 20, rng.randint(1, 19))
+    assert linalg.nullspace(rows, 20) == oracles.bareiss_nullspace(rows, 20)
+    fractions = [[Fraction(v, rng.randint(1, 30)) for v in row] for row in rows]
+    assert linalg.nullspace(fractions, 20) == oracles.bareiss_nullspace(fractions, 20)
+
+
+@pytest.mark.parametrize("prefix", [1, 3, 12])
+def test_kernel_mod_p_of_a_checked_prefix_is_the_kernel_of_every_row(prefix):
+    # However short the eliminated prefix, eliminating the rows that fail
+    # the check as well gives the kernel mod p of all the rows: one vector
+    # per free column, unit on the free columns, orthogonal to every row
+    # mod p.
+    p = FIRST_PRIME
+    rng = random.Random(6100 + prefix)
+    rows = low_rank_matrix(rng, 60, 12, 7)
+    free, cols, used = linalg._kernel_mod_p(rows, list(range(60)), 12, p, prefix)
+    assert len(free) == len(oracles.bareiss_nullspace(rows, 12)) == 5
+    assert len(used) == 7 and oracles.rank([rows[i] for i in used], 12) == 7
+    kernel = [list(vec) for vec in zip(*(linalg._unpack(c, len(free)) for c in cols))]
+    unit = [[int(i == j) for j in range(5)] for i in range(5)]
+    assert [[vec[f] for f in free] for vec in kernel] == unit
+    assert all(sum(map(mul, row, vec)) % p == 0 for row in rows for vec in kernel)
+
+
+def test_nullspace_catches_a_rank_drop_the_first_prime_cannot_see(monkeypatch):
+    # The last row is (1, 1, 1) plus FIRST_PRIME in the fourth column: mod
+    # the first prime it lies in the span of the other rows, so it passes
+    # the modular check wherever it stands, and only the exact check of
+    # the candidate (0, 0, 0, 1) against every row finds it.
+    rng = random.Random(6200)
+    body = [[rng.randint(-9, 9) for _ in range(3)] + [0] for _ in range(40)]
+    hidden = [1, 1, 1, FIRST_PRIME]
+    caught = []
+
+    def failing_row(rows, vecs):
+        caught.append(rows[bad] if (bad := real(rows, vecs)) is not None else None)
+        return bad
+
+    real = linalg._failing_row
+    monkeypatch.setattr(linalg, "_failing_row", failing_row)
+    for at in range(len(body) + 1):
+        caught.clear()
+        rows = body[:at] + [hidden] + body[at:]
+        assert linalg.nullspace(rows, 4) == [] == oracles.bareiss_nullspace(rows, 4)
+        assert caught[0] == hidden
+
+
+def test_nullspace_does_not_depend_on_the_row_order():
+    rng = random.Random(6300)
+    rows = low_rank_matrix(rng, 150, 16, 13)
+    expected = oracles.bareiss_nullspace(rows, 16)
+    for seed in range(4):
+        shuffled = list(rows)
+        random.Random(seed).shuffle(shuffled)
+        assert linalg.nullspace(shuffled, 16) == expected
+
+
+def test_ds_constraint_nullspace_does_not_depend_on_the_row_order():
+    # the row order affects only the speed of the first prime
+    for n in range(3, 11):
+        rows = dshuffle.constraint_rows(n)
+        ncols = lie.lyndon_basis(n).dimension
+        shuffled = list(rows)
+        random.Random(n).shuffle(shuffled)
+        assert linalg.nullspace(rows[::-1], ncols) == linalg.nullspace(shuffled, ncols)
+
+
+def test_nullspace_at_weight_11_is_certified():
+    rows = dshuffle.constraint_rows(11)
+    basis = linalg.nullspace(rows, 186)
+    assert len(basis) == 2
+    for vec in basis:
+        den = lcm(*(q.denominator for q in vec))
+        ints = [q.numerator * (den // q.denominator) for q in vec]
+        assert not any(sum(map(mul, row, ints)) for row in rows)
+
+
+def test_nullspace_renormalises_slots_near_the_overflow_bound(monkeypatch):
+    # Primes above 2.4e9 leave room for only 2 updates of a 64-bit slot
+    # before it must be reduced again: every reduction and every packed
+    # dot product then renormalises many times.
+    big_primes = [2400000011, 2400000017, 2400000023]
+    assert all(linalg._is_prime(p) and (1 << 64) // (p * p) - 1 == 2 for p in big_primes)
+    monkeypatch.setattr(linalg, "_primes", lambda: iter(big_primes))
+    rng = random.Random(6400)
+    rows = low_rank_matrix(rng, 80, 14, 10)
+    assert linalg.nullspace(rows, 14) == oracles.bareiss_nullspace(rows, 14)
+    rows = dshuffle.constraint_rows(8)
+    assert linalg.nullspace(rows, 30) == oracles.bareiss_nullspace(rows, 30)
