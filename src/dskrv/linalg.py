@@ -33,7 +33,13 @@ KERNEL = pure.IMPLEMENTATION
 
 
 def integerize_row(row: list) -> list[int]:
-    """Scale one row by the lcm of its denominators to integer entries."""
+    """Scale one row by the lcm of its denominators to integer entries.
+
+    An all-int row, the common case in nullspace, is copied without
+    building the denominator set or converting each entry.  With every
+    row sent through the general path below, nullspace(constraint_rows(n))
+    took about a quarter longer at weight 12 and a tenth at weight 13.
+    """
     if set(map(type, row)) <= {int}:
         return list(row)
     m = lcm(*{v.denominator for v in row})
@@ -70,7 +76,11 @@ def _back_substitute(
 
 _SLOT = 64
 _MASK = (1 << _SLOT) - 1
-_ORDER_SEED = 0  # the first prime visits the rows in this seeded shuffled order
+# The first prime visits the rows in this seeded shuffled order.  Rows
+# built in runs of related constraints, like the stuffle pairs of
+# dshuffle.constraint_rows, leave much of the rank outside a prefix taken
+# in their own order, and every row that fails the check is eliminated.
+_ORDER_SEED = 0
 
 
 def _pack(vals) -> int:
@@ -192,16 +202,19 @@ def _kernel_mod_p(
     leads: list[int] = []
     prows: dict[int, int] = {}
     used: list[int] = []
-    batch, unchecked = order[:prefix], order[prefix:]
-    while True:
+
+    def eliminate(batch: list[int]) -> None:
         for i in batch:
             if len(leads) < ncols and _reduce([v % p for v in rows[i]], leads, prows, ncols, p):
                 used.append(i)
+
+    eliminate(order[:prefix])
+    free, cols = _kernel_columns(leads, prows, ncols, p)
+    failed = [i for i in order[prefix:] if free and not _annihilates(rows[i], cols, len(free), p)]
+    if failed:
+        eliminate(failed)
         free, cols = _kernel_columns(leads, prows, ncols, p)
-        batch = [i for i in unchecked if free and not _annihilates(rows[i], cols, len(free), p)]
-        if not batch:
-            return free, cols, used
-        unchecked = []  # the failed rows are eliminated, so they need no check
+    return free, cols, used
 
 
 def _rational(u: int, m: int) -> Fraction | None:

@@ -53,6 +53,13 @@ def test_integerize_row_returns_a_new_list_of_ints():
     assert out == [2, 3, 1] and {type(v) for v in out} == {int}
 
 
+def test_integerize_row_copies_an_all_int_row_without_the_lcm(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "lcm", lambda *dens: calls.append(dens) or 1)
+    assert linalg.integerize_row([3, -4, 0]) == [3, -4, 0] and calls == []
+    assert linalg.integerize_row([3, True]) == [3, 1] and calls == [(1,)]
+
+
 def test_rank():
     assert oracles.rank([[1, 2], [2, 4]], 2) == 1
     assert oracles.rank([[1, 0], [0, 1]], 2) == 2
