@@ -16,16 +16,19 @@ The identities that test a few products, (f | st(u, v)) = 0 here and
 shuffle orthogonality in lie, are sweeps of pairing_failures over a
 table of (u, v, product) entries built from the cached products.  The
 group-likeness checks of groupexp pair a whole series with every
-product up to a degree; they read all those pairings off one pass of
-the dual coproduct (shuffle_coproduct, stuffle_coproduct) instead, and
-build no product.
+product up to a degree; they read all those pairings off the dual
+coproduct instead, and build no product.  The coproduct is dense, one
+homogeneous part of degree m at a time: lists of length 2^m indexed by
+word bits, where each step moves one letter of every word at once onto
+u or v by strided slicing (shuffle_buckets, stuffle_buckets;
+shuffle_coproduct and stuffle_coproduct read {(u, v): value} off them).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from operator import mul
+from operator import add, mul
 from types import MappingProxyType
 
 from . import CrossCheckError, linalg, words
@@ -147,55 +150,120 @@ def stuffle(u: WordLike, v: WordLike) -> Poly:
 # -- the dual coproducts ---------------------------------------------------------
 
 
-def _coproduct(series: dict[int, Coeff], first_unit, unit_coproduct, reach: int = 0):
-    """The coproduct of series = {word: c}, as {(deg u, deg v): {(u, v): c}}.
-
-    Delta is multiplicative for concatenation, so with first_unit(w) =
-    (p, rest) splitting off the first unit p of each nonempty word,
-    Delta(series) = c_empty 1(x)1 + sum_p Delta(p) Delta(p^-1 series),
-    where unit_coproduct(p) lists the terms (l, r) of Delta(p).
-    Prepending a word l to a word u of degree m adds (l - 1) << m to
-    its code.  The residuals have the prefix of degree reach still to
-    come; a bucket with deg u > deg v + reach can never reach
-    deg u <= deg v, so it is dropped.
-    """
-    out: dict[tuple[int, int], dict[tuple[int, int], Coeff]] = {}
-    residuals: dict[int, dict[int, Coeff]] = {}
-    for w, c in series.items():
-        if w == EMPTY:
-            out[0, 0] = {(EMPTY, EMPTY): c}
-        else:
-            p, rest = first_unit(w)
-            residuals.setdefault(p, {})[rest] = c
-    for p, residual in residuals.items():
-        pieces = [(l, r, words.degree(l), words.degree(r)) for l, r in unit_coproduct(p)]
-        sub = _coproduct(residual, first_unit, unit_coproduct, reach + words.degree(p))
-        for (a, b), entries in sub.items():
-            for l, r, dl, dr in pieces:
-                if a + dl > b + dr + reach:
-                    continue
-                du, dv = (l - 1) << a, (r - 1) << b
-                dst = out.get((a + dl, b + dr))
-                if dst is None:
-                    out[a + dl, b + dr] = {(u + du, v + dv): c for (u, v), c in entries.items()}
-                    continue
-                for (u, v), c in entries.items():
-                    key = (u + du, v + dv)
-                    dst[key] = dst.get(key, 0) + c
+def _interleave(even: list, odd: list, block: int) -> list:
+    """even and odd cut into runs of length block, alternated: e0 o0 e1 o1 ..."""
+    out = []
+    for k in range(0, len(even), block):
+        out += even[k : k + block]
+        out += odd[k : k + block]
     return out
 
 
-def _flat(buckets) -> dict[tuple[int, int], Coeff]:
-    return {k: c for entries in buckets.values() for k, c in entries.items()}
+def _shuffle_buckets(row: list, m: int) -> dict[tuple[int, int], list]:
+    """The shuffle coproduct of one homogeneous degree-m part.
+
+    Every word w splits into (u, v) by sending each letter to u or to v.
+    The letters move one at a time, last first, out of the prefix P
+    still to come, onto the front of u or of v.  At depth d = deg P the
+    layer holds one list of length 2^m per bucket (deg u, deg v) = (a, b),
+    indexed by the bits [u | v | P] with the last letter of P lowest, so
+    that list[i] sums the coefficients of every word in state i.  A step
+    moves bit 0 of every index at once.  Onto u it becomes the top bit,
+    so the image of src is src[0::2] + src[1::2]; onto v it lands above
+    the b bits of v and the d bits left in P, so the two strided halves
+    alternate in runs of 2^(b+d).  A bucket with a > b + d can never
+    reach deg u <= deg v and is dropped, so the last layer holds the
+    pairs with a <= b, indexed by [u | v].
+    """
+    layer = {(0, 0): row}
+    for d in range(m - 1, -1, -1):
+        moved: dict[tuple[int, int], list] = {}
+        for (a, b), src in layer.items():
+            even, odd = src[0::2], src[1::2]
+            targets = [((a, b + 1), _interleave(even, odd, 1 << (b + d)))]
+            if a < b + d:
+                targets.append(((a + 1, b), even + odd))
+            for key, values in targets:
+                have = moved.get(key)
+                moved[key] = values if have is None else list(map(add, have, values))
+        layer = moved
+    return layer
 
 
-def _first_letter(w: int) -> tuple[int, int]:
-    t, rest = _strip_first(w)
-    return 2 + t, rest
+def _stuffle_buckets(row: list, m: int) -> dict[tuple[int, int], list]:
+    """The stuffle coproduct of one homogeneous degree-m part of words ending in y.
+
+    Delta(y_j) = sum over i + k = j of y_i (x) y_k sends the first i
+    letters of the block x^(j-1) y to u, the last of them written as y,
+    and the other k letters to v unchanged.  The letters move last
+    first, in the layout of _shuffle_buckets, through a transducer with
+    two states per bucket.  In "right" every letter of the current block
+    so far went to v: its next x goes to v, or to u as the block's last
+    left letter, written y.  In "left" the block has sent a letter to u,
+    so its remaining x's go to u.  A y starts the block before, from
+    either state, and goes to v (state right) or to u (state left).
+    """
+    nothing = [0] * (1 << m)
+    layer = {(0, 0): [row, nothing]}  # bucket: [state right, state left]
+    for d in range(m - 1, -1, -1):
+        moved: dict[tuple[int, int], list] = {}
+        for (a, b), (right, left) in layer.items():
+            x_right, x_left = right[0::2], left[0::2]
+            y_any = list(map(add, right[1::2], left[1::2]))
+            states = moved.setdefault((a, b + 1), [nothing, nothing])
+            states[0] = _interleave(x_right, y_any, 1 << (b + d))
+            if a < b + d:
+                states = moved.setdefault((a + 1, b), [nothing, nothing])
+                states[1] = x_left + list(map(add, x_right, y_any))
+        layer = moved
+    return {key: list(map(add, right, left)) for key, (right, left) in layer.items()}
 
 
-def _letter_coproduct(p: int) -> tuple[tuple[int, int], ...]:
-    return (p, EMPTY), (EMPTY, p)
+def _by_degree(series: dict[int, Coeff], coproduct_of_part) -> dict[tuple[int, int], list]:
+    """The dense coproduct of series, one homogeneous part at a time; the
+    part of degree m is a list of length 2^m indexed by the m bits of
+    its words (code - 2^m)."""
+    parts: dict[int, list] = {}
+    for w, c in series.items():
+        if c:
+            m = words.degree(w)
+            if m not in parts:
+                parts[m] = [0] * (1 << m)
+            parts[m][w - (1 << m)] = c
+    out = {}
+    for m, row in parts.items():
+        out.update(coproduct_of_part(row, m))
+    return out
+
+
+def shuffle_buckets(series: dict[int, Coeff]) -> dict[tuple[int, int], list]:
+    """The shuffle coproduct of series = {word: c}, dense.
+
+    Maps each (deg u, deg v) with deg u <= deg v to a list indexed by
+    the bits of u above the bits of v, whose entry is (f | sh(u, v)).
+    A missing bucket is all zeros.
+    """
+    return _by_degree(series, _shuffle_buckets)
+
+
+def stuffle_buckets(series: dict[int, Coeff]) -> dict[tuple[int, int], list]:
+    """The stuffle coproduct of a series of words ending in y, dense as in
+    shuffle_buckets, with entries (f | st(u, v)); only the entries of
+    words u, v ending in y (or empty) can be nonzero."""
+    if any(c and not w & 1 for w, c in series.items()):
+        raise ValueError("the stuffle coproduct needs words ending in y")
+    return _by_degree(series, _stuffle_buckets)
+
+
+def _entries(buckets) -> dict[tuple[int, int], Coeff]:
+    """The nonzero entries of dense buckets as {(u, v): value}."""
+    out = {}
+    for (a, b), values in buckets.items():
+        mask = (1 << b) - 1
+        for i, c in enumerate(values):
+            if c:
+                out[(1 << a) | (i >> b), (1 << b) | (i & mask)] = c
+    return out
 
 
 def shuffle_coproduct(series: dict[int, Coeff]) -> dict[tuple[int, int], Coeff]:
@@ -203,25 +271,10 @@ def shuffle_coproduct(series: dict[int, Coeff]) -> dict[tuple[int, int], Coeff]:
 
     The entries are the coefficients of Delta(f) for the coproduct dual
     to the shuffle, which makes every letter primitive.  Only pairs with
-    deg u <= deg v are kept (Delta is cocommutative); a missing pair
-    pairs to 0.  No shuffle product is built.
+    deg u <= deg v are kept (Delta is cocommutative), and only nonzero
+    values; a missing pair pairs to 0.  No shuffle product is built.
     """
-    return _flat(_coproduct(series, _first_letter, _letter_coproduct))
-
-
-def _first_block(w: int) -> tuple[int, int]:
-    """(code of the first block x^(j-1) y, code of the rest) of a word ending in y."""
-    n = words.degree(w)
-    rest = w ^ (1 << n)  # the block's y becomes the rest's length prefix
-    j = n - words.degree(rest)
-    return (1 << j) | 1, rest
-
-
-def _block_coproduct(p: int) -> list[tuple[int, int]]:
-    """Delta(y_j) = sum over i + k = j of y_i (x) y_k; y_i has code
-    (1 << i) | 1, which for i = 0 is the empty word."""
-    j = words.degree(p)
-    return [((1 << i) | 1, (1 << (j - i)) | 1) for i in range(j + 1)]
+    return _entries(shuffle_buckets(series))
 
 
 def stuffle_coproduct(series: dict[int, Coeff]) -> dict[tuple[int, int], Coeff]:
@@ -230,9 +283,9 @@ def stuffle_coproduct(series: dict[int, Coeff]) -> dict[tuple[int, int], Coeff]:
     The coproduct dual to the stuffle has Delta(y_j) = sum over
     i + k = j of y_i (x) y_k with y_0 = 1 (Hoffman, quasi-shuffle
     products).  As in shuffle_coproduct, only pairs with
-    deg u <= deg v are kept and a missing pair pairs to 0.
+    deg u <= deg v and nonzero values are kept.
     """
-    return _flat(_coproduct(series, _first_block, _block_coproduct))
+    return _entries(stuffle_buckets(series))
 
 
 # -- the pairing kernel -------------------------------------------------------
@@ -256,39 +309,14 @@ def pairing_failures(table, num: dict[int, int], den: int):
     return i + 1
 
 
-def _pair_table(degrees, words_of):
-    """(u, v) for each (deg u, deg v) of degrees, deg u <= deg v.
-
-    words_of(d) lists the words of degree d in code order; pairs run in
-    the order of degrees, then by u, then by v, with v >= u when the
-    degrees agree.
-    """
-    for a, b in degrees:
-        for i, u in enumerate(words_of(a)):
-            for v in words_of(b)[i:] if a == b else words_of(b):
-                yield u, v
-
-
-def _degrees_up_to(n: int):
-    """(a, b) with 1 <= a <= b and a + b <= n, by a, then b."""
-    return ((a, b) for a in range(1, n // 2 + 1) for b in range(a, n - a + 1))
-
-
-def _ending_in_y(d: int) -> range:
-    return words.all_words(d)[1::2]
-
-
-def word_pairs(n: int, y_ending: bool = False):
-    """The pairs (u, v) of nonempty words (ending in y, with y_ending)
-    with deg u <= deg v and deg u + deg v <= n, in the order of
-    _pair_table over _degrees_up_to(n)."""
-    return _pair_table(_degrees_up_to(n), _ending_in_y if y_ending else words.all_words)
-
-
 def shuffle_table_of_degree(n: int):
-    """The shuffle pairs (u, v, sh(u, v)) of nonempty words with deg u + deg v = n."""
-    pairs = _pair_table(((a, n - a) for a in range(1, n // 2 + 1)), words.all_words)
-    return ((u, v, _sh(u, v)) for u, v in pairs)
+    """The shuffle pairs (u, v, sh(u, v)) of nonempty words with deg u + deg v = n,
+    by deg u <= deg v, then by u, then by v, with v >= u when the degrees agree."""
+    for a in range(1, n // 2 + 1):
+        right = words.all_words(n - a)
+        for i, u in enumerate(words.all_words(a)):
+            for v in right[i:] if 2 * a == n else right:
+                yield u, v, _sh(u, v)
 
 
 # -- membership --------------------------------------------------------------

@@ -13,8 +13,9 @@ degree truncation N, this module provides:
     word pairs, and the stuffle analog on the corrected series
     Phi_* = exp(sum_{n>=1} ((-1)^(n-1)/n) (Phi|x^(n-1)y) y^n) pi_y(Phi)
     over pairs of words ending in y; (Phi | sh(u,v)) is the (u, v)
-    coefficient of the shuffle coproduct of Phi, so one pass over the
-    words of Phi gives every pairing and no product is built;
+    coefficient of the shuffle coproduct of Phi, computed densely on
+    word-bit lists (dshuffle.shuffle_buckets), so no product is built
+    and each bucket row u is checked against Phi(u) Phi(v) at once;
   - exponentials of tangential derivations as automorphisms of the
     free Lie algebra, with certificates that special derivations
     exponentiate to automorphisms fixing x + y;
@@ -31,7 +32,7 @@ from math import factorial
 from . import words
 from .poly import Coeff, Poly, accumulate, numerators, poly_to_json, truncated_mul
 from .lie import NotLieError, bracket, is_lie
-from .dshuffle import d_f, is_ds, shuffle_coproduct, stuffle_coproduct, word_pairs
+from .dshuffle import d_f, is_ds, shuffle_buckets, stuffle_buckets
 from .derivations import TangentialDerivation, ds_to_krv
 
 DEFAULT_TRUNCATION = 12
@@ -191,22 +192,40 @@ def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
 # -- group-likeness -------------------------------------------------------------
 
 
-def _first_failure(pairs, delta: dict, num: dict[int, int], den: int) -> dict:
-    """Certify den * delta[u, v] == num(u) num(v) along pairs, where
-    delta holds the coproduct entries (num | product(u, v)) of the
-    series num/den, a missing entry counting as 0.  Returns the verdict,
-    the witness pair of the first failure, and the number of pairs
-    checked before it (all, on a pass)."""
-    get = num.get
-    i = -1
-    for i, (u, v) in enumerate(pairs):
-        if den * delta.get((u, v), 0) != get(u, 0) * get(v, 0):
-            return {
-                "verdict": False,
-                "witness": (words.str_from_code(u), words.str_from_code(v)),
-                "pairs": i,
-            }
-    return {"verdict": True, "witness": None, "pairs": i + 1}
+def _sweep(buckets, num: dict[int, int], den: int, n: int, y_ending: bool = False) -> dict:
+    """Certify den * Delta(u, v) == num(u) num(v) for the series num/den.
+
+    buckets is its dense coproduct (dshuffle.shuffle_buckets or
+    stuffle_buckets), a missing bucket counting as zeros.  The pairs
+    (u, v) of nonempty words (ending in y, with y_ending) with
+    1 <= deg u <= deg v and deg u + deg v <= n, by deg u, deg v, u, v,
+    with v >= u when the degrees agree, are checked a bucket row u at a
+    time, against num(u) times the coefficients of degree deg v.
+    Returns the verdict, the witness pair of the first failure,
+    and the number of pairs checked before it (all, on a pass).
+    """
+    start, step = (1, 2) if y_ending else (0, 1)
+    coeffs = {d: [num.get(w, 0) for w in words.all_words(d)[start::step]] for d in range(n)}
+    pairs = 0
+    for a in range(1, n // 2 + 1):
+        for b in range(a, n - a + 1):
+            values = buckets.get((a, b)) or [0] * (1 << (a + b))
+            for i, left in enumerate(coeffs[a]):
+                skip = i if a == b else 0
+                right = coeffs[b][skip:]
+                p = start + i * step  # the bits of u
+                found = values[(p << b) + start + skip * step : (p + 1) << b : step]
+                expected = [left * c for c in right]
+                if [den * c for c in found] != expected:
+                    j = next(j for j, c in enumerate(found) if den * c != expected[j])
+                    v = (1 << b) | (start + (skip + j) * step)
+                    return {
+                        "verdict": False,
+                        "witness": (words.str_from_code((1 << a) | p), words.str_from_code(v)),
+                        "pairs": pairs + j,
+                    }
+                pairs += len(right)
+    return {"verdict": True, "witness": None, "pairs": pairs}
 
 
 def grouplike_shuffle_check(phi: TruncSeries) -> dict:
@@ -218,7 +237,7 @@ def grouplike_shuffle_check(phi: TruncSeries) -> dict:
     the shuffle coproduct of Phi's numerators; no product is built.
     """
     num, den = numerators(phi.poly)
-    return _first_failure(word_pairs(phi.trunc), shuffle_coproduct(num), num, den)
+    return _sweep(shuffle_buckets(num), num, den, phi.trunc)
 
 
 def star_series(phi: TruncSeries) -> TruncSeries:
@@ -261,7 +280,7 @@ def grouplike_stuffle_check(phi: TruncSeries) -> dict:
     words ending in y; the pairings come from the stuffle coproduct.
     """
     num, den = numerators(star_series(phi).poly)
-    return _first_failure(word_pairs(phi.trunc, y_ending=True), stuffle_coproduct(num), num, den)
+    return _sweep(stuffle_buckets(num), num, den, phi.trunc, y_ending=True)
 
 
 # -- exponentials of tangential derivations --------------------------------------

@@ -439,6 +439,51 @@ def ad_power(c: int) -> Poly:
     return _ad_cache[c]
 
 
+def _ad_product(c: tuple[int, ...]) -> Poly:
+    """ad(x)^(c_1)(y) ... ad(x)^(c_r)(y)."""
+    return reduce(mul, map(ad_power, c))
+
+
+def _sum_of_products(pairs) -> Poly:
+    """sum of b * product over the (b, product) pairs."""
+    terms: dict[int, Coeff] = {}
+    for b, product in pairs:
+        accumulate(terms, product.terms.items(), b)
+    return Poly._of(terms)
+
+
+def _ad_expansion(f: Poly) -> dict[tuple[int, ...], tuple[Coeff, Poly]]:
+    """{c: (b_c, product c)} for the expansion of ad_basis_coefficients,
+    each product built once."""
+    if not f:
+        return {}
+    if not f.is_homogeneous():
+        raise ValueError("ad_basis_coefficients requires homogeneous input")
+    # every c with x^(c_1) y ... x^(c_r) y of degree n, in decreasing
+    # lexicographic order: the compositions of n, each part minus 1
+    desc = [tuple(p - 1 for p in c) for c in reversed(compositions(f.degree()))]
+    out: dict[tuple[int, ...], tuple[Coeff, Poly]] = {}
+    for r in f.depths():
+        if r == 0:
+            raise ValueError("depth-0 parts are not spanned by ad(x)-products")
+        residual = dict(f.depth_part(r).terms)
+        for c in desc:
+            if len(c) != r:
+                continue
+            w = words.code_from_exponents(c + (0,))  # x^(c_1) y ... x^(c_r) y
+            b = residual.get(w, 0)
+            if not b:
+                continue
+            product = _ad_product(c)
+            out[c] = (b, product)
+            accumulate(residual, product.terms.items(), -b)
+        if residual:
+            raise NotLieError(
+                "polynomial is not a combination of ad(x)-products", Poly(residual)
+            )
+    return out
+
+
 def ad_basis_coefficients(f: Poly) -> dict[tuple[int, ...], Coeff]:
     """Expand f in products ad(x)^(c_1)(y) ... ad(x)^(c_r)(y).
 
@@ -457,39 +502,11 @@ def ad_basis_coefficients(f: Poly) -> dict[tuple[int, ...], Coeff]:
     so after the prefix-sum substitution each factor becomes (-u_k)^(c_k)
     and the u-family of f is sum_c (-1)^(c_1+...+c_r) b_c u^c.
     """
-    if not f:
-        return {}
-    if not f.is_homogeneous():
-        raise ValueError("ad_basis_coefficients requires homogeneous input")
-    # every c with x^(c_1) y ... x^(c_r) y of degree n, in decreasing
-    # lexicographic order: the compositions of n, each part minus 1
-    desc =[tuple(p - 1 for p in c) for c in reversed(compositions(f.degree()))]
-    out: dict[tuple[int, ...], Coeff] = {}
-    for r in f.depths():
-        if r == 0:
-            raise ValueError("depth-0 parts are not spanned by ad(x)-products")
-        residual = dict(f.depth_part(r).terms)
-        for c in desc:
-            if len(c) != r:
-                continue
-            w = words.code_from_exponents(c + (0,))  # x^(c_1) y ... x^(c_r) y
-            b = residual.get(w, 0)
-            if not b:
-                continue
-            out[c] = b
-            accumulate(residual, reduce(mul, map(ad_power, c)).terms.items(), -b)
-        if residual:
-            raise NotLieError(
-                "polynomial is not a combination of ad(x)-products", Poly(residual)
-            )
-    return out
+    return {c: b for c, (b, _) in _ad_expansion(f).items()}
 
 
 def poly_from_ad_basis(coeffs: dict[tuple[int, ...], Coeff]) -> Poly:
-    terms: dict[int, Coeff] = {}
-    for c, b in coeffs.items():
-        accumulate(terms, reduce(mul, map(ad_power, c)).terms.items(), b)
-    return Poly._of(terms)
+    return _sum_of_products((b, _ad_product(c)) for c, b in coeffs.items())
 
 
 # -- identity checks ------------------------------------------------------------
@@ -501,7 +518,8 @@ def mantar_fixed_check(f: Poly) -> dict:
     if not is_lie(f):
         raise NotLieError("mantar_fixed_check requires a Lie element", f)
     m = u_family(f)
-    coeffs = ad_basis_coefficients(f)
+    expansion = _ad_expansion(f)
+    coeffs = {c: b for c, (b, _) in expansion.items()}
     rebuilt = Mould(
         "u",
         {
@@ -520,7 +538,7 @@ def mantar_fixed_check(f: Poly) -> dict:
     return {
         "mantar_fixes": mantar(m) == m,
         "coefficients_match": rebuilt == m,
-        "round_trip": poly_from_ad_basis(coeffs) == f,
+        "round_trip": _sum_of_products(expansion.values()) == f,
     }
 
 

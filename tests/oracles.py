@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from dskrv import derivations, dshuffle, lie, linalg, words
+from dskrv import derivations, lie, linalg, words
 from dskrv.moulds import CPoly
 from dskrv.poly import Poly, accumulate
 
@@ -45,12 +45,30 @@ def interleave_shuffle(u: str, v: str) -> dict[str, int]:
     return out
 
 
+def _degrees_up_to(n: int):
+    """(a, b) with 1 <= a <= b and a + b <= n, by a, then b."""
+    return ((a, b) for a in range(1, n // 2 + 1) for b in range(a, n - a + 1))
+
+
+def word_pairs(n: int, y_ending: bool = False):
+    """The pairs (u, v) of nonempty words (ending in y, with y_ending),
+    as codes, with deg u <= deg v and deg u + deg v <= n; they run by
+    deg u, deg v, u, v in code order, with v >= u at equal degree."""
+    for a, b in _degrees_up_to(n):
+        left, right = words.all_words(a), words.all_words(b)
+        if y_ending:
+            left, right = left[1::2], right[1::2]
+        for i, u in enumerate(left):
+            for v in right[i:] if a == b else right:
+                yield u, v
+
+
 def shuffle_table(n: int):
-    """The triples (u, v, sh(u, v)) over the pairs of dshuffle.word_pairs(n).
+    """The triples (u, v, sh(u, v)) over the pairs of word_pairs(n).
 
     Words are codes, and each shuffle comes from interleave_shuffle.
     """
-    for u, v in dshuffle.word_pairs(n):
+    for u, v in word_pairs(n):
         sh = interleave_shuffle(words.str_from_code(u), words.str_from_code(v))
         yield u, v, {words.code_from_str(w): c for w, c in sh.items()}
 
@@ -96,6 +114,96 @@ def surjection_stuffle(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int
                     c[t] += b[j]
                 key = tuple(c)
                 out[key] = out.get(key, 0) + 1
+    return out
+
+
+# -- the dual coproducts by recursion on the first unit ---------------------------
+
+
+def _coproduct(series, first_unit, unit_coproduct, reach: int = 0):
+    """The coproduct of series = {word: c}, as {(deg u, deg v): {(u, v): c}}.
+
+    Delta is multiplicative for concatenation, so with first_unit(w) =
+    (p, rest) splitting off the first unit p of each nonempty word,
+    Delta(series) = c_empty 1(x)1 + sum_p Delta(p) Delta(p^-1 series),
+    where unit_coproduct(p) lists the terms (l, r) of Delta(p).
+    Prepending a word l to a word u of degree m adds (l - 1) << m to
+    its code.  The residuals have the prefix of degree reach still to
+    come; a bucket with deg u > deg v + reach can never reach
+    deg u <= deg v, so it is dropped.
+    """
+    out: dict = {}
+    residuals: dict = {}
+    for w, c in series.items():
+        if w == words.EMPTY:
+            out[0, 0] = {(w, w): c}
+        else:
+            p, rest = first_unit(w)
+            residuals.setdefault(p, {})[rest] = c
+    for p, residual in residuals.items():
+        pieces = [(l, r, words.degree(l), words.degree(r)) for l, r in unit_coproduct(p)]
+        sub = _coproduct(residual, first_unit, unit_coproduct, reach + words.degree(p))
+        for (a, b), entries in sub.items():
+            for l, r, dl, dr in pieces:
+                if a + dl > b + dr + reach:
+                    continue
+                du, dv = (l - 1) << a, (r - 1) << b
+                dst = out.setdefault((a + dl, b + dr), {})
+                for (u, v), c in entries.items():
+                    key = (u + du, v + dv)
+                    dst[key] = dst.get(key, 0) + c
+    return out
+
+
+def _first_letter(w: int) -> tuple[int, int]:
+    n = words.degree(w)
+    return 2 + ((w >> (n - 1)) & 1), (1 << (n - 1)) | (w & ((1 << (n - 1)) - 1))
+
+
+def _first_block(w: int) -> tuple[int, int]:
+    """(code of the first block x^(j-1) y, code of the rest) of a word ending in y."""
+    n = words.degree(w)
+    rest = w ^ (1 << n)  # the block's y becomes the rest's length prefix
+    return (1 << (n - words.degree(rest))) | 1, rest
+
+
+def _block_coproduct(p: int) -> list[tuple[int, int]]:
+    """Delta(y_j) = sum over i + k = j of y_i (x) y_k, with y_0 the empty word."""
+    j = words.degree(p)
+    return [((1 << i) | 1, (1 << (j - i)) | 1) for i in range(j + 1)]
+
+
+def _nonzero(buckets) -> dict[tuple[int, int], object]:
+    return {k: c for entries in buckets.values() for k, c in entries.items() if c}
+
+
+def shuffle_coproduct(series: dict[int, object]) -> dict[tuple[int, int], object]:
+    """The nonzero (f | sh(u, v)), deg u <= deg v, by the sparse recursion
+    with every letter primitive."""
+    return _nonzero(_coproduct(series, _first_letter, lambda p: ((p, 1), (1, p))))
+
+
+def stuffle_coproduct(series: dict[int, object]) -> dict[tuple[int, int], object]:
+    """The nonzero (f | st(u, v)), deg u <= deg v, of a series of words
+    ending in y, by the sparse recursion on first blocks."""
+    return _nonzero(_coproduct(series, _first_block, _block_coproduct))
+
+
+def block_coproduct_of_word(w: str) -> dict[tuple[str, str], int]:
+    """Delta of a word ending in y as the product over its blocks y_j of
+    sum over i + k = j of y_i (x) y_k, with y_0 the empty word."""
+
+    def block(i: int) -> str:
+        return word_of_composition((i,)) if i else ""
+
+    out = {("", ""): 1}
+    for j in composition_of_word(w):
+        out_next: dict[tuple[str, str], int] = {}
+        for (u, v), c in out.items():
+            for i in range(j + 1):
+                key = (u + block(i), v + block(j - i))
+                out_next[key] = out_next.get(key, 0) + c
+        out = out_next
     return out
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ import oracles
 from dskrv import derivations, dshuffle, groupexp, lie, words
 from dskrv.groupexp import TruncSeries
 from dskrv.lie import NotLieError
-from dskrv.poly import Poly, truncated_mul
+from dskrv.poly import Poly, numerators, truncated_mul
 
 X = Poly.word("x")
 Y = Poly.word("y")
@@ -249,9 +250,11 @@ def _oracle_pairing_table(kind: str, trunc: int) -> dict[tuple[int, int], dict[i
     return table
 
 
-def _coproduct_series(name: str, trunc: int, f3) -> Poly:
+def _coproduct_series(name: str, trunc: int, f3, f5=None) -> Poly:
     if name == "f3":
         return groupexp.exp_circle(f3, trunc).poly
+    if name == "f5":
+        return groupexp.exp_circle(f5, trunc).poly
     if name == "random":
         return groupexp.exp_circle(lie.random_lie(4, 3), trunc).poly
     # a series that is not group-like, with Fraction coefficients off
@@ -277,6 +280,51 @@ def test_coproduct_entries_are_the_oracle_pairings(f3, name, trunc, kind):
     assert {pair: coproduct.get(pair, 0) for pair in expected} == expected
 
 
+@pytest.mark.parametrize("kind", ["shuffle", "stuffle"])
+@pytest.mark.parametrize("name", ["f3", "f5", "random", "perturbed"])
+@pytest.mark.parametrize("trunc", range(9, 14))
+def test_dense_coproducts_match_the_sparse_recursion(f3, f5, name, trunc, kind):
+    # on the integer numerators, as the sweeps use them; the Fraction
+    # coefficients themselves are covered up to order 8 above
+    series = _coproduct_series(name, trunc, f3, f5)
+    if kind == "shuffle":
+        dense, sparse = dshuffle.shuffle_coproduct, oracles.shuffle_coproduct
+    else:
+        series = groupexp.star_series(TruncSeries(series, trunc)).poly
+        dense, sparse = dshuffle.stuffle_coproduct, oracles.stuffle_coproduct
+    num, _ = numerators(series)
+    coproduct = dense(num)
+    assert coproduct == sparse(num)
+    assert all(coproduct.values())
+    # Delta(f) = 1 (x) f + ..., so the empty-u entries are the series itself
+    assert {v: c for (u, v), c in coproduct.items() if u == words.EMPTY} == num
+
+
+def test_single_word_coproducts_match_their_definitions():
+    for n in range(8):
+        for w in oracles.all_degree_words(n):
+            expected: dict[tuple[int, int], int] = {}
+            for k in range(n // 2 + 1):
+                for left in itertools.combinations(range(n), k):
+                    u = "".join(w[i] for i in left)
+                    v = "".join(w[i] for i in range(n) if i not in left)
+                    key = (words.code_from_str(u), words.code_from_str(v))
+                    expected[key] = expected.get(key, 0) + 1
+            assert dshuffle.shuffle_coproduct({words.code_from_str(w): 1}) == expected
+            if w.endswith("y"):
+                blocks = oracles.block_coproduct_of_word(w)
+                assert dshuffle.stuffle_coproduct({words.code_from_str(w): 1}) == {
+                    (words.code_from_str(u), words.code_from_str(v)): c
+                    for (u, v), c in blocks.items()
+                    if len(u) <= len(v)
+                }
+
+
+def test_stuffle_coproduct_rejects_words_ending_in_x():
+    with pytest.raises(ValueError):
+        dshuffle.stuffle_coproduct({words.code_from_str("yx"): 1})
+
+
 def test_grouplike_checks_build_no_products(f3):
     phi = groupexp.exp_circle(f3, 10)
     dshuffle._sh_cache.clear()
@@ -300,13 +348,11 @@ PERTURBED = [
 ]
 
 
-@pytest.mark.parametrize("word,sh_witness,sh_pairs,st_witness,st_pairs", PERTURBED)
-def test_sweeps_report_first_failing_pair(f3, word, sh_witness, sh_pairs, st_witness, st_pairs):
-    phi = groupexp.exp_circle(f3, 9)
-    code = words.code_from_str(word)
-    terms = dict(phi.poly.terms)
-    terms[code] = terms.get(code, 0) + Fraction(1, 7)
-    bad = TruncSeries(Poly(terms), 9)
+def _assert_first_failures(f3, trunc, word, sh_witness, sh_pairs, st_witness, st_pairs):
+    """Raise the coefficient of word in exp_circle(f3, trunc) by 1/7 and
+    compare both sweep reports with the recorded ones."""
+    phi = groupexp.exp_circle(f3, trunc)
+    bad = TruncSeries(phi.poly + Poly.word(word, Fraction(1, 7)), trunc)
     assert groupexp.grouplike_shuffle_check(bad) == {
         "verdict": False,
         "witness": sh_witness,
@@ -317,6 +363,30 @@ def test_sweeps_report_first_failing_pair(f3, word, sh_witness, sh_pairs, st_wit
         "witness": st_witness,
         "pairs": st_pairs,
     }
+
+
+@pytest.mark.parametrize("word,sh_witness,sh_pairs,st_witness,st_pairs", PERTURBED)
+def test_sweeps_report_first_failing_pair(f3, word, sh_witness, sh_pairs, st_witness, st_pairs):
+    _assert_first_failures(f3, 9, word, sh_witness, sh_pairs, st_witness, st_pairs)
+
+
+# The same at truncation order 12, recorded with the sparse coproduct
+# recursion: "y" fails in a bucket whose part of degree deg u + deg v is 0,
+# "yy" and "xy" in the deg u = deg v bucket of a nonzero part, and the
+# degree-12 word in the last bucket of the deg u = 1 row.
+PERTURBED_12 = [
+    ("y", ("y", "y"), 2, ("y", "y"), 0),
+    ("xy", ("x", "y"), 1, ("y", "yxy"), 5),
+    ("yy", ("y", "y"), 2, ("y", "y"), 0),
+    ("yxxyxyxxyxyy", ("x", "yxxyxyxxyyy"), 5282, ("y", "xxyxyxxyxyy"), 1188),
+]
+
+
+@pytest.mark.parametrize("word,sh_witness,sh_pairs,st_witness,st_pairs", PERTURBED_12)
+def test_sweeps_report_first_failing_pair_at_order_12(
+    f3, word, sh_witness, sh_pairs, st_witness, st_pairs
+):
+    _assert_first_failures(f3, 12, word, sh_witness, sh_pairs, st_witness, st_pairs)
 
 
 def _perturbations(trunc: int):
