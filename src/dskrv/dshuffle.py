@@ -12,23 +12,21 @@ nullspace is the certified multi-modular one of linalg.nullspace
 (exact rationals, checked against every constraint row), normalized
 to reduced echelon form with a fixed scaling convention.
 
-The identities that test a few products, (f | st(u, v)) = 0 here and
-shuffle orthogonality in lie, are sweeps of pairing_failures over a
-table of (u, v, product) entries built from the cached products.  The
-group-likeness checks of groupexp pair a whole series with every
-product up to a degree; they read all those pairings off the dual
-coproduct instead, and build no product.  The coproduct is dense, one
-homogeneous part of degree m at a time: lists of length 2^m indexed by
-word bits, where each step moves one letter of every word at once onto
-u or v by strided slicing (shuffle_buckets, stuffle_buckets;
-shuffle_coproduct and stuffle_coproduct read {(u, v): value} off them).
+Every identity that pairs f with products, (f | st(u, v)) = 0 in
+is_ds, shuffle orthogonality in lie and group-likeness in groupexp, is
+read off the dual coproduct of f by coproduct_sweep; no product is
+built.  The coproduct is dense, one homogeneous part of degree m at a
+time: lists of length 2^m indexed by word bits, where each step moves
+one letter of every word at once onto u or v by strided slicing
+(shuffle_buckets, stuffle_buckets; shuffle_coproduct and
+stuffle_coproduct read {(u, v): value} off them).
+The cached stuffles _st build the constraint rows of ds_basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
+from operator import add
 from types import MappingProxyType
 
 from . import CrossCheckError, linalg, words
@@ -288,51 +286,45 @@ def stuffle_coproduct(series: dict[int, Coeff]) -> dict[tuple[int, int], Coeff]:
     return _entries(stuffle_buckets(series))
 
 
-# -- the pairing kernel -------------------------------------------------------
+def coproduct_sweep(
+    buckets, num: dict[int, int], den: int, n: int, y_ending: bool = False
+) -> dict:
+    """Certify den * Delta(u, v) == num(u) num(v) for the series num/den.
 
-
-def pairing_failures(table, num: dict[int, int], den: int):
-    """Sweep (u, v, product) entries against the series f = num/den.
-
-    Yields (index, entry, value) for each entry with
-    den * (num | product) != num(u) * num(v), that is
-    (f | product) != f(u) f(v), where value is the integer pairing
-    (num | product).  For f homogeneous of degree n and u, v of degree
-    below n the right side is 0.  Returns the number of entries swept.
+    buckets is its dense coproduct (shuffle_buckets or stuffle_buckets),
+    a missing bucket counting as zeros.  The pairs (u, v) of nonempty
+    words (ending in y, with y_ending) with 1 <= deg u <= deg v and
+    deg u + deg v <= n, by deg u, deg v, u, v, with v >= u when the
+    degrees agree, are checked a bucket row u at a time, against num(u)
+    times the coefficients of degree deg v.
+    Returns the verdict, the witness pair of the first failure,
+    and the number of pairs checked before it (all, on a pass).
     """
-    get = num.get
-    i = -1
-    for i, (u, v, product) in enumerate(table):
-        value = sum(map(mul, product.values(), map(get, product, repeat(0))))
-        if den * value != get(u, 0) * get(v, 0):
-            yield i, (u, v, product), value
-    return i + 1
-
-
-def shuffle_table_of_degree(n: int):
-    """The shuffle pairs (u, v, sh(u, v)) of nonempty words with deg u + deg v = n,
-    by deg u <= deg v, then by u, then by v, with v >= u when the degrees agree."""
+    start, step = (1, 2) if y_ending else (0, 1)
+    coeffs = {d: [num.get(w, 0) for w in words.all_words(d)[start::step]] for d in range(n)}
+    pairs = 0
     for a in range(1, n // 2 + 1):
-        right = words.all_words(n - a)
-        for i, u in enumerate(words.all_words(a)):
-            for v in right[i:] if 2 * a == n else right:
-                yield u, v, _sh(u, v)
+        for b in range(a, n - a + 1):
+            values = buckets.get((a, b)) or [0] * (1 << (a + b))
+            for i, left in enumerate(coeffs[a]):
+                skip = i if a == b else 0
+                right = coeffs[b][skip:]
+                p = start + i * step  # the bits of u
+                found = values[(p << b) + start + skip * step : (p + 1) << b : step]
+                expected = [left * c for c in right]
+                if [den * c for c in found] != expected:
+                    j = next(j for j, c in enumerate(found) if den * c != expected[j])
+                    v = (1 << b) | (start + (skip + j) * step)
+                    return {
+                        "verdict": False,
+                        "witness": (words.str_from_code((1 << a) | p), words.str_from_code(v)),
+                        "pairs": pairs + j,
+                    }
+                pairs += len(right)
+    return {"verdict": True, "witness": None, "pairs": pairs}
 
 
 # -- membership --------------------------------------------------------------
-
-
-def _all_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Unordered pairs of nonempty words ending in y with weights summing to n."""
-    out = []
-    for k in range(1, n // 2 + 1):
-        right = compositions(n - k)
-        for a in compositions(k):
-            for b in right:
-                if k == n - k and a > b:
-                    continue
-                out.append((a, b))
-    return out
 
 
 def stuffle_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -341,27 +333,33 @@ def stuffle_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     Unordered pairs of nonempty words ending in y with weights summing
     to n, excluding pairs where both words are powers of y.
     """
-    # parts are positive, so len(a) + len(b) == n exactly when every part is 1
-    return [(a, b) for a, b in _all_pairs(n) if len(a) + len(b) != n]
-
-
-def _stuffle_entries(pairs):
-    """Pairing-table entries of composition pairs."""
-    return ((word_of_composition(a), word_of_composition(b), _st(a, b)) for a, b in pairs)
+    out = []
+    for k in range(1, n // 2 + 1):
+        right = compositions(n - k)
+        for a in compositions(k):
+            for b in right:
+                # parts are positive, so len(a) + len(b) == n exactly when every part is 1
+                if (2 * k < n or a <= b) and len(a) + len(b) != n:
+                    out.append((a, b))
+    return out
 
 
 def stuffle_failures(f: Poly) -> list[tuple[int, int, Coeff]]:
     """Constraint pairs with nonzero residual, as (u_code, v_code, residual).
 
-    The pairing runs on the integer numerators of f; a residual is a
-    Fraction when a Fraction coefficient of f enters it, else an int.
+    The pairs run in stuffle_pairs order.  The pairing runs on the
+    integer numerators of f; a residual is a Fraction when a Fraction
+    coefficient of f enters it, else an int.
     """
     num, den = numerators(f)
     failures = []
-    entries = _stuffle_entries(stuffle_pairs(f.degree()))
-    for _, (u, v, st), res in pairing_failures(entries, num, den):
-        fraction = any(isinstance(f.terms.get(w), Fraction) for w in st)
-        failures.append((u, v, Fraction(res, den) if fraction else res // den))
+    for a, b in stuffle_pairs(f.degree()):
+        st = _st(a, b)
+        res = sum(c * num.get(w, 0) for w, c in st.items())
+        if res:
+            u, v = word_of_composition(a), word_of_composition(b)
+            fraction = any(isinstance(f.terms.get(w), Fraction) for w in st)
+            failures.append((u, v, Fraction(res, den) if fraction else res // den))
     return failures
 
 
@@ -385,26 +383,29 @@ def starred_part(f: Poly) -> Poly:
 def is_ds(f: Poly, strict: bool = False) -> bool:
     """Exact membership in the double shuffle Lie algebra.
 
-    Requires homogeneous input of degree >= 3.  With strict=True the
-    verdict is recomputed from the corrected series starred_part(f)
-    against all stuffle pairs (powers of y included), and CrossCheckError
-    is raised if the two disagree.  stuffle_failures(f) lists the
-    witnesses of a failing stuffle relation.
+    Requires homogeneous input of degree >= 3.  The pairings
+    (f | st(u, v)) come from the stuffle coproduct of pi_y(f) without
+    its (y^a, y^b) entries.  With strict=True the verdict is recomputed
+    from the corrected series starred_part(f) against all stuffle pairs
+    (powers of y included), and CrossCheckError is raised if the two
+    disagree.  stuffle_failures(f) lists the witnesses of a failure.
     """
     n = f.degree()
     if n is None or not f.is_homogeneous():
         raise ValueError("is_ds requires a nonzero homogeneous polynomial")
     if n < 3:
         raise ValueError("double shuffle elements have degree >= 3")
-    stuffles_hold = not any(
-        pairing_failures(_stuffle_entries(stuffle_pairs(n)), *numerators(f))
-    )
-    in_lie = is_lie(f)
-    verdict = in_lie and stuffles_hold
-    if strict and in_lie:
-        entries = _stuffle_entries(_all_pairs(n))
-        star_verdict = not any(pairing_failures(entries, *numerators(starred_part(f))))
-        if star_verdict != verdict:
+    if not is_lie(f):
+        return False
+    num, den = numerators(pi_y(f))
+    buckets = stuffle_buckets(num)
+    for values in buckets.values():
+        values[-1] = 0  # the pair (y^a, y^b), which is no defining relation
+    verdict = coproduct_sweep(buckets, num, den, n, y_ending=True)["verdict"]
+    if strict:
+        num, den = numerators(starred_part(f))
+        star = coproduct_sweep(stuffle_buckets(num), num, den, n, y_ending=True)
+        if star["verdict"] != verdict:
             raise CrossCheckError(
                 "corrected-series stuffle check disagrees with the defining one"
             )

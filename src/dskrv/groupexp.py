@@ -14,8 +14,9 @@ degree truncation N, this module provides:
     Phi_* = exp(sum_{n>=1} ((-1)^(n-1)/n) (Phi|x^(n-1)y) y^n) pi_y(Phi)
     over pairs of words ending in y; (Phi | sh(u,v)) is the (u, v)
     coefficient of the shuffle coproduct of Phi, computed densely on
-    word-bit lists (dshuffle.shuffle_buckets), so no product is built
-    and each bucket row u is checked against Phi(u) Phi(v) at once;
+    word-bit lists (dshuffle.shuffle_buckets), so no product is built,
+    and dshuffle.coproduct_sweep checks each bucket row u against
+    Phi(u) Phi(v) at once;
   - exponentials of tangential derivations as automorphisms of the
     free Lie algebra, with certificates that special derivations
     exponentiate to automorphisms fixing x + y;
@@ -32,7 +33,7 @@ from math import factorial
 from . import words
 from .poly import Coeff, Poly, accumulate, numerators, poly_to_json, truncated_mul
 from .lie import NotLieError, bracket, is_lie
-from .dshuffle import d_f, is_ds, shuffle_buckets, stuffle_buckets
+from .dshuffle import coproduct_sweep, d_f, is_ds, shuffle_buckets, stuffle_buckets
 from .derivations import TangentialDerivation, ds_to_krv
 
 DEFAULT_TRUNCATION = 12
@@ -192,42 +193,6 @@ def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
 # -- group-likeness -------------------------------------------------------------
 
 
-def _sweep(buckets, num: dict[int, int], den: int, n: int, y_ending: bool = False) -> dict:
-    """Certify den * Delta(u, v) == num(u) num(v) for the series num/den.
-
-    buckets is its dense coproduct (dshuffle.shuffle_buckets or
-    stuffle_buckets), a missing bucket counting as zeros.  The pairs
-    (u, v) of nonempty words (ending in y, with y_ending) with
-    1 <= deg u <= deg v and deg u + deg v <= n, by deg u, deg v, u, v,
-    with v >= u when the degrees agree, are checked a bucket row u at a
-    time, against num(u) times the coefficients of degree deg v.
-    Returns the verdict, the witness pair of the first failure,
-    and the number of pairs checked before it (all, on a pass).
-    """
-    start, step = (1, 2) if y_ending else (0, 1)
-    coeffs = {d: [num.get(w, 0) for w in words.all_words(d)[start::step]] for d in range(n)}
-    pairs = 0
-    for a in range(1, n // 2 + 1):
-        for b in range(a, n - a + 1):
-            values = buckets.get((a, b)) or [0] * (1 << (a + b))
-            for i, left in enumerate(coeffs[a]):
-                skip = i if a == b else 0
-                right = coeffs[b][skip:]
-                p = start + i * step  # the bits of u
-                found = values[(p << b) + start + skip * step : (p + 1) << b : step]
-                expected = [left * c for c in right]
-                if [den * c for c in found] != expected:
-                    j = next(j for j, c in enumerate(found) if den * c != expected[j])
-                    v = (1 << b) | (start + (skip + j) * step)
-                    return {
-                        "verdict": False,
-                        "witness": (words.str_from_code((1 << a) | p), words.str_from_code(v)),
-                        "pairs": pairs + j,
-                    }
-                pairs += len(right)
-    return {"verdict": True, "witness": None, "pairs": pairs}
-
-
 def grouplike_shuffle_check(phi: TruncSeries) -> dict:
     """Check (Phi | sh(u, v)) = (Phi|u)(Phi|v) for all word pairs.
 
@@ -237,7 +202,7 @@ def grouplike_shuffle_check(phi: TruncSeries) -> dict:
     the shuffle coproduct of Phi's numerators; no product is built.
     """
     num, den = numerators(phi.poly)
-    return _sweep(shuffle_buckets(num), num, den, phi.trunc)
+    return coproduct_sweep(shuffle_buckets(num), num, den, phi.trunc)
 
 
 def star_series(phi: TruncSeries) -> TruncSeries:
@@ -280,7 +245,7 @@ def grouplike_stuffle_check(phi: TruncSeries) -> dict:
     words ending in y; the pairings come from the stuffle coproduct.
     """
     num, den = numerators(star_series(phi).poly)
-    return _sweep(stuffle_buckets(num), num, den, phi.trunc, y_ending=True)
+    return coproduct_sweep(stuffle_buckets(num), num, den, phi.trunc, y_ending=True)
 
 
 # -- exponentials of tangential derivations --------------------------------------

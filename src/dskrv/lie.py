@@ -6,7 +6,8 @@ right-factorization bracketings, whose expansions are unitriangular
 against the Lyndon words), and membership is decided exactly by peeling
 those coordinates off each homogeneous part: a nonzero residual means
 the part is not Lie.  The Dynkin idempotent (phi(f) = n f on the
-degree-n part) and shuffle orthogonality remain as cross-checks.
+degree-n part) and shuffle orthogonality, swept over the dense shuffle
+coproduct with no product built, remain as cross-checks.
 Seeded random Lie elements are drawn as small integer coordinate
 vectors.
 """
@@ -72,8 +73,9 @@ def is_lie(f: Poly, cross_check: bool = False) -> bool:
     in the Lyndon basis (`to_coords`); a nonzero constant term is never
     Lie.  With cross_check=True the verdict is recomputed with the
     Dynkin criterion (phi(f) = n f) and from shuffle orthogonality
-    ((f|sh(u,v)) = 0 for all nonempty u, v), and CrossCheckError is
-    raised unless all three agree.
+    ((f|sh(u,v)) = 0 for all nonempty u, v, read off the dense shuffle
+    coproduct of each part by dshuffle.coproduct_sweep), and
+    CrossCheckError is raised unless all three agree.
     """
     verdict = True
     for n in f.degrees():
@@ -86,7 +88,7 @@ def is_lie(f: Poly, cross_check: bool = False) -> bool:
             verdict = False
             break
     if cross_check:
-        from .dshuffle import pairing_failures, shuffle_table_of_degree
+        from .dshuffle import coproduct_sweep, shuffle_buckets
 
         dynkin_verdict = True
         sh_verdict = True
@@ -97,9 +99,9 @@ def is_lie(f: Poly, cross_check: bool = False) -> bool:
             part = f.homogeneous_part(n)
             if dynkin_phi(part) != part.scale(n):
                 dynkin_verdict = False
-            sh_verdict = sh_verdict and not any(
-                pairing_failures(shuffle_table_of_degree(n), *numerators(part))
-            )
+            num, den = numerators(part)
+            sweep = coproduct_sweep(shuffle_buckets(num), num, den, n)
+            sh_verdict = sh_verdict and sweep["verdict"]
         if not verdict == dynkin_verdict == sh_verdict:
             raise CrossCheckError(
                 f"Lie criteria disagree: Lyndon peeling {verdict}, "

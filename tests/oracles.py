@@ -73,6 +73,30 @@ def shuffle_table(n: int):
         yield u, v, {words.code_from_str(w): c for w, c in sh.items()}
 
 
+def pairing_failures(table, num: dict[int, int], den: int):
+    """Sweep (u, v, product) entries against the series f = num/den.
+
+    Yields (index, entry, value) for each entry with
+    den * (num | product) != num(u) * num(v), that is
+    (f | product) != f(u) f(v), where value is the integer pairing
+    (num | product) and product is a built {word: multiplicity}.
+    """
+    for i, (u, v, product) in enumerate(table):
+        value = sum(c * num.get(w, 0) for w, c in product.items())
+        if den * value != num.get(u, 0) * num.get(v, 0):
+            yield i, (u, v, product), value
+
+
+def first_pairing_failure(table, num: dict[int, int], den: int) -> dict:
+    """The first failure of pairing_failures as a sweep report: the verdict,
+    the witness pair as strings and the number of entries before it (all
+    of them on a pass)."""
+    for i, (u, v, _), _ in pairing_failures(table, num, den):
+        witness = (words.str_from_code(u), words.str_from_code(v))
+        return {"verdict": False, "witness": witness, "pairs": i}
+    return {"verdict": True, "witness": None, "pairs": len(table)}
+
+
 def composition_of_word(w: str) -> tuple[int, ...]:
     """Split a y-ending word into blocks x^(i-1) y, returning the i's."""
     if not w.endswith("y"):
@@ -115,6 +139,18 @@ def surjection_stuffle(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int
                 key = tuple(c)
                 out[key] = out.get(key, 0) + 1
     return out
+
+
+def stuffle_table(n: int):
+    """The triples (u, v, st(u, v)) over the pairs of word_pairs(n, y_ending=True).
+
+    Words are codes, and each stuffle comes from surjection_stuffle.
+    """
+    for u, v in word_pairs(n, y_ending=True):
+        a = composition_of_word(words.str_from_code(u))
+        b = composition_of_word(words.str_from_code(v))
+        st = surjection_stuffle(a, b)
+        yield u, v, {words.code_from_str(word_of_composition(c)): m for c, m in st.items()}
 
 
 # -- the dual coproducts by recursion on the first unit ---------------------------

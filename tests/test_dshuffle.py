@@ -11,12 +11,13 @@ from __future__ import annotations
 import contextlib
 import io
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 import oracles
 from dskrv import cli, dshuffle, lie, poly, words
-from dskrv.poly import Poly
+from dskrv.poly import Poly, numerators
 
 
 def poly_as_strdict(f: Poly) -> dict[str, object]:
@@ -188,6 +189,53 @@ def test_failure_witnesses_keep_values_and_types(f5, make, expected):
     assert [(u, v, c, type(c)) for u, v, c in dshuffle.stuffle_failures(g)] == [
         (u, v, c, type(c)) for u, v, c in expected
     ]
+
+
+def lie_cases(n: int, basis_cache) -> list[Poly]:
+    """Lie elements of degree n: random ones, the ds basis elements, and
+    each basis element plus 1/7 of each Lyndon expansion."""
+    basis = basis_cache(n).basis
+    perturbed = [f + e.scale(Fraction(1, 7)) for f in basis for e in lie.lyndon_basis(n).expansions]
+    return [lie.random_lie(n, s) for s in range(3)] + list(basis) + perturbed
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_failure_list_is_empty_exactly_on_members(n, basis_cache):
+    for f in lie_cases(n, basis_cache):
+        assert (dshuffle.stuffle_failures(f) == []) == dshuffle.is_ds(f)
+
+
+@lru_cache(maxsize=None)
+def stuffle_table(n: int) -> tuple:
+    return tuple(oracles.stuffle_table(n))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_membership_matches_the_product_sweep(n, basis_cache):
+    # the defining relations skip the pairs of two powers of y; the
+    # corrected series of a member satisfies every relation, and its dense
+    # sweep reports the first failure and pair count of the product sweep
+    table = stuffle_table(n)
+    defining = [
+        e for e in table if not (words.is_power_of_y(e[0]) and words.is_power_of_y(e[1]))
+    ]
+    verdicts = []
+    for f in lie_cases(n, basis_cache):
+        verdict = not any(oracles.pairing_failures(defining, *numerators(f)))
+        assert dshuffle.is_ds(f) is dshuffle.is_ds(f, strict=True) is verdict
+        num, den = numerators(dshuffle.starred_part(f))
+        sweep = dshuffle.coproduct_sweep(dshuffle.stuffle_buckets(num), num, den, n, y_ending=True)
+        assert sweep == oracles.first_pairing_failure(table, num, den)
+        assert sweep["verdict"] is verdict
+        verdicts.append(verdict)
+    assert verdicts.count(True) == basis_cache(n).dimension
+
+
+def test_membership_builds_no_products(f5):
+    dshuffle._st_cache.clear()
+    assert dshuffle.is_ds(f5, strict=True)
+    assert not dshuffle.is_ds(f5 + lie.random_lie(5, 0), strict=True)
+    assert not dshuffle._st_cache
 
 
 # -- bases -------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -116,20 +117,44 @@ def test_is_lie_three_criteria_agree(n):
         assert lie.is_lie(f, cross_check=True) == dynkin_verdict(f)
 
 
+@lru_cache(maxsize=None)
+def shuffle_table(n: int) -> tuple:
+    return tuple(oracles.shuffle_table(n))
+
+
+def product_sweep_verdict(f: Poly) -> bool:
+    """Lie membership by shuffle orthogonality, swept part by part over built products."""
+    for m in f.degrees():
+        num, den = numerators(f.homogeneous_part(m))
+        if m == 0 or any(oracles.pairing_failures(shuffle_table(m), num, den)):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_cross_check_sweeps_only_pairs_of_the_part_degree(n):
-    # the full table adds only pairs of total degree below n, which pair to
-    # 0 with a degree-n part on both sides, so no verdict changes
-    full = list(oracles.shuffle_table(n))
-    top = [e for e in full if words.degree(e[0]) + words.degree(e[1]) == n]
-    assert list(dshuffle.shuffle_table_of_degree(n)) == top
+    # the oracle table holds every pair up to degree n, built as products;
+    # a pair of total degree below n pairs to 0 with a degree-n part on both
+    # sides, so only pairs of the part degree fail, and the dense sweep
+    # reports the same first failure and pair count
+    table = shuffle_table(n)
     for f in lie_membership_cases(n):
         part = f.homogeneous_part(n)
         num, den = numerators(part)
-        verdict = not any(dshuffle.pairing_failures(full, num, den))
-        assert verdict == (not any(dshuffle.pairing_failures(top, num, den)))
-        assert verdict == dynkin_verdict(part)
-        assert lie.is_lie(f, cross_check=True) == dynkin_verdict(f)
+        for _, (u, v, _), _ in oracles.pairing_failures(table, num, den):
+            assert words.degree(u) + words.degree(v) == n
+        sweep = dshuffle.coproduct_sweep(dshuffle.shuffle_buckets(num), num, den, n)
+        assert sweep == oracles.first_pairing_failure(table, num, den)
+        assert sweep["verdict"] == dynkin_verdict(part)
+        assert lie.is_lie(f, cross_check=True) == product_sweep_verdict(f) == dynkin_verdict(f)
+
+
+def test_cross_check_builds_no_products():
+    f = lie.random_lie(6, 3)
+    dshuffle._sh_cache.clear()
+    assert lie.is_lie(f, cross_check=True)
+    assert not lie.is_lie(f + Poly.word("xxyxyy"), cross_check=True)
+    assert not dshuffle._sh_cache
 
 
 @pytest.mark.parametrize("n", range(1, 9))
