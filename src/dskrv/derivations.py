@@ -26,6 +26,7 @@ from .poly import (
     Terms,
     _map_words,
     _reject_empty,
+    accumulate,
     anti,
     coeff_to_str,
     decompose_left,
@@ -34,6 +35,7 @@ from .poly import (
     is_antipalindromic,
     is_push_invariant,
     negate_y,
+    numerators,
     poly_from_json,
     poly_to_json,
     push_constant,
@@ -169,24 +171,39 @@ def solve_partner(F: Poly) -> Poly:
 def partner_by_elimination(F: Poly) -> Poly | None:
     """Solve [x, G] = -[y, F] for Lie G directly, or None.
 
-    Honest existence check: G ranges over Lyndon coordinates of the
-    degree-n component and the equation is solved exactly word by word.
-    The solution is unique when it exists (only multiples of x commute
-    with x, and they sit in degree 1).
+    Honest existence check by exact back-substitution.  With n the
+    degree of F and R = -[y, F], the equation xG - Gx = R is triangular
+    on the words of R that start with x: each word w = x^(k+1) p of R,
+    with p nonempty and x^(k+1) a prefix of w, adds R_w to G at p x^k.
+    The candidate is accepted only when it is homogeneous of degree n,
+    solves [x, G] = R exactly and peels to a zero residual in the Lyndon
+    basis.  No other Lie G can solve the equation: for n >= 2 a Lie
+    element has no x^n term and ad x is injective on Lie_n (only
+    multiples of x commute with x).  For n = 1 the x-coordinate is set
+    to 0, so the partner of x is y and that of y is 0.
     """
     n = F.degree()
     if n is None:
         return Poly.zero()
-    lb = lyndon_basis(n)
-    cols = [bracket(X, e) for e in lb.expansions]
-    rhs_poly = -bracket(Y, F)
-    word_set = sorted(set().union(*(set(c.terms) for c in cols), set(rhs_poly.terms)))
-    rows = [[c.terms.get(w, 0) for c in cols] for w in word_set]
-    rhs = [rhs_poly.terms.get(w, 0) for w in word_set]
-    sol = linalg.solve(rows, rhs, lb.dimension)
-    if sol is None:
+    rhs = bracket(F, Y)
+    pairs = []
+    for w, c in rhs.terms.items():
+        m = words.degree(w)
+        bits = w ^ (1 << m)  # the letters of w; its leading x's are leading 0 bits
+        lead_x = m - bits.bit_length()
+        for k in range(lead_x):
+            p = (1 << (m - k - 1)) | bits  # w = x^(k+1) p; w has a y, so p is nonempty
+            pairs.append((p << k, c))  # the word p x^k
+    g = Poly._of(accumulate({}, pairs))
+    if g and (not g.is_homogeneous() or g.degree() != n):
         return None
-    return from_coords(sol, n)
+    if bracket(X, g) != rhs:
+        return None
+    try:
+        coords = to_coords(g, n)
+    except NotLieError:
+        return None
+    return from_coords([Fraction(c) for c in coords], n)
 
 
 def special_equivalences(f: Poly) -> dict:
@@ -194,7 +211,7 @@ def special_equivalences(f: Poly) -> dict:
     independently on a homogeneous Lie element f of degree >= 2.
 
     With F = f(-x-y, y), the conditions are:
-      existence   - some Lie G solves [y,F] + [x,G] = 0 (exact elimination)
+      existence   - some Lie G solves [y,F] + [x,G] = 0 (exact back-substitution)
       formula     - G = s'(F_x) is Lie and solves the equation
       right_anti  - F_y is antipalindromic
       push_inv    - F is push-invariant
@@ -217,7 +234,10 @@ def special_equivalences(f: Poly) -> dict:
     existence = g_solved is not None
 
     g_formula = solve_partner(big_f)
-    formula = is_lie(g_formula) and not (bracket(X, g_formula) + bracket(Y, big_f))
+    num, den = numerators(g_formula)
+    formula = is_lie(g_formula) and not (
+        bracket(X, Poly._of(num)) + bracket(Y, big_f).scale(den)
+    )
 
     report = {
         "existence": existence,

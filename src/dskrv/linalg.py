@@ -10,9 +10,12 @@ bases are combined by the Chinese remainder theorem and rationally
 reconstructed, and a candidate is returned only after it annihilates
 every input row exactly.  `solve` and `row_echelon` run fraction-free
 Bareiss elimination over the integers (`dskrv._kernels.pure`) with
-rational back-substitution here.  Rows may be given with int or Fraction
-entries; each row is scaled to integers first, which changes neither
-rank, nullspace nor solvability.
+rational back-substitution here.  No library code calls them: the
+special partner of `derivations` is found by back-substitution, and
+only `perfbench/elim.py` (which times `row_echelon`) and the reference
+partner solver of `tests/oracles.py` use them.  Rows may be given with
+int or Fraction entries; each row is scaled to integers first, which
+changes neither rank, nullspace nor solvability.
 """
 
 from __future__ import annotations

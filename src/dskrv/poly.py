@@ -19,7 +19,7 @@ the palindromy / push-invariance / push-constancy predicates.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from numbers import Rational
 from typing import Iterable, Iterator, Union
 
@@ -428,22 +428,34 @@ def decompose_left(f: Poly) -> tuple[Poly, Poly]:
 
 
 def _section_map(h: Poly, right: bool) -> Poly:
-    """sum_i (-1)^i/i! (d/dx)^i(h) y x^i if right, else sum_i (-1)^i/i! x^i y (d/dx)^i(h)."""
-    terms: dict[int, Coeff] = {}
-    term = h
+    """sum_i (-1)^i/i! (d/dx)^i(h) y x^i if right, else sum_i (-1)^i/i! x^i y (d/dx)^i(h).
+
+    The sum runs on integer numerators: with h = P/D and m the top
+    degree of h, the i-th summand of P is weighted by the int
+    (-1)^i m!/i!, and each coefficient is divided by D m! once at the end.
+    """
+    if not h:
+        return Poly.zero()
+    num, den = numerators(h)
+    m = max(map(words.degree, num))
+    weight = factorial(m)
+    common = den * weight
+    terms: dict[int, int] = {}
+    term = Poly._of(num)
     i = 0
-    fact = 1
     while term:
+        x_i = words.x_power(i)
         if right:
-            product = term * Poly.word(words.concat_codes(words.Y_CODE, words.x_power(i)))
+            tail = words.concat_codes(words.Y_CODE, x_i)
+            pairs = ((words.concat_codes(w, tail), c) for w, c in term.terms.items())
         else:
-            product = Poly.word(words.concat_codes(words.x_power(i), words.Y_CODE)) * term
-        sign = -1 if i & 1 else 1
-        accumulate(terms, product.terms.items(), Fraction(sign, fact))
+            head = words.concat_codes(x_i, words.Y_CODE)
+            pairs = ((words.concat_codes(head, w), c) for w, c in term.terms.items())
+        accumulate(terms, pairs, -weight if i & 1 else weight)
         i += 1
-        fact *= i
+        weight //= i
         term = partial_x(term)
-    return Poly._of(terms)
+    return Poly._of({w: Fraction(c, common) for w, c in terms.items()})
 
 
 def s_map(h: Poly) -> Poly:

@@ -10,7 +10,8 @@ the candidate basis against every constraint row.  The group layer is
 defined straight from its formulas on Poly ring arithmetic alone: every
 product is built in full and truncated afterwards.  The rational
 nullspace comes from fraction-free Bareiss elimination and
-back-substitution.  Commutative polynomials are evaluated at points,
+back-substitution, and so does the special partner G of [x, G] =
+-[y, F]; the section maps s, s' sum Fraction-scaled ring products.  Commutative polynomials are evaluated at points,
 which checks a change of variables without expanding it.
 """
 
@@ -21,7 +22,7 @@ from itertools import combinations
 
 from dskrv import derivations, lie, linalg, words
 from dskrv.moulds import CPoly
-from dskrv.poly import Poly, accumulate
+from dskrv.poly import Poly, accumulate, partial_x
 
 MODULUS = 2_000_003  # prime; squares stay far below 2**63
 
@@ -548,6 +549,48 @@ def bareiss_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
             v[c] = Fraction(-s, row[c])
         basis.append(v)
     return linalg.rref(basis, ncols)
+
+
+# -- the special partner and the section maps, on Fractions -------------------------
+
+
+def partner_by_solve(F: Poly) -> Poly | None:
+    """Solve [x, G] = -[y, F] for Lie G, or None, by Bareiss elimination
+    on the Lyndon coordinates of the degree-n component (free
+    coordinates 0)."""
+    n = F.degree()
+    if n is None:
+        return Poly.zero()
+    lb = lie.lyndon_basis(n)
+    cols = [lie.bracket(X, e) for e in lb.expansions]
+    rhs_poly = -lie.bracket(Y, F)
+    word_set = sorted(set().union(*(set(c.terms) for c in cols), set(rhs_poly.terms)))
+    rows = [[c.terms.get(w, 0) for c in cols] for w in word_set]
+    rhs = [rhs_poly.terms.get(w, 0) for w in word_set]
+    sol = linalg.solve(rows, rhs, lb.dimension)
+    if sol is None:
+        return None
+    return lie.from_coords(sol, n)
+
+
+def section_map_fold(h: Poly, right: bool) -> Poly:
+    """sum_i (-1)^i/i! (d/dx)^i(h) y x^i if right, else sum_i (-1)^i/i! x^i y (d/dx)^i(h),
+    each summand a Poly product added with a Fraction scalar."""
+    terms: dict = {}
+    term = h
+    i = 0
+    fact = 1
+    while term:
+        if right:
+            product = term * Poly.word(words.concat_codes(words.Y_CODE, words.x_power(i)))
+        else:
+            product = Poly.word(words.concat_codes(words.x_power(i), words.Y_CODE)) * term
+        sign = -1 if i & 1 else 1
+        accumulate(terms, product.terms.items(), Fraction(sign, fact))
+        i += 1
+        fact *= i
+        term = partial_x(term)
+    return Poly._of(terms)
 
 
 # -- sparse accumulation as a fold of ring additions --------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from dskrv import derivations, dshuffle, lie, poly, words
+from dskrv import derivations, dshuffle, lie, linalg, poly, words
 from dskrv.derivations import TangentialDerivation
 from dskrv.lie import NotLieError
 from dskrv.poly import Poly
@@ -100,6 +100,80 @@ def test_partner_constructions_agree_on_special_inputs(f3):
     g2 = derivations.partner_by_elimination(big_f)
     assert g2 is not None and g1 == g2
     assert not (lie.bracket(X, g1) + lie.bracket(Y, big_f))
+
+
+def _typed(p):
+    """Values, types and dict order of a Poly's terms, or None."""
+    return None if p is None else [(k, type(c), c) for k, c in p.terms.items()]
+
+
+def _assert_partner_matches_the_solve(F):
+    got = derivations.partner_by_elimination(F)
+    assert _typed(got) == _typed(oracles.partner_by_solve(F))
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_partner_matches_the_bareiss_solve_on_random_lie(n):
+    for seed in range(6):
+        f = lie.random_lie(n, seed)
+        big_f = poly.subst_linear(f, -X - Y, Y)
+        for F in (f, big_f, f.scale(Fraction(3, 7)), big_f.scale(Fraction(-5, 2))):
+            _assert_partner_matches_the_solve(F)
+
+
+def test_partner_matches_the_bareiss_solve_on_special_images(basis_cache):
+    images = [derivations.ds_to_krv(e).F for w in range(3, 11) for e in basis_cache(w).basis]
+    assert len(images) == 6
+    for F in images:
+        for G in (F, F.scale(Fraction(2, 9))):
+            assert _assert_partner_matches_the_solve(G) is not None
+
+
+def test_partner_of_degree_one_and_zero():
+    # the x-coordinate is free at n = 1 and set to 0
+    assert _typed(_assert_partner_matches_the_solve(X)) == _typed(Poly.word("y", Fraction(1)))
+    assert _assert_partner_matches_the_solve(Y) == Poly.zero()
+    assert _assert_partner_matches_the_solve(Poly.zero()) == Poly.zero()
+
+
+def test_partner_is_none_without_a_lie_solution(f3, f5):
+    F3, F5 = derivations.ds_to_krv(f3).F, derivations.ds_to_krv(f5).F
+    cases = [
+        # inhomogeneous sums of special elements
+        X + F3,
+        F3 + F5,
+        F3 + X.scale(Fraction(1, 3)),
+        # [y, yxy] has no word starting with x, so the back-substituted
+        # candidate is the Lie partner of F3, which solves the wrong equation
+        F3 + P(("yxy", 1)),
+        # [x + y, (x + y)^3] = 0: (x + y)^3 - x^3 solves the equation, not Lie
+        (X + Y) * (X + Y) * (X + Y),
+    ]
+    for F in cases:
+        assert derivations.partner_by_elimination(F) is None
+        assert oracles.partner_by_solve(F) is None
+
+
+def test_special_equivalences_run_no_elimination(monkeypatch, f3):
+    def refuse(*args):
+        raise RuntimeError("elimination called")
+
+    monkeypatch.setattr(linalg, "solve", refuse)
+    monkeypatch.setattr(linalg, "row_echelon", refuse)
+    for seed in range(4):
+        derivations.special_equivalences(lie.random_lie(6, seed))
+    rep = derivations.special_equivalences(poly.negate_y(f3))
+    assert rep["existence"] and rep["formula"] and rep["agree"]
+
+
+def test_formula_rejects_a_partner_off_by_a_fraction(monkeypatch, f5):
+    f = poly.negate_y(f5)
+    off = lie.lyndon_basis(5).expansions[2].scale(Fraction(1, 7))
+    solve_partner = derivations.solve_partner
+    monkeypatch.setattr(derivations, "solve_partner", lambda F: solve_partner(F) + off)
+    rep = derivations.special_equivalences(f)
+    assert rep["existence"] and not rep["formula"] and not rep["agree"]
 
 
 @pytest.mark.parametrize("n", range(3, 7))

@@ -265,3 +265,36 @@ def test_subst_linear_matches_the_word_by_word_expansion(data):
         assert list(got.terms) == sorted(got.terms)
         if kind != "mixed":
             assert typed(got.terms) == sorted(typed(want.terms))
+
+
+def _assert_section_maps_match_the_fold(f):
+    for right, section in ((True, poly.s_map), (False, poly.s_prime_map)):
+        assert typed(section(f).terms) == typed(oracles.section_map_fold(f, right).terms)
+
+
+@given(st.data())
+def test_section_maps_match_the_fraction_fold(data):
+    kind = data.draw(st.sampled_from(sorted(_KIND_COEFFS)), label="kind")
+    if data.draw(st.booleans(), label="homogeneous"):
+        n = data.draw(st.integers(1, 6), label="degree")
+        codes = _codes(n, n)
+    else:
+        codes = _codes(0, 6)
+    f = Poly(data.draw(st.dictionaries(codes, _KIND_COEFFS[kind], max_size=8)))
+    _assert_section_maps_match_the_fold(f)
+
+
+def test_section_maps_match_the_fraction_fold_on_edge_cases(f3):
+    fx, fy = poly.decompose_right(f3)
+    cases = [
+        Poly.zero(),
+        Poly.one(),
+        _X,
+        _Y.scale(Fraction(-2, 3)),
+        _X.scale(Fraction(1, 2)) + _Y.scale(3),
+        fx,
+        fy.scale(Fraction(5, 4)),
+        fy + _X + Poly.one(),
+    ]
+    for f in cases:
+        _assert_section_maps_match_the_fold(f)
