@@ -4,22 +4,27 @@ The Lie-algebra structures of the other modules exponentiate to
 prounipotent groups.  Working with exact rational coefficients and a
 degree truncation N, this module provides:
 
-  - truncated power series (a thin wrapper over polynomials that keeps
-    the constant term and drops every term of degree > N);
+  - truncated power series, held as integer numerators over one
+    positive denominator, reduced so that gcd(den, numerators) = 1 and
+    equal series have equal forms; terms of degree > N are dropped, the
+    constant term is kept, and the Fraction polynomial is built only on
+    request (TruncSeries.poly);
   - the circled product f (.) g = fg + D_f(g), where D_f is the
-    derivation x -> 0, y -> [y, f], and its exponential exp_circle;
+    derivation x -> 0, y -> [y, f], and its exponential exp_circle,
+    summed on integer numerators over one common denominator;
   - the inverse log_circle, recovered degree by degree;
   - group-likeness checks: (Phi | sh(u,v)) = (Phi|u)(Phi|v) over all
     word pairs, and the stuffle analog on the corrected series
     Phi_* = exp(sum_{n>=1} ((-1)^(n-1)/n) (Phi|x^(n-1)y) y^n) pi_y(Phi)
     over pairs of words ending in y; (Phi | sh(u,v)) is the (u, v)
     coefficient of the shuffle coproduct of Phi, computed densely on
-    word-bit lists (dshuffle.shuffle_buckets), so no product is built,
-    and dshuffle.coproduct_sweep checks each bucket row u against
+    word-bit lists (dshuffle.shuffle_buckets) of the series' own
+    numerators, so no product and no Fraction is built, and
+    dshuffle.coproduct_sweep checks each bucket row u against
     Phi(u) Phi(v) at once;
   - exponentials of tangential derivations as automorphisms of the
-    free Lie algebra, with certificates that special derivations
-    exponentiate to automorphisms fixing x + y;
+    free Lie algebra, iterated on integer numerators, with certificates
+    that special derivations exponentiate to automorphisms fixing x + y;
   - a composite check tying the two exponentials together through the
     weight-preserving injection of double shuffle into the
     Kashiwara-Vergne Lie algebra.
@@ -28,7 +33,7 @@ degree truncation N, this module provides:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from . import words
 from .poly import Coeff, Poly, accumulate, numerators, poly_to_json, truncated_mul
@@ -39,26 +44,57 @@ from .derivations import TangentialDerivation, ds_to_krv
 DEFAULT_TRUNCATION = 12
 
 
+def _cut(terms: dict, trunc: int) -> dict:
+    """The terms of degree <= trunc: their codes lie below 2^(trunc+1)."""
+    limit = 2 << trunc
+    return {w: c for w, c in terms.items() if w < limit}
+
+
 def _truncate(f: Poly, trunc: int) -> Poly:
-    return Poly._of({w: c for w, c in f.terms.items() if words.degree(w) <= trunc})
+    return Poly._of(_cut(f.terms, trunc))
 
 
 class TruncSeries:
-    """Power series with rational coefficients, exact below degree trunc+1."""
+    """Power series with rational coefficients, exact below degree trunc+1.
 
-    __slots__ = ("poly", "trunc")
+    The series is num/den: integer numerators num (word code -> nonzero
+    int, every word of degree <= trunc) over one positive int den, with
+    gcd(den, *num.values()) = 1.  That form is unique, so == compares it
+    as it stands.  A coefficient reads as an int when den is 1 and as a
+    Fraction otherwise.
+    """
+
+    __slots__ = ("num", "den", "trunc")
 
     def __init__(self, poly: Poly, trunc: int):
         if trunc < 0:
             raise ValueError("truncation order must be >= 0")
-        object.__setattr__(self, "poly", _truncate(poly, trunc))
+        # Fractions are in lowest terms, so the lcm of their denominators
+        # leaves no common factor with the numerators
+        num, den = numerators(_truncate(poly, trunc))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "trunc", trunc)
+
+    @classmethod
+    def _of(cls, num: dict[int, int], den: int, trunc: int) -> "TruncSeries":
+        """Adopt num/den, a fresh zero-free dict of degrees <= trunc over den > 0,
+        divided by the common factor of den and the numerators."""
+        g = gcd(den, *num.values())
+        if g > 1:
+            num = {w: c // g for w, c in num.items()}
+            den //= g
+        new = object.__new__(cls)
+        object.__setattr__(new, "num", num)
+        object.__setattr__(new, "den", den)
+        object.__setattr__(new, "trunc", trunc)
+        return new
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
     def __reduce__(self):
-        return TruncSeries, (self.poly, self.trunc)
+        return TruncSeries._of, (dict(self.num), self.den, self.trunc)
 
     @classmethod
     def one(cls, trunc: int) -> "TruncSeries":
@@ -68,45 +104,67 @@ class TruncSeries:
     def zero(cls, trunc: int) -> "TruncSeries":
         return cls(Poly.zero(), trunc)
 
+    def _value(self, c: int) -> Coeff:
+        return Fraction(c, self.den) if c and self.den > 1 else c
+
+    @property
+    def poly(self) -> Poly:
+        """The series as a polynomial with int or Fraction coefficients."""
+        return Poly._of({w: self._value(c) for w, c in self.num.items()})
+
     @property
     def constant_term(self) -> Coeff:
-        return self.poly.terms.get(words.EMPTY, 0)
+        return self._value(self.num.get(words.EMPTY, 0))
 
     def coeff(self, w) -> Coeff:
         code = words.as_code(w)
-        if code == words.EMPTY:
-            return self.constant_term
-        if words.degree(code) > self.trunc:
+        if code != words.EMPTY and words.degree(code) > self.trunc:
             raise ValueError("coefficient beyond the truncation order")
-        return self.poly.terms.get(code, 0)
+        return self._value(self.num.get(code, 0))
 
     def homogeneous_part(self, d: int) -> Poly:
-        return self.poly.homogeneous_part(d)
+        lo, hi = 1 << d, 2 << d
+        return Poly._of({w: self._value(c) for w, c in self.num.items() if lo <= w < hi})
+
+    def _combine(self, other: "TruncSeries", sign: int) -> "TruncSeries":
+        """self + sign * other over the lcm of the two denominators."""
+        t = min(self.trunc, other.trunc)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        num = {w: a * c for w, c in _cut(self.num, t).items()}
+        accumulate(num, _cut(other.num, t).items(), sign * b)
+        return TruncSeries._of(num, den, t)
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        t = min(self.trunc, other.trunc)
-        return TruncSeries(self.poly + other.poly, t)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        t = min(self.trunc, other.trunc)
-        return TruncSeries(self.poly - other.poly, t)
+        return self._combine(other, -1)
 
     def scale(self, c: Coeff) -> "TruncSeries":
-        return TruncSeries(self.poly.scale(c), self.trunc)
+        c = Fraction(c)
+        if not c:
+            return TruncSeries.zero(self.trunc)
+        p = c.numerator
+        return TruncSeries._of(
+            {w: p * v for w, v in self.num.items()}, self.den * c.denominator, self.trunc
+        )
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         t = min(self.trunc, other.trunc)
-        return TruncSeries(truncated_mul(self.poly, other.poly, t), t)
+        product = truncated_mul(Poly._of(self.num), Poly._of(other.num), t)
+        return TruncSeries._of(product.terms, self.den * other.den, t)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncSeries)
             and self.trunc == other.trunc
-            and self.poly == other.poly
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __repr__(self) -> str:
-        return f"<TruncSeries trunc={self.trunc} terms={len(self.poly.terms)}>"
+        return f"<TruncSeries trunc={self.trunc} terms={len(self.num)}>"
 
     def to_json(self) -> dict:
         return {"trunc": self.trunc, "series": poly_to_json(self.poly)}
@@ -136,6 +194,18 @@ def circle(f: Poly, g: Poly, trunc: int | None = None) -> Poly:
     return truncated_mul(f, g, trunc) + d_f(f, g, trunc)
 
 
+def _exp_sum(powers: list[Poly], scale: int, den: int, trunc: int) -> TruncSeries:
+    """The series sum_k powers[k] / (den scale^k k!) of integer polynomials,
+    put over the one denominator den scale^top top! by int weights."""
+    top = len(powers) - 1
+    total: dict[int, int] = {}
+    weight = 1  # scale^(top-k) top!/k!, the factor of powers[k] over the common denominator
+    for k in range(top, -1, -1):
+        accumulate(total, powers[k].terms.items(), weight)
+        weight *= scale * k
+    return TruncSeries._of(total, den * scale**top * factorial(top), trunc)
+
+
 def exp_circle(f: Poly, trunc: int = DEFAULT_TRUNCATION) -> TruncSeries:
     """exp of f for the circled product: sum of f^(.k) / k!.
 
@@ -156,14 +226,7 @@ def exp_circle(f: Poly, trunc: int = DEFAULT_TRUNCATION) -> TruncSeries:
         if not power:
             break
         powers.append(power)
-    top = len(powers) - 1
-    total: dict[int, int] = {}
-    weight = 1  # d^(top-k) top!/k!, the factor of P_k over the common denominator
-    for k in range(top, -1, -1):
-        accumulate(total, powers[k].terms.items(), weight)
-        weight *= den * k
-    common = den**top * factorial(top)
-    return TruncSeries(Poly._of({w: Fraction(c, common) for w, c in total.items()}), trunc)
+    return _exp_sum(powers, den, 1, trunc)
 
 
 def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
@@ -177,16 +240,26 @@ def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
     """
     if phi.constant_term != 1:
         raise ValueError("log_circle requires constant term 1")
+    # The degree-e part of exp_circle(f) depends only on the parts of f of
+    # degree <= e, so rest = phi - exp_circle(f, valid) holds the increment
+    # of every degree up to valid until f changes.  When rest runs out at
+    # degree d, f has not changed for d - 1 - last degrees, and the next
+    # order bets on as many again: if an order-o exponential costs 2^o,
+    # that is at most 1.7 times the cost of one exponential per degree,
+    # and about half of it when f is homogeneous.
     f = Poly.zero()
+    rest, valid, last = phi - TruncSeries.one(phi.trunc), phi.trunc, 0
     for d in range(1, phi.trunc + 1):
-        # exp_circle never lowers degrees, so its degree-d part is the
-        # same at every truncation order >= d
-        delta = phi.homogeneous_part(d) - exp_circle(f, d).homogeneous_part(d)
+        if valid < d:
+            valid = min(phi.trunc, 2 * d - last - 1)
+            rest = phi - exp_circle(f, valid)
+        delta = rest.homogeneous_part(d)
         if not delta:
             continue
         if require_lie_parts and not is_lie(delta):
             raise NotLieError(f"degree-{d} increment of the logarithm is not Lie", delta)
         f = f + delta
+        valid = last = d
     return f
 
 
@@ -201,41 +274,51 @@ def grouplike_shuffle_check(phi: TruncSeries) -> dict:
     failure, and the number of pairs checked.  Every pairing is read off
     the shuffle coproduct of Phi's numerators; no product is built.
     """
-    num, den = numerators(phi.poly)
-    return coproduct_sweep(shuffle_buckets(num), num, den, phi.trunc)
+    return coproduct_sweep(shuffle_buckets(phi.num), phi.num, phi.den, phi.trunc)
 
 
 def star_series(phi: TruncSeries) -> TruncSeries:
-    """Phi_* = exp(sum ((-1)^(n-1)/n)(Phi|x^(n-1)y) y^n) pi_y(Phi)."""
-    n = phi.trunc
-    corr = Poly(
-        {
-            words.y_power(d): Fraction((-1) ** (d - 1), d) * phi.coeff((1 << d) | 1)  # x^(d-1) y
-            for d in range(1, n + 1)
-        }
-    )
-    # corr is a series in y alone, so its exponential is the scalar
-    # exponential computed term by term on commuting powers of y.
-    expo = {words.EMPTY: 1}
-    power = Poly.one()
-    kfact = 1
+    """Phi_* = exp(sum ((-1)^(n-1)/n)(Phi|x^(n-1)y) y^n) pi_y(Phi).
+
+    The correction is a series in y alone, so its exponential is a
+    scalar series sum e_k y^k.  With Phi = P/D and c_d = P(x^(d-1)y),
+    E_k = k! D^k e_k is an integer: E_0 = 1 and, from k e_k =
+    sum_d d a_d e_(k-d) (the derivative of e = exp(a)),
+    E_k = sum_{d=1..k} (-1)^(d-1) c_d D^(d-1) (k-1)!/(k-d)! E_(k-d).
+    Over the one denominator n! D^n, the word y^k w of the product then
+    takes E_k (n!/k!) D^(n-k) P(w) for every w of pi_y(Phi).
+    """
+    n, den = phi.trunc, phi.den
+    c = [0] + [phi.num.get((1 << d) | 1, 0) for d in range(1, n + 1)]  # c[d] = P(x^(d-1) y)
+    big = [1]  # E_k
     for k in range(1, n + 1):
-        power = truncated_mul(power, corr, n)
-        if not power:
-            break
-        kfact *= k
-        accumulate(expo, power.terms.items(), Fraction(1, kfact))
+        total = 0
+        ratio = 1  # (k-1)!/(k-d)!
+        power = 1  # D^(d-1)
+        for d in range(1, k + 1):
+            if c[d]:
+                total += (c[d] if d & 1 else -c[d]) * power * ratio * big[k - d]
+            ratio *= k - d
+            power *= den
+        big.append(total)
+    scalars = [0] * (n + 1)  # e_k over the common denominator n! D^n
+    weight = 1  # (n!/k!) D^(n-k)
+    for k in range(n, -1, -1):
+        scalars[k] = big[k] * weight
+        weight *= k * den
+    common = factorial(n) * den**n
+    g = gcd(common, *scalars)
     # the projection onto words ending in y keeps the constant term of
     # a series (unlike the polynomial operator pi_y, which has no use
-    # for empty words)
-    proj = Poly._of(
-        {
-            w: c
-            for w, c in phi.poly.terms.items()
-            if w == words.EMPTY or words.ends_in_y(w)
-        }
-    )
-    return TruncSeries(Poly._of(expo), n) * TruncSeries(proj, n)
+    # for empty words): the odd codes
+    proj = [(w, words.degree(w), p) for w, p in phi.num.items() if w & 1]
+    out: dict[int, int] = {}
+    for k, e in enumerate(scalars):
+        if e:
+            head = words.y_power(k)
+            pairs = ((head << m | (w ^ (1 << m)), p) for w, m, p in proj if m <= n - k)
+            accumulate(out, pairs, e // g)
+    return TruncSeries._of(out, common // g * den, n)
 
 
 def grouplike_stuffle_check(phi: TruncSeries) -> dict:
@@ -244,25 +327,37 @@ def grouplike_stuffle_check(phi: TruncSeries) -> dict:
     The pairs and the report are as in grouplike_shuffle_check, over
     words ending in y; the pairings come from the stuffle coproduct.
     """
-    num, den = numerators(star_series(phi).poly)
-    return coproduct_sweep(stuffle_buckets(num), num, den, phi.trunc, y_ending=True)
+    star = star_series(phi)
+    return coproduct_sweep(stuffle_buckets(star.num), star.num, star.den, phi.trunc, y_ending=True)
 
 
 # -- exponentials of tangential derivations --------------------------------------
 
 
 def exp_derivation(d: TangentialDerivation, f: Poly, trunc: int = DEFAULT_TRUNCATION) -> Poly:
-    """Apply exp(D) = sum D^k / k! to f, truncated beyond degree trunc."""
-    term = _truncate(f, trunc)
-    total = dict(term.terms)
-    kfact = 1
-    k = 0
-    while term:
-        k += 1
-        kfact *= k
-        term = d.apply(term, trunc)
-        accumulate(total, term.terms.items(), Fraction(1, kfact))
-    return Poly._of(total)
+    """Apply exp(D) = sum D^k / k! to f, truncated beyond degree trunc.
+
+    As in exp_circle, the powers run on integer numerators: with delta
+    the lcm of the denominators of F and G, delta D is the derivation of
+    (delta F, delta G), whose images are integral.  With f = P_0/e,
+    P_k = (delta D)^k P_0 = delta^k D^k P_0 and exp(D) f is
+    sum P_k / (e delta^k k!), divided once, over one denominator.
+    """
+    (fn, fd), (gn, gd) = numerators(d.F), numerators(d.G)
+    delta = lcm(fd, gd)
+    scaled = TangentialDerivation(
+        Poly._of({w: c * (delta // fd) for w, c in fn.items()}),
+        Poly._of({w: c * (delta // gd) for w, c in gn.items()}),
+        check=False,
+    )
+    num, den = numerators(_truncate(f, trunc))
+    powers = [Poly._of(num)]
+    while True:
+        power = scaled.apply(powers[-1], trunc)
+        if not power:
+            break
+        powers.append(power)
+    return _exp_sum(powers, delta, den, trunc).poly
 
 
 def automorphism_check(d: TangentialDerivation, trunc: int = DEFAULT_TRUNCATION) -> dict:
@@ -270,17 +365,17 @@ def automorphism_check(d: TangentialDerivation, trunc: int = DEFAULT_TRUNCATION)
 
     Checks that A(x) + A(y) = x + y through the truncation order when D
     is special, and that A respects brackets on a sample:
-    A([x, y]) = [A(x), A(y)] up to the truncation order.
+    A([x, y]) = [A(x), A(y)] up to the truncation order.  Both sides are
+    compared as truncated series, on integer numerators.
     """
-    ax = exp_derivation(d, Poly.word("x"), trunc)
-    ay = exp_derivation(d, Poly.word("y"), trunc)
-    fixes = (ax + ay) == Poly.word("x") + Poly.word("y")
-    lhs = exp_derivation(d, bracket(Poly.word("x"), Poly.word("y")), trunc)
-    rhs = truncated_mul(ax, ay, trunc) - truncated_mul(ay, ax, trunc)
+    x, y = Poly.word("x"), Poly.word("y")
+    ax, ay, lhs = (
+        TruncSeries(exp_derivation(d, h, trunc), trunc) for h in (x, y, bracket(x, y))
+    )
     return {
         "special": d.is_special(),
-        "fixes_x_plus_y": fixes,
-        "bracket_sample": lhs == rhs,
+        "fixes_x_plus_y": (ax + ay).poly == x + y,
+        "bracket_sample": lhs == ax * ay - ay * ax,
         "trunc": trunc,
     }
 

@@ -388,10 +388,13 @@ def derive(h: Poly, x_image: Poly, y_image: Poly, trunc: int | None = None) -> P
     trunc given, terms of degree > trunc are never built.
     """
     images = (_by_degree(x_image.terms), _by_degree(y_image.terms))
+    lowest = min((dt for blocks in images for dt in blocks), default=0)
     terms: dict[int, Coeff] = {}
     for w, c in h.terms.items():
         n = words.degree(w)
         room = None if trunc is None else trunc - n + 1
+        if room is not None and room < lowest:
+            continue  # every image overshoots trunc
         for i in range(n):
             pre = w >> (i + 1)  # the letters before position i, as a code
             low = w & ((1 << i) - 1)  # the letters after it, as bits

@@ -469,6 +469,30 @@ def exp_circle(f: Poly, trunc: int) -> Poly:
     return total
 
 
+def star_series(phi: Poly, trunc: int) -> Poly:
+    """Phi_* = exp(sum ((-1)^(n-1)/n)(Phi|x^(n-1)y) y^n) pi_y(Phi), on Fractions.
+
+    The exponential of the correction, a series in y alone, is summed
+    power by power; every product is cut after it is built, and the
+    projection onto words ending in y keeps the constant term.
+    """
+    corr = Poly(
+        {
+            words.y_power(d): Fraction((-1) ** (d - 1), d) * phi.terms.get((1 << d) | 1, 0)
+            for d in range(1, trunc + 1)
+        }
+    )
+    expo = Poly.one()
+    power = Poly.one()
+    kfact = 1
+    for k in range(1, trunc + 1):
+        power = cut(power * corr, trunc)
+        kfact *= k
+        expo = expo + power.scale(Fraction(1, kfact))
+    proj = Poly({w: c for w, c in phi.terms.items() if w == words.EMPTY or words.ends_in_y(w)})
+    return cut(expo * proj, trunc)
+
+
 def log_circle(phi: Poly, trunc: int) -> Poly:
     """The f with exp_circle(f, trunc) = phi, found degree by degree at full order."""
     f = Poly.zero()

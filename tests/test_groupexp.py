@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
+import json
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -140,6 +144,19 @@ def test_exp_derivation_automorphism(f3):
     assert rep["trunc"] == 8
 
 
+@pytest.mark.parametrize("c", [1, Fraction(2, 7)])
+def test_automorphism_check_reports_a_non_special_derivation(f3, c):
+    # x -> 0, y -> [y, c f3] is not special: A(x) + A(y) moves off x + y,
+    # while A still respects the bracket of x and y
+    d = derivations.TangentialDerivation(f3.scale(c), Poly.zero())
+    assert groupexp.automorphism_check(d, trunc=8) == {
+        "special": False,
+        "fixes_x_plus_y": False,
+        "bracket_sample": True,
+        "trunc": 8,
+    }
+
+
 def test_exp_derivation_fixed_point_is_exact(f3):
     d = derivations.ds_to_krv(f3)
     img = groupexp.exp_derivation(d, X + Y, 10)
@@ -164,6 +181,81 @@ def test_series_json(f3):
     obj = phi.to_json()
     assert obj["trunc"] == 6
     assert obj["series"]["terms"]
+
+
+# -- the (numerators, denominator) form of TruncSeries -----------------------------
+
+
+def _assert_canonical(s: TruncSeries) -> None:
+    assert s.den > 0 and math.gcd(s.den, *s.num.values()) == 1
+    assert all(c and words.degree(w) <= s.trunc for w, c in s.num.items())
+
+
+def test_trunc_series_form_is_canonical(f3, f5):
+    half = TruncSeries(Poly.word("x", Fraction(1, 2)) + Poly.word("xy", Fraction(1, 6)), 3)
+    phi = groupexp.exp_circle(f3, 9)
+    series = [
+        phi,
+        groupexp.exp_circle(f5.scale(Fraction(2, 7)), 9),
+        groupexp.star_series(phi),
+        phi * phi,
+        phi - phi,
+        phi.scale(Fraction(6, 35)),
+        half,
+        half + half,
+        half.scale(6),
+        TruncSeries.zero(4),
+    ]
+    for s in series:
+        _assert_canonical(s)
+    assert (half.num, half.den) == ({words.code_from_str("x"): 3, words.code_from_str("xy"): 1}, 6)
+    assert ((half + half).num, (half + half).den) == (
+        {words.code_from_str("x"): 3, words.code_from_str("xy"): 1},
+        3,
+    )
+    assert half.scale(6) == TruncSeries(Poly.word("x", 3) + Poly.word("xy"), 3)
+    assert ((phi - phi).num, (phi - phi).den) == ({}, 1)
+
+
+def test_trunc_series_arithmetic_matches_fraction_polys(f3, f5):
+    # operands over different denominators and of different orders
+    a = groupexp.exp_circle(f3.scale(Fraction(3, 4)), 9)
+    b = groupexp.exp_circle(f5.scale(Fraction(-2, 7)), 8)
+    assert a.den != b.den
+    assert (a + b).poly == oracles.cut(a.poly + b.poly, 8)
+    assert (a - b).poly == oracles.cut(a.poly - b.poly, 8)
+    assert (b - a).poly == oracles.cut(b.poly - a.poly, 8)
+    assert (a * b).poly == oracles.cut(a.poly * b.poly, 8)
+    assert a.scale(Fraction(-5, 6)).poly == a.poly.scale(Fraction(-5, 6))
+    assert (a + b).trunc == (a * b).trunc == 8
+
+
+@pytest.mark.parametrize("trunc", [5, 9])
+def test_series_built_from_fraction_poly_equals_exp_circle(element, trunc):
+    phi = groupexp.exp_circle(element, trunc)
+    values = {w: Fraction(c, phi.den) for w, c in phi.num.items()}
+    assert TruncSeries(Poly(values), trunc) == phi
+    mixed = {w: int(v) if v.denominator == 1 else v for w, v in values.items()}
+    assert TruncSeries(Poly(mixed), trunc) == phi
+    assert TruncSeries(phi.poly, trunc) == phi
+    # terms beyond the order are dropped, not kept
+    longer = groupexp.exp_circle(element, trunc + 2).poly
+    assert TruncSeries(longer, trunc) == phi
+
+
+def test_trunc_series_pickles_and_stays_immutable(f3):
+    phi = groupexp.exp_circle(f3, 9)
+    twin = pickle.loads(pickle.dumps(phi))
+    assert twin == phi and (twin.num, twin.den, twin.trunc) == (phi.num, phi.den, phi.trunc)
+    for name, value in (("num", {}), ("den", 1), ("trunc", 3), ("poly", Poly.zero()), ("spare", 0)):
+        with pytest.raises(AttributeError):
+            setattr(phi, name, value)
+
+
+def test_exp_circle_json_is_unchanged(f3):
+    obj = groupexp.exp_circle(f3, 9).to_json()
+    digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert digest == "85e82bf469ea95122c30b552ff45289a2258a31d0ba5e9e56dc618a048397422"
 
 
 # -- agreement with the definitions in tests/oracles.py ---------------------------
@@ -203,6 +295,19 @@ def test_exp_derivation_matches_oracle(request, name, trunc):
     for h in (X, Y, lie.bracket(X, Y), X * Y * Y):
         expected = oracles.exp_derivation(d.F, d.G, h, trunc)
         assert groupexp.exp_derivation(d, h, trunc) == expected
+
+
+@pytest.mark.parametrize("trunc", [6, 9, 12])
+@pytest.mark.parametrize("name", ["f3", "f5", "random", "scaled"])
+def test_star_series_matches_oracle(f3, f5, name, trunc):
+    element = {
+        "f3": f3,
+        "f5": f5,
+        "random": lie.random_lie(4, 3),
+        "scaled": f3.scale(Fraction(2, 7)),
+    }[name]
+    phi = groupexp.exp_circle(element, trunc)
+    assert groupexp.star_series(phi).poly == oracles.star_series(phi.poly, trunc)
 
 
 def test_bounded_products_equal_truncated_full_ones(element, f3):
@@ -387,6 +492,37 @@ def test_sweeps_report_first_failing_pair_at_order_12(
     f3, word, sh_witness, sh_pairs, st_witness, st_pairs
 ):
     _assert_first_failures(f3, 12, word, sh_witness, sh_pairs, st_witness, st_pairs)
+
+
+@pytest.mark.parametrize(
+    "kind,perturbed,pairs",
+    [
+        ("shuffle", False, 3601),
+        ("stuffle", False, 904),
+        ("shuffle", True, 64),
+        ("stuffle", True, 17),
+    ],
+)
+def test_sweeps_do_not_depend_on_the_reduction(f3, kind, perturbed, pairs):
+    # the same report for num/den and for 6 num / 6 den: a pass and the
+    # first failing pair of PERTURBED at order 9
+    phi = groupexp.exp_circle(f3, 9)
+    if perturbed:
+        phi = TruncSeries(phi.poly + Poly.word("xxyxxy", Fraction(1, 7)), 9)
+    buckets, y_ending = dshuffle.shuffle_buckets, False
+    if kind == "stuffle":
+        phi = groupexp.star_series(phi)
+        buckets, y_ending = dshuffle.stuffle_buckets, True
+    reports = [
+        dshuffle.coproduct_sweep(buckets(num), num, den, 9, y_ending=y_ending)
+        for num, den in (
+            (phi.num, phi.den),
+            ({w: 6 * c for w, c in phi.num.items()}, 6 * phi.den),
+        )
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0]["verdict"] is not perturbed
+    assert reports[0]["pairs"] == pairs
 
 
 def _perturbations(trunc: int):
