@@ -241,17 +241,13 @@ def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
     if phi.constant_term != 1:
         raise ValueError("log_circle requires constant term 1")
     # The degree-e part of exp_circle(f) depends only on the parts of f of
-    # degree <= e, so rest = phi - exp_circle(f, valid) holds the increment
-    # of every degree up to valid until f changes.  When rest runs out at
-    # degree d, f has not changed for d - 1 - last degrees, and the next
-    # order bets on as many again: if an order-o exponential costs 2^o,
-    # that is at most 1.7 times the cost of one exponential per degree,
-    # and about half of it when f is homogeneous.
+    # degree <= e, so rest = phi - exp_circle(f) holds the increment of
+    # every degree up to valid, and is recomputed only after f changes.
     f = Poly.zero()
-    rest, valid, last = phi - TruncSeries.one(phi.trunc), phi.trunc, 0
+    rest, valid = phi - TruncSeries.one(phi.trunc), phi.trunc
     for d in range(1, phi.trunc + 1):
         if valid < d:
-            valid = min(phi.trunc, 2 * d - last - 1)
+            valid = phi.trunc
             rest = phi - exp_circle(f, valid)
         delta = rest.homogeneous_part(d)
         if not delta:
@@ -259,7 +255,7 @@ def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
         if require_lie_parts and not is_lie(delta):
             raise NotLieError(f"degree-{d} increment of the logarithm is not Lie", delta)
         f = f + delta
-        valid = last = d
+        valid = d
     return f
 
 

@@ -258,6 +258,42 @@ def test_exp_circle_json_is_unchanged(f3):
     assert digest == "85e82bf469ea95122c30b552ff45289a2258a31d0ba5e9e56dc618a048397422"
 
 
+def test_group_layer_builds_no_fractions(f3, monkeypatch):
+    # exp_circle, star_series and both sweeps run on integer numerators
+    # over one denominator, also when f has Fraction coefficients
+    elements = [f3, f3.scale(Fraction(2, 7))]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(refuse))
+    for f in elements:
+        phi = groupexp.exp_circle(f, 9)
+        star = groupexp.star_series(phi)
+        assert star.den > 0 and star.num
+        assert groupexp.grouplike_shuffle_check(phi)["verdict"]
+        assert groupexp.grouplike_stuffle_check(phi)["verdict"]
+
+
+def test_exp_derivation_result_types(f3):
+    # exp(D) f reads ints throughout when its common denominator is 1 and
+    # Fractions throughout otherwise, the degree-one term included
+    special = derivations.ds_to_krv(f3)
+    fixed = groupexp.exp_derivation(special, X + Y, 8)
+    assert fixed == X + Y and all(type(c) is int for c in fixed.terms.values())
+    ax = groupexp.exp_derivation(special, X, 8)
+    assert ax.coeff("x") == 1 and type(ax.coeff("x")) is Fraction
+    assert all(type(c) is Fraction for c in ax.terms.values())
+    for c in (1, Fraction(2, 7)):
+        d = derivations.TangentialDerivation(f3.scale(c), Poly.zero())
+        assert groupexp.exp_derivation(d, X, 8).terms == {words.as_code("x"): 1}
+        ay = groupexp.exp_derivation(d, Y, 8)
+        assert ay == oracles.exp_derivation(d.F, d.G, Y, 8)
+        assert all(type(c) is Fraction for c in ay.terms.values())
+
+
 # -- agreement with the definitions in tests/oracles.py ---------------------------
 
 
