@@ -23,8 +23,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, words
-from . import linalg
+from . import __version__, groupexp, linalg, moulds, words
 from .poly import (
     Poly,
     coeff_to_str,
@@ -51,8 +50,6 @@ from .derivations import (
     special_equivalences,
     trace_constant,
 )
-from . import moulds
-from . import groupexp
 
 
 class UsageError(Exception):
@@ -68,11 +65,7 @@ def _jsonable(obj):
         return coeff_to_str(obj)
     if isinstance(obj, Poly):
         return poly_to_json(obj)
-    if isinstance(obj, TangentialDerivation):
-        return obj.to_json()
-    if isinstance(obj, moulds.Mould):
-        return obj.to_json()
-    if isinstance(obj, groupexp.TruncSeries):
+    if isinstance(obj, (TangentialDerivation, moulds.Mould, groupexp.TruncSeries)):
         return obj.to_json()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -125,8 +118,11 @@ def _emit(report: dict, args, text_lines: list[str]) -> None:
     else:
         out = _render_text(report, text_lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise UsageError(f"cannot write report to {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(out)
 
@@ -175,38 +171,31 @@ def _require_truncation(trunc: int, ws: list[int]) -> None:
         )
 
 
-def _per_element(ws: list[int], check) -> tuple[bool, list]:
-    """Run check(f, n) -> (entry, good) on every basis element of each weight.
-
-    Returns the overall verdict and one (n, basis, entries, good) per
-    requested weight, where good is that weight's verdict.
-    """
-    per = []
+def _per_weight(ws: list[int], record) -> tuple[bool, dict]:
+    """Run record(n) -> (entry, good) at each weight: the overall verdict
+    and each weight's entry under str(n)."""
+    ok, payload = True, {}
     for n in ws:
-        res = ds_basis(n)
-        results = [check(f, n) for f in res.basis]
-        per.append((n, res, [entry for entry, _ in results], all(g for _, g in results)))
-    return all(good for *_, good in per), per
+        payload[str(n)], good = record(n)
+        ok = ok and good
+    return ok, payload
 
 
-def _keyed(run, key: str = "verdict"):
-    """The per-element check that records run(f) and passes on its `key`."""
-
-    def check(f, n):
-        rep = run(f)
-        return rep, rep[key]
-
-    return check
+def _on_basis(n: int, check):
+    """Run check(f) -> (entry, good) on every basis element of weight n:
+    the basis, the entries, and whether every element is good."""
+    res = ds_basis(n)
+    results = [check(f) for f in res.basis]
+    return res, [entry for entry, _ in results], all(good for _, good in results)
 
 
-def _elements(ws: list[int], check, extra=lambda res, good: {}) -> tuple[bool, dict]:
-    """Suite payload of a per-element check: each weight's dimension and
-    entries, plus the fields extra(basis, good) adds to its record."""
-    ok, per = _per_element(ws, check)
-    return ok, {
-        str(n): {"dimension": res.dimension, "elements": entries, **extra(res, good)}
-        for n, res, entries, good in per
-    }
+def _element_lists(ws: list[int], check, line) -> tuple[dict, bool, list[str]]:
+    """Payload, verdict and text lines of a command that runs
+    check(f, n) -> (entry, good) on every basis element: the entry list of
+    each weight, and one line "weight n: line(entry)" per element."""
+    ok, payload = _per_weight(ws, lambda n: _on_basis(n, lambda f: check(f, n))[1:])
+    lines = [f"weight {n}: {line(e)}" for n, entries in payload.items() for e in entries]
+    return payload, ok, lines
 
 
 def _sample(args, n: int, run, passes) -> tuple[list, dict | None]:
@@ -251,14 +240,16 @@ def _injection(f: Poly, n: int):
 
 def cmd_basis(args):
     ws = _parse_weights(args, 3, 3)
-    _, per = _per_element(ws, lambda f, n: (f"  {poly_text(f)}", True))
     lines = []
-    for n, res, texts, _ in per:
-        lines += [f"weight {n}: dimension {res.dimension}", *texts]
-    ok = all(
-        v for _, res, _, _ in per for v in res.certificates.values() if isinstance(v, bool)
-    )
-    return {"weights": ws}, {str(n): res.to_json() for n, res, _, _ in per}, ok, lines
+
+    def record(n):
+        res = ds_basis(n)
+        lines.append(f"weight {n}: dimension {res.dimension}")
+        lines.extend(f"  {poly_text(f)}" for f in res.basis)
+        return res.to_json(), all(v for v in res.certificates.values() if isinstance(v, bool))
+
+    ok, payload = _per_weight(ws, record)
+    return {"weights": ws}, payload, ok, lines
 
 
 def cmd_map(args):
@@ -270,15 +261,13 @@ def cmd_map(args):
         entry.update((k, rep[k]) for k in ("trace_constant", "push_constant", "round_trip", "ok"))
         return entry, rep["ok"]
 
-    ok, per = _per_element(ws, check)
-    lines = [
-        f"weight {n}: A={coeff_to_str(e['trace_constant'])} "
-        f"push={coeff_to_str(e['push_constant'])} "
-        f"roundtrip={'yes' if e['round_trip'] else 'NO'}"
-        for n, _, entries, _ in per
-        for e in entries
-    ]
-    return {"weights": ws}, {str(n): entries for n, _, entries, _ in per}, ok, lines
+    def line(e):
+        return (
+            f"A={coeff_to_str(e['trace_constant'])} push={coeff_to_str(e['push_constant'])} "
+            f"roundtrip={'yes' if e['round_trip'] else 'NO'}"
+        )
+
+    return {"weights": ws}, *_element_lists(ws, check, line)
 
 
 def cmd_bracket(args):
@@ -340,15 +329,10 @@ def cmd_mould(args):
                 good = good and all(entry["ecalle_bridge"].values())
         return entry, good
 
-    ok, per = _per_element(ws, check)
-    lines = [
-        f"weight {n}: depths {e['u_family'].depths()}" for n, _, entries, _ in per for e in entries
-    ]
-    payload = {str(n): entries for n, _, entries, _ in per}
     parameters = {"weights": ws, "check": args.check}
     if args.strict:
         parameters["strict"] = True
-    return parameters, payload, ok, lines
+    return parameters, *_element_lists(ws, check, lambda e: f"depths {e['u_family'].depths()}")
 
 
 def cmd_exp(args):
@@ -357,207 +341,171 @@ def cmd_exp(args):
     _require_truncation(trunc, ws)
 
     def check(f, n):
-        rep = groupexp.group_injection_check(f, trunc)
-        return {"series": groupexp.exp_circle(f, trunc), "checks": rep}, rep["verdict"]
+        phi = groupexp.exp_circle(f, trunc)
+        rep = groupexp.group_certificate(f, phi)
+        return {"series": phi, "checks": rep}, rep["verdict"]
 
-    ok, per = _per_element(ws, check)
-    lines = [
-        f"weight {n}: trunc {trunc} shuffle-pairs "
-        f"{e['checks']['shuffle_grouplike']['pairs']} stuffle-pairs "
-        f"{e['checks']['stuffle_grouplike']['pairs']} verdict "
-        f"{'pass' if e['checks']['verdict'] else 'FAIL'}"
-        for n, _, entries, _ in per
-        for e in entries
-    ]
-    payload = {str(n): entries for n, _, entries, _ in per}
-    return {"weights": ws, "truncate": trunc}, payload, ok, lines
+    def line(e):
+        rep = e["checks"]
+        return (
+            f"trunc {trunc} shuffle-pairs {rep['shuffle_grouplike']['pairs']} stuffle-pairs "
+            f"{rep['stuffle_grouplike']['pairs']} verdict {'pass' if rep['verdict'] else 'FAIL'}"
+        )
+
+    return {"weights": ws, "truncate": trunc}, *_element_lists(ws, check, line)
 
 
 # -- verification suites ----------------------------------------------------------
-# Each takes (args, weights) and returns (ok, payload by weight).
+# A suite runs at one weight: (args, n) -> (entry, good).  A per-element
+# suite is declared from its check (args, f, n) -> (entry, good) on one
+# basis element.
 
 
-def _suite_thm11(args, ws):
-    """End-to-end injection: specialness, trace constant, push transport,
-    inverse roundtrip, for every basis element at each weight."""
+def _element_suite(check, fields=()):
+    """The suite that runs check on every basis element.  Each weight's entry
+    holds the dimension, the element entries and the named fields of
+    {"ok": the weight's verdict, "vacuous": no basis element}."""
 
-    def check(f, n):
-        rep = _injection(f, n)[1]
-        return rep, rep["ok"]
-
-    return _elements(ws, check)
-
-
-def _suite_thm12(args, ws):
-    """The two models of the Kashiwara-Vergne space (trace condition vs
-    antipalindromy + push-constancy) have equal dimension and span."""
-    out = {}
-    ok = True
-    for n in ws:
-        rep = kv_dimensions(n)
-        good = rep["dim_krv"] == rep["dim_vkv"] and rep["same_span"]
-        ok = ok and good
-        out[str(n)] = {
-            "dim_special": rep["dim_special"],
-            "dim_krv": rep["dim_krv"],
-            "dim_vkv": rep["dim_vkv"],
-            "same_span": rep["same_span"],
-            "ok": good,
-        }
-    return ok, out
-
-
-def _suite_thm21(args, ws):
-    """Five equivalent characterizations of specialness agree on seeded
-    random Lie elements (and the full Lyndon basis at low weights)."""
-    out = {}
-    ok = True
-    for n in ws:
-        agreed, witness = _sample(args, n, special_equivalences, lambda rep: rep["agree"])
-        sweep = None
-        if n <= 4:
-            lb = lyndon_basis(n)
-            sweep_ok = all(
-                special_equivalences(e)["agree"] for e in lb.expansions
-            )
-            sweep = {"basis_size": len(lb.expansions), "all_agree": sweep_ok}
-            ok = ok and sweep_ok
-        good = len(agreed) == args.count
-        ok = ok and good
-        out[str(n)] = {
-            "samples": args.count,
-            "agreements": len(agreed),
-            "special_found": sum(1 for rep in agreed if rep["existence"]),
-            "lyndon_sweep": sweep,
-            "witness": witness,
-            "ok": good,
-        }
-    return ok, out
-
-
-def _suite_thm33(args, ws):
-    """Antipalindromy of f_x + f_y on every basis element."""
-
-    def check(f, n):
-        rep = antipal_sum_check(f)
-        return rep, rep["verdict"] and rep["consistent"]
-
-    return _elements(ws, check, lambda res, good: {"ok": good})
-
-
-def _suite_thm34(args, ws):
-    """Signed push-sum law on every basis element."""
-    return _elements(ws, _keyed(signed_push_sums_check), lambda res, good: {"ok": good})
-
-
-def _suite_lemma35(args, ws):
-    """Push-constant transport through the substitution x -> -x-y."""
-    return _elements(ws, _keyed(lambda f: pushconst_transport(negate_y(f)), "ok"))
-
-
-def _suite_lemmaA2(args, ws):
-    """mantar fixes the u-family of Lie elements; coefficients match the
-    expansion in ad(x)-products."""
-    out = {}
-    ok = True
-    for n in ws:
-        lb = lyndon_basis(n)
-        agree = 0
-        witness = None
-        for e in lb.expansions:
-            rep = moulds.mantar_fixed_check(e)
-            if all(rep.values()):
-                agree += 1
-            elif witness is None:
-                witness = {"element": e, "report": rep}
-        good = agree == len(lb.expansions)
-        ok = ok and good
-        out[str(n)] = {
-            "basis_size": len(lb.expansions),
-            "all_pass": good,
-            "witness": witness,
-        }
-    return ok, out
-
-
-def _suite_ecalleA8(args, ws):
-    """Operator identity teru = push.mantar.teru.mantar on every basis
-    element, all depths; strict mode adds the divided-difference bridge."""
-
-    def check(f, n):
-        entry = {"identity": moulds.ecalle_identity_check(f)}
-        good = entry["identity"]["verdict"]
-        if args.strict:
-            entry["bridge"] = moulds.ecalle_bridge_check(f)
-            good = good and all(entry["bridge"].values())
+    def suite(args, n):
+        res, entries, good = _on_basis(n, lambda f: check(args, f, n))
+        extra = {"ok": good, "vacuous": res.dimension == 0}
+        entry = {"dimension": res.dimension, "elements": entries, **{k: extra[k] for k in fields}}
         return entry, good
 
-    return _elements(ws, check, lambda res, good: {"vacuous": res.dimension == 0})
+    return suite
 
 
-def _suite_propA3(args, ws):
+def _passes(rep, key="verdict"):
+    """The element entry rep, good when rep[key] is."""
+    return rep, rep[key]
+
+
+def _check_thm11(args, f, n):
+    """End-to-end injection: specialness, trace constant, push transport,
+    inverse roundtrip."""
+    return _passes(_injection(f, n)[1], "ok")
+
+
+def _suite_thm12(args, n):
+    """The two models of the Kashiwara-Vergne space (trace condition vs
+    antipalindromy + push-constancy) have equal dimension and span."""
+    rep = kv_dimensions(n)
+    good = rep["dim_krv"] == rep["dim_vkv"] and rep["same_span"]
+    fields = ("dim_special", "dim_krv", "dim_vkv", "same_span")
+    return {**{k: rep[k] for k in fields}, "ok": good}, good
+
+
+def _suite_thm21(args, n):
+    """Five equivalent characterizations of specialness agree on seeded
+    random Lie elements (and the full Lyndon basis at low weights)."""
+    agreed, witness = _sample(args, n, special_equivalences, lambda rep: rep["agree"])
+    sweep, sweep_ok = None, True
+    if n <= 4:
+        lb = lyndon_basis(n)
+        sweep_ok = all(special_equivalences(e)["agree"] for e in lb.expansions)
+        sweep = {"basis_size": len(lb.expansions), "all_agree": sweep_ok}
+    good = len(agreed) == args.count
+    return {
+        "samples": args.count,
+        "agreements": len(agreed),
+        "special_found": sum(1 for rep in agreed if rep["existence"]),
+        "lyndon_sweep": sweep,
+        "witness": witness,
+        "ok": good,
+    }, good and sweep_ok
+
+
+def _check_thm33(args, f, n):
+    """Antipalindromy of f_x + f_y."""
+    rep = antipal_sum_check(f)
+    return rep, rep["verdict"] and rep["consistent"]
+
+
+def _check_thm34(args, f, n):
+    """Signed push-sum law."""
+    return _passes(signed_push_sums_check(f))
+
+
+def _check_lemma35(args, f, n):
+    """Push-constant transport through the substitution x -> -x-y."""
+    return _passes(pushconst_transport(negate_y(f)), "ok")
+
+
+def _suite_lemmaA2(args, n):
+    """mantar fixes the u-family of Lie elements; coefficients match the
+    expansion in ad(x)-products."""
+    expansions = lyndon_basis(n).expansions
+    agree, witness = 0, None
+    for e in expansions:
+        rep = moulds.mantar_fixed_check(e)
+        if all(rep.values()):
+            agree += 1
+        elif witness is None:
+            witness = {"element": e, "report": rep}
+    good = agree == len(expansions)
+    return {"basis_size": len(expansions), "all_pass": good, "witness": witness}, good
+
+
+def _check_ecalleA8(args, f, n):
+    """Operator identity teru = push.mantar.teru.mantar, all depths; strict
+    mode adds the divided-difference bridge."""
+    entry = {"identity": moulds.ecalle_identity_check(f)}
+    good = entry["identity"]["verdict"]
+    if args.strict:
+        entry["bridge"] = moulds.ecalle_bridge_check(f)
+        good = good and all(entry["bridge"].values())
+    return entry, good
+
+
+def _suite_propA3(args, n):
     """Divided-difference certificate for antipalindromy of f_x + f_y:
     formula agreement on random Lie elements, truth on basis elements."""
-    samples = {
-        n: _sample(
-            args,
-            n,
-            moulds.antipal_bridge_check,
-            lambda rep: rep["formula_matches_direct_family"] and rep["agrees_with_direct_predicate"],
-        )
-        for n in ws
-    }
-    _, per = _per_element(ws, lambda f, n: (None, moulds.antipal_bridge_check(f)["verdict"]))
-    out = {}
-    ok = True
-    for n, _, _, basis_true in per:
-        agreed, witness = samples[n]
-        ok = ok and len(agreed) == args.count and basis_true
-        out[str(n)] = {
-            "samples": args.count,
-            "formula_agreements": len(agreed),
-            "basis_verdicts_true": basis_true,
-            "witness": witness,
-        }
-    return ok, out
-
-
-def _suite_group49(args, ws):
-    """Group-likeness of exp for the shuffle pairing on basis elements."""
-    return _elements(
-        ws,
-        _keyed(lambda f: groupexp.grouplike_shuffle_check(groupexp.exp_circle(f, args.truncate))),
+    agreed, witness = _sample(
+        args,
+        n,
+        moulds.antipal_bridge_check,
+        lambda rep: rep["formula_matches_direct_family"] and rep["agrees_with_direct_predicate"],
     )
+    basis_true = _on_basis(n, lambda f: (None, moulds.antipal_bridge_check(f)["verdict"]))[2]
+    return {
+        "samples": args.count,
+        "formula_agreements": len(agreed),
+        "basis_verdicts_true": basis_true,
+        "witness": witness,
+    }, len(agreed) == args.count and basis_true
 
 
-def _suite_group410(args, ws):
+def _check_group49(args, f, n):
+    """Group-likeness of exp for the shuffle pairing."""
+    return _passes(groupexp.grouplike_shuffle_check(groupexp.exp_circle(f, args.truncate)))
+
+
+def _check_group410(args, f, n):
     """Group-likeness of the corrected series for the stuffle pairing."""
-    return _elements(
-        ws,
-        _keyed(lambda f: groupexp.grouplike_stuffle_check(groupexp.exp_circle(f, args.truncate))),
-    )
+    return _passes(groupexp.grouplike_stuffle_check(groupexp.exp_circle(f, args.truncate)))
 
 
-def _suite_thm42(args, ws):
+def _check_thm42(args, f, n):
     """Composite group-level certificate: group-like exponential, Lie
     logarithm roundtrip, automorphism fixing x + y."""
-    return _elements(ws, _keyed(lambda f: groupexp.group_injection_check(f, args.truncate)))
+    return _passes(groupexp.group_injection_check(f, args.truncate))
 
 
-# name -> (suite, default weight range)
+# The one registry of suites: name -> (suite, default weight range, whether
+# it reads --truncate, which must then be at least every requested weight).
 SUITES = {
-    "thm11": (_suite_thm11, (3, 8)),
-    "thm12": (_suite_thm12, (3, 7)),
-    "thm21": (_suite_thm21, (3, 6)),
-    "thm33": (_suite_thm33, (3, 8)),
-    "thm34": (_suite_thm34, (3, 8)),
-    "lemma35": (_suite_lemma35, (3, 8)),
-    "lemmaA2": (_suite_lemmaA2, (3, 6)),
-    "ecalleA8": (_suite_ecalleA8, (3, 8)),
-    "propA3": (_suite_propA3, (3, 6)),
-    "group49": (_suite_group49, (3, 5)),
-    "group410": (_suite_group410, (3, 5)),
-    "thm42": (_suite_thm42, (3, 5)),
+    "thm11": (_element_suite(_check_thm11), (3, 8), False),
+    "thm12": (_suite_thm12, (3, 7), False),
+    "thm21": (_suite_thm21, (3, 6), False),
+    "thm33": (_element_suite(_check_thm33, ("ok",)), (3, 8), False),
+    "thm34": (_element_suite(_check_thm34, ("ok",)), (3, 8), False),
+    "lemma35": (_element_suite(_check_lemma35), (3, 8), False),
+    "lemmaA2": (_suite_lemmaA2, (3, 6), False),
+    "ecalleA8": (_element_suite(_check_ecalleA8, ("vacuous",)), (3, 8), False),
+    "propA3": (_suite_propA3, (3, 6), False),
+    "group49": (_element_suite(_check_group49), (3, 5), True),
+    "group410": (_element_suite(_check_group410), (3, 5), True),
+    "thm42": (_element_suite(_check_thm42), (3, 5), True),
 }
 
 
@@ -566,11 +514,11 @@ def cmd_verify(args):
         raise UsageError(
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}"
         )
-    suite, (lo, hi) = SUITES[args.suite]
+    suite, (lo, hi), truncates = SUITES[args.suite]
     ws = _parse_weights(args, lo, hi)
-    if args.suite in ("group49", "group410", "thm42"):
+    if truncates:
         _require_truncation(args.truncate, ws)
-    ok, payload = suite(args, ws)
+    ok, payload = _per_weight(ws, lambda n: suite(args, n))
     parameters = {
         "suite": args.suite,
         "weights": ws,
@@ -578,91 +526,57 @@ def cmd_verify(args):
         "truncate": args.truncate,
         "strict": args.strict,
     }
-    lines = [f"suite {args.suite}: weights {ws}"]
-    for k in sorted(payload, key=lambda s: int(s) if s.isdigit() else 0):
-        v = payload[k]
-        lines.append(f"  weight {k}: {json.dumps(_jsonable(v), sort_keys=True)[:200]}")
+    lines = [f"suite {args.suite}: weights {ws}"] + [
+        f"  weight {n}: {json.dumps(_jsonable(payload[str(n)]), sort_keys=True)[:200]}"
+        for n in sorted(ws)
+    ]
     return parameters, payload, ok, lines
 
 
 # -- argument parsing --------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--weight", type=int, help="single weight")
-    p.add_argument("--weights", help="range a..b or comma list")
-    p.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
-    p.add_argument("--count", type=int, default=100, help="random samples per weight")
-    p.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)  # the flags of every command
+    common.add_argument("--weight", type=int, help="single weight")
+    common.add_argument("--weights", help="range a..b or comma list")
+    common.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
+    common.add_argument("--count", type=int, default=100, help="random samples per weight")
+    common.add_argument(
         "--truncate",
         type=int,
         default=groupexp.DEFAULT_TRUNCATION,
         help="series truncation order, at least every weight for exp and the group suites",
     )
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", help="write the report to a file instead of stdout")
-    p.add_argument("--strict", action="store_true", help="enable redundant cross-checks")
-    p.add_argument("--timings", action="store_true", help="include wall-clock timings")
+    common.add_argument("--format", choices=("json", "text"), default="json")
+    common.add_argument("--out", help="write the report to a file instead of stdout")
+    common.add_argument("--strict", action="store_true", help="enable redundant cross-checks")
+    common.add_argument("--timings", action="store_true", help="include wall-clock timings")
 
-
-def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dskrv",
         description="exact workbench for double shuffle and Kashiwara-Vergne computations",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("basis", help="compute a double shuffle basis")
-    _add_common(p)
-    p.set_defaults(fn=cmd_basis)
+    def command(name, fn, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    command("basis", cmd_basis, "compute a double shuffle basis")
+    p = command("verify", cmd_verify, "run a named verification suite")
     p.add_argument("suite", help=", ".join(sorted(SUITES)))
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("map", help="inject basis elements into the Kashiwara-Vergne algebra")
-    _add_common(p)
-    p.set_defaults(fn=cmd_map)
-
-    p = sub.add_parser("bracket", help="Poisson bracket of two basis elements")
+    command("map", cmd_map, "inject basis elements into the Kashiwara-Vergne algebra")
+    p = command("bracket", cmd_bracket, "Poisson bracket of two basis elements")
     p.add_argument("w1", type=int)
     p.add_argument("w2", type=int)
     p.add_argument("--index1", type=int, default=0)
     p.add_argument("--index2", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(fn=cmd_bracket)
-
-    p = sub.add_parser("mould", help="mould translation and operator checks")
-    p.add_argument(
-        "--check",
-        choices=("all", "fixed", "rules", "ecalle"),
-        default="all",
-    )
-    _add_common(p)
-    p.set_defaults(fn=cmd_mould)
-
-    p = sub.add_parser("exp", help="group exponential with group-likeness checks")
-    _add_common(p)
-    p.set_defaults(fn=cmd_exp)
-
+    p = command("mould", cmd_mould, "mould translation and operator checks")
+    p.add_argument("--check", choices=("all", "fixed", "rules", "ecalle"), default="all")
+    command("exp", cmd_exp, "group exponential with group-likeness checks")
     return ap
-
-
-def _report(args, t0: float, parameters: dict, payload, ok: bool, lines: list[str]) -> int:
-    report = {
-        "command": args.cmd,
-        "version": __version__,
-        "parameters": parameters,
-        "kernel": linalg.KERNEL,
-        "seed": args.seed,
-        "payload": payload,
-        "ok": ok,
-    }
-    if args.timings:
-        report["timings"] = {"total": round(time.time() - t0, 3)}
-    _emit(report, args, lines)
-    return 0 if ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -675,7 +589,20 @@ def main(argv: list[str] | None = None) -> int:
         if args.count < 0:
             raise UsageError(f"--count must be at least 0, got {args.count}")
         t0 = time.time()
-        return _report(args, t0, *args.fn(args))
+        parameters, payload, ok, lines = args.fn(args)
+        report = {
+            "command": args.cmd,
+            "version": __version__,
+            "parameters": parameters,
+            "kernel": linalg.KERNEL,
+            "seed": args.seed,
+            "payload": payload,
+            "ok": ok,
+        }
+        if args.timings:
+            report["timings"] = {"total": round(time.time() - t0, 3)}
+        _emit(report, args, lines)
+        return 0 if ok else 1
     except (UsageError, ValueError, NotLieError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

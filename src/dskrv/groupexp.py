@@ -377,16 +377,23 @@ def automorphism_check(d: TangentialDerivation, trunc: int = DEFAULT_TRUNCATION)
 
 
 def group_injection_check(ft: Poly, trunc: int = DEFAULT_TRUNCATION) -> dict:
-    """Composite group-level certificate for a double shuffle element.
+    """Composite group-level certificate for a double shuffle element:
+    group_certificate on Phi = exp_circle(ft, trunc)."""
+    return group_certificate(ft, exp_circle(ft, trunc))
 
-    Verifies that Phi = exp_circle(ft) is group-like for both shuffle
-    and corrected stuffle, that its logarithm recovers ft with Lie
-    increments, and that the corresponding special derivation
-    exponentiates to an automorphism fixing x + y.
+
+def group_certificate(ft: Poly, phi: TruncSeries) -> dict:
+    """Composite group-level certificate for a double shuffle element ft
+    and its exponential Phi = exp_circle(ft, trunc), built by the caller.
+
+    Verifies that Phi is group-like for both shuffle and corrected
+    stuffle, that its logarithm recovers ft with Lie increments (so Phi
+    is the exponential of ft), and that the corresponding special
+    derivation exponentiates to an automorphism fixing x + y.
     """
     if not is_ds(ft):
-        raise ValueError("group_injection_check requires a double shuffle element")
-    phi = exp_circle(ft, trunc)
+        raise ValueError("the group-level certificate requires a double shuffle element")
+    trunc = phi.trunc
     sh_rep = grouplike_shuffle_check(phi)
     st_rep = grouplike_stuffle_check(phi)
     back = log_circle(phi, require_lie_parts=True)

@@ -505,10 +505,6 @@ def ad_basis_coefficients(f: Poly) -> dict[tuple[int, ...], Coeff]:
     return {c: b for c, (b, _) in _ad_expansion(f).items()}
 
 
-def poly_from_ad_basis(coeffs: dict[tuple[int, ...], Coeff]) -> Poly:
-    return _sum_of_products((b, _ad_product(c)) for c, b in coeffs.items())
-
-
 # -- identity checks ------------------------------------------------------------
 
 

@@ -634,6 +634,24 @@ def fold_sum(start: dict, steps: list[tuple[dict, object]]) -> Poly:
     return out
 
 
+# -- the ad(x)-product expansion -------------------------------------------------------
+
+
+def poly_from_ad_basis(coeffs: dict[tuple[int, ...], object]) -> Poly:
+    """sum over the compositions c of b_c ad(x)^(c_1)(y) ... ad(x)^(c_r)(y),
+    each ad(x)^k(y) taken as k commutators x g - g x."""
+    out = Poly.zero()
+    for comp, b in coeffs.items():
+        product = Poly.one()
+        for k in comp:
+            factor = Y
+            for _ in range(k):
+                factor = X * factor - factor * X
+            product = product * factor
+        out = out + product.scale(b)
+    return out
+
+
 # -- commutative polynomials -----------------------------------------------------
 
 

@@ -128,19 +128,69 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert rep["payload"]["3"]["dimension"] == 1
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code = cli.main(["basis", "--weight", "3", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write report to {target}: No such file or directory\n"
+    assert not target.exists()
+
+
+def test_exp_builds_each_series_once(monkeypatch, capsys):
+    # one exp_circle per basis element builds Phi for both the report and
+    # the checks; log_circle's re-exponentiation of its increments is the
+    # logarithm check's own step and is not counted
+    from dskrv import groupexp
+
+    calls, in_log = [], []
+    exp_circle, log_circle = groupexp.exp_circle, groupexp.log_circle
+
+    def counted_exp(f, trunc=groupexp.DEFAULT_TRUNCATION):
+        if not in_log:
+            calls.append(trunc)
+        return exp_circle(f, trunc)
+
+    def marked_log(phi, require_lie_parts=False):
+        in_log.append(phi)
+        try:
+            return log_circle(phi, require_lie_parts)
+        finally:
+            in_log.pop()
+
+    monkeypatch.setattr(groupexp, "exp_circle", counted_exp)
+    monkeypatch.setattr(groupexp, "log_circle", marked_log)
+    code, rep = run_json(capsys, "exp", "--weights", "3..5", "--truncate", "8")
+    assert code == 0
+    # dimensions 1, 0, 1 at weights 3, 4, 5
+    assert [len(rep["payload"][n]) for n in ("3", "4", "5")] == [1, 0, 1]
+    assert calls == [8, 8]
+
+
 def test_timings_flag_is_opt_in(capsys):
     _, rep = run_json(capsys, "basis", "--weight", "3", "--timings")
     assert "timings" in rep and "total" in rep["timings"]
 
 
 def test_failing_check_exits_one(monkeypatch, capsys):
-    def broken(args, weights):
-        return False, {str(weights[0]): {"verdict": False}}
+    def broken(args, n):
+        return {"verdict": False}, False
 
-    monkeypatch.setitem(cli.SUITES, "thm33", (broken, (3, 8)))
+    monkeypatch.setitem(cli.SUITES, "thm33", (broken, (3, 8), False))
     code, rep = run_json(capsys, "verify", "thm33", "--weight", "5")
     assert code == 1
     assert rep["ok"] is False
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_suites_that_read_truncate_reject_order_zero(capsys, suite):
+    # the table alone decides which suites need --truncate >= every weight
+    _, _, truncates = cli.SUITES[suite]
+    code = cli.main(["verify", suite, "--weight", "3", "--truncate", "0"])
+    captured = capsys.readouterr()
+    assert code == (2 if truncates else 0), captured.err
+    assert (captured.out == "") is truncates
 
 
 def test_failing_element_check_fails_the_report(monkeypatch, capsys):

@@ -171,6 +171,15 @@ def test_group_injection_check(f3):
     assert rep["automorphism"]["fixes_x_plus_y"]
 
 
+def test_group_certificate_rejects_the_series_of_another_element(f3):
+    # 2 f3 is in ds too, so its series is group-like; only the logarithm
+    # tells it from the exponential of f3
+    rep = groupexp.group_certificate(f3, groupexp.exp_circle(f3.scale(2), 7))
+    assert rep["shuffle_grouplike"]["verdict"] and rep["stuffle_grouplike"]["verdict"]
+    assert rep["log_roundtrip"] is False
+    assert rep["verdict"] is False
+
+
 def test_group_injection_check_rejects_non_members():
     with pytest.raises(ValueError):
         groupexp.group_injection_check(lie.random_lie(4, 2), trunc=6)

@@ -276,14 +276,14 @@ def test_ad_basis_coefficients_hand_anchor():
     fyy = lie.bracket(lie.bracket(X, Y), Y)
     coeffs = moulds.ad_basis_coefficients(fyy)
     assert coeffs == {(1, 0): 1, (0, 1): -1}
-    assert moulds.poly_from_ad_basis(coeffs) == fyy
+    assert oracles.poly_from_ad_basis(coeffs) == fyy
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_ad_basis_roundtrip_on_random_lie(n):
     f = lie.random_lie(n, 31)
     coeffs = moulds.ad_basis_coefficients(f)
-    assert moulds.poly_from_ad_basis(coeffs) == f
+    assert oracles.poly_from_ad_basis(coeffs) == f
 
 
 def test_ad_basis_rejects_non_lie():
