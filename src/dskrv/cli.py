@@ -159,11 +159,18 @@ def _parse_weights(args, default_lo: int = 3, default_hi: int = 8) -> list[int]:
 
 
 def _require_truncation(trunc: int, ws: list[int]) -> None:
-    """Reject a series order that cuts off a requested weight.
+    """Reject a series order that cuts off a requested weight, or one above
+    groupexp.MAX_TRUNCATION.
 
     exp_circle(f) at an order below the weight of f is the series 1, and
-    its group-likeness checks would pass without checking anything.
+    its group-likeness checks would pass without checking anything.  The
+    checks hold dense lists of 2^T entries at degree T, so an order much
+    above the maximum would exhaust memory instead of failing.
     """
+    if trunc > groupexp.MAX_TRUNCATION:
+        raise UsageError(
+            f"--truncate {trunc} is above the maximum order {groupexp.MAX_TRUNCATION}"
+        )
     if trunc < max(ws):
         raise UsageError(
             f"--truncate {trunc} is below weight {max(ws)}; "
@@ -488,7 +495,7 @@ def _check_group410(args, f, n):
 def _check_thm42(args, f, n):
     """Composite group-level certificate: group-like exponential, Lie
     logarithm roundtrip, automorphism fixing x + y."""
-    return _passes(groupexp.group_injection_check(f, args.truncate))
+    return _passes(groupexp.group_certificate(f, groupexp.exp_circle(f, args.truncate)))
 
 
 # The one registry of suites: name -> (suite, default weight range, whether
@@ -546,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--truncate",
         type=int,
         default=groupexp.DEFAULT_TRUNCATION,
-        help="series truncation order, at least every weight for exp and the group suites",
+        help="series truncation order, from the largest weight to "
+        f"{groupexp.MAX_TRUNCATION} for exp and the group suites",
     )
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", help="write the report to a file instead of stdout")

@@ -23,7 +23,7 @@ degree truncation N, this module provides:
     dshuffle.coproduct_sweep checks each bucket row u against
     Phi(u) Phi(v) at once;
   - exponentials of tangential derivations as automorphisms of the
-    free Lie algebra, iterated on integer numerators, with certificates
+    free Lie algebra, summed by the driver of exp_circle, with certificates
     that special derivations exponentiate to automorphisms fixing x + y;
   - a composite check tying the two exponentials together through the
     weight-preserving injection of double shuffle into the
@@ -38,10 +38,11 @@ from math import factorial, gcd, lcm
 from . import words
 from .poly import Coeff, Poly, accumulate, numerators, poly_to_json, truncated_mul
 from .lie import NotLieError, bracket, is_lie
-from .dshuffle import coproduct_sweep, d_f, is_ds, shuffle_buckets, stuffle_buckets
+from .dshuffle import coproduct_sweep, d_f, shuffle_buckets, stuffle_buckets
 from .derivations import TangentialDerivation, ds_to_krv
 
 DEFAULT_TRUNCATION = 12
+MAX_TRUNCATION = 16  # the group-likeness checks hold lists of 2^T entries at degree T
 
 
 def _cut(terms: dict, trunc: int) -> dict:
@@ -100,10 +101,6 @@ class TruncSeries:
     def one(cls, trunc: int) -> "TruncSeries":
         return cls(Poly.one(), trunc)
 
-    @classmethod
-    def zero(cls, trunc: int) -> "TruncSeries":
-        return cls(Poly.zero(), trunc)
-
     def _value(self, c: int) -> Coeff:
         return Fraction(c, self.den) if c and self.den > 1 else c
 
@@ -140,15 +137,6 @@ class TruncSeries:
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self._combine(other, -1)
-
-    def scale(self, c: Coeff) -> "TruncSeries":
-        c = Fraction(c)
-        if not c:
-            return TruncSeries.zero(self.trunc)
-        p = c.numerator
-        return TruncSeries._of(
-            {w: p * v for w, v in self.num.items()}, self.den * c.denominator, self.trunc
-        )
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         t = min(self.trunc, other.trunc)
@@ -194,9 +182,19 @@ def circle(f: Poly, g: Poly, trunc: int | None = None) -> Poly:
     return truncated_mul(f, g, trunc) + d_f(f, g, trunc)
 
 
-def _exp_sum(powers: list[Poly], scale: int, den: int, trunc: int) -> TruncSeries:
-    """The series sum_k powers[k] / (den scale^k k!) of integer polynomials,
-    put over the one denominator den scale^top top! by int weights."""
+def _exp(step, start: Poly, rise: int, scale: int, den: int, trunc: int) -> TruncSeries:
+    """The series sum_k step^k(start) / (den scale^k k!) of integer polynomials,
+    put over the one denominator den scale^top top! by int weights.  step
+    raises every degree by at least rise, so at most (trunc - lowest degree
+    of start) // rise steps are taken; they stop at the first zero power.
+    """
+    low = min(map(words.degree, start.terms), default=trunc)
+    powers = [start]
+    for _ in range((trunc - low) // rise):
+        power = step(powers[-1])
+        if not power:
+            break
+        powers.append(power)
     top = len(powers) - 1
     total: dict[int, int] = {}
     weight = 1  # scale^(top-k) top!/k!, the factor of powers[k] over the common denominator
@@ -218,25 +216,17 @@ def exp_circle(f: Poly, trunc: int = DEFAULT_TRUNCATION) -> TruncSeries:
         raise ValueError("exp_circle requires vanishing constant term")
     num, den = numerators(_truncate(f, trunc))
     scaled = Poly._of(num)
-    min_deg = min((words.degree(w) for w in num), default=trunc + 1)
-    powers = [Poly.one()]
-    # every term of the k-th power has degree >= k * min_deg
-    for _ in range(trunc // min_deg):
-        power = circle(scaled, powers[-1], trunc)
-        if not power:
-            break
-        powers.append(power)
-    return _exp_sum(powers, den, 1, trunc)
+    rise = min(map(words.degree, num), default=trunc + 1)
+    return _exp(lambda g: circle(scaled, g, trunc), Poly.one(), rise, den, 1, trunc)
 
 
-def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
+def log_circle(phi: TruncSeries) -> Poly:
     """Inverse of exp_circle, computed degree by degree.
 
     At each degree d the difference phi - exp_circle(f) starts in
     degree d, and its degree-d part is the missing increment of f.
-    With require_lie_parts every increment is certified to be a Lie
-    element (group elements of the double shuffle or tangential groups
-    must have Lie logarithms).
+    Every increment is certified to be a Lie element (group elements of
+    the double shuffle or tangential groups must have Lie logarithms).
     """
     if phi.constant_term != 1:
         raise ValueError("log_circle requires constant term 1")
@@ -252,7 +242,7 @@ def log_circle(phi: TruncSeries, require_lie_parts: bool = False) -> Poly:
         delta = rest.homogeneous_part(d)
         if not delta:
             continue
-        if require_lie_parts and not is_lie(delta):
+        if not is_lie(delta):
             raise NotLieError(f"degree-{d} increment of the logarithm is not Lie", delta)
         f = f + delta
         valid = d
@@ -330,14 +320,16 @@ def grouplike_stuffle_check(phi: TruncSeries) -> dict:
 # -- exponentials of tangential derivations --------------------------------------
 
 
-def exp_derivation(d: TangentialDerivation, f: Poly, trunc: int = DEFAULT_TRUNCATION) -> Poly:
+def exp_derivation(
+    d: TangentialDerivation, f: Poly, trunc: int = DEFAULT_TRUNCATION
+) -> TruncSeries:
     """Apply exp(D) = sum D^k / k! to f, truncated beyond degree trunc.
 
     As in exp_circle, the powers run on integer numerators: with delta
     the lcm of the denominators of F and G, delta D is the derivation of
     (delta F, delta G), whose images are integral.  With f = P_0/e,
-    P_k = (delta D)^k P_0 = delta^k D^k P_0 and exp(D) f is
-    sum P_k / (e delta^k k!), divided once, over one denominator.
+    P_k = (delta D)^k P_0 = delta^k D^k P_0 and exp(D) f is the series
+    sum P_k / (e delta^k k!), over one denominator.
     """
     (fn, fd), (gn, gd) = numerators(d.F), numerators(d.G)
     delta = lcm(fd, gd)
@@ -346,14 +338,9 @@ def exp_derivation(d: TangentialDerivation, f: Poly, trunc: int = DEFAULT_TRUNCA
         Poly._of({w: c * (delta // gd) for w, c in gn.items()}),
         check=False,
     )
+    rise = min(map(words.degree, fn | gn), default=trunc + 1)  # D raises degrees by deg F
     num, den = numerators(_truncate(f, trunc))
-    powers = [Poly._of(num)]
-    while True:
-        power = scaled.apply(powers[-1], trunc)
-        if not power:
-            break
-        powers.append(power)
-    return _exp_sum(powers, delta, den, trunc).poly
+    return _exp(lambda h: scaled.apply(h, trunc), Poly._of(num), rise, delta, den, trunc)
 
 
 def automorphism_check(d: TangentialDerivation, trunc: int = DEFAULT_TRUNCATION) -> dict:
@@ -365,21 +352,13 @@ def automorphism_check(d: TangentialDerivation, trunc: int = DEFAULT_TRUNCATION)
     compared as truncated series, on integer numerators.
     """
     x, y = Poly.word("x"), Poly.word("y")
-    ax, ay, lhs = (
-        TruncSeries(exp_derivation(d, h, trunc), trunc) for h in (x, y, bracket(x, y))
-    )
+    ax, ay, lhs = (exp_derivation(d, h, trunc) for h in (x, y, bracket(x, y)))
     return {
         "special": d.is_special(),
-        "fixes_x_plus_y": (ax + ay).poly == x + y,
+        "fixes_x_plus_y": ax + ay == TruncSeries(x + y, trunc),
         "bracket_sample": lhs == ax * ay - ay * ax,
         "trunc": trunc,
     }
-
-
-def group_injection_check(ft: Poly, trunc: int = DEFAULT_TRUNCATION) -> dict:
-    """Composite group-level certificate for a double shuffle element:
-    group_certificate on Phi = exp_circle(ft, trunc)."""
-    return group_certificate(ft, exp_circle(ft, trunc))
 
 
 def group_certificate(ft: Poly, phi: TruncSeries) -> dict:
@@ -391,23 +370,21 @@ def group_certificate(ft: Poly, phi: TruncSeries) -> dict:
     is the exponential of ft), and that the corresponding special
     derivation exponentiates to an automorphism fixing x + y.
     """
-    if not is_ds(ft):
-        raise ValueError("the group-level certificate requires a double shuffle element")
+    d = ds_to_krv(ft)  # the one ds membership test: ValueError outside ds
     trunc = phi.trunc
     sh_rep = grouplike_shuffle_check(phi)
     st_rep = grouplike_stuffle_check(phi)
-    back = log_circle(phi, require_lie_parts=True)
-    d = ds_to_krv(ft)
+    roundtrip = log_circle(phi) == _truncate(ft, trunc)
     aut = automorphism_check(d, trunc)
     return {
         "trunc": trunc,
         "shuffle_grouplike": sh_rep,
         "stuffle_grouplike": st_rep,
-        "log_roundtrip": back == _truncate(ft, trunc),
+        "log_roundtrip": roundtrip,
         "automorphism": aut,
         "verdict": sh_rep["verdict"]
         and st_rep["verdict"]
-        and back == _truncate(ft, trunc)
+        and roundtrip
         and aut["fixes_x_plus_y"]
         and aut["bracket_sample"],
     }

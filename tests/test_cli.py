@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dskrv import cli
+from dskrv import cli, dshuffle
 
 
 def run(capsys, *argv):
@@ -35,7 +35,7 @@ def test_basis_weight3(capsys):
 
 
 def test_basis_rejects_out_of_range_weight(capsys):
-    code, _ = run(capsys, "basis", "--weight", "11")
+    code, _ = run(capsys, "basis", "--weight", str(dshuffle.MAX_WEIGHT + 1))
     assert code == 2
 
 
@@ -152,10 +152,10 @@ def test_exp_builds_each_series_once(monkeypatch, capsys):
             calls.append(trunc)
         return exp_circle(f, trunc)
 
-    def marked_log(phi, require_lie_parts=False):
+    def marked_log(phi):
         in_log.append(phi)
         try:
-            return log_circle(phi, require_lie_parts)
+            return log_circle(phi)
         finally:
             in_log.pop()
 
@@ -241,6 +241,23 @@ def test_truncation_below_weight_is_a_usage_error(capsys, command, trunc):
     assert code == 2
     assert captured.out == ""  # no report, so no vacuous "pass"
     assert f"--truncate {trunc} is below weight 3" in captured.err
+
+
+@pytest.mark.parametrize("command", GROUP_COMMANDS)
+def test_truncation_above_maximum_is_a_usage_error(monkeypatch, capsys, command):
+    # the dense coproducts hold 2^T entries at degree T: an order above the
+    # maximum must exit 2 before any series is built
+    from dskrv import groupexp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exp_circle called")
+
+    monkeypatch.setattr(groupexp, "exp_circle", refuse)
+    code = cli.main([*command, "--weight", "3", "--truncate", "17"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--truncate 17 is above the maximum order 16" in captured.err
 
 
 def test_verify_thm42_defaults(capsys):
