@@ -36,7 +36,6 @@ from .poly import (
     is_push_invariant,
     negate_y,
     numerators,
-    poly_from_json,
     poly_to_json,
     push_constant,
     s_map,
@@ -153,10 +152,6 @@ class TangentialDerivation:
             "special": self.is_special(),
             "traceA": None if a is None else coeff_to_str(a),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TangentialDerivation":
-        return cls(poly_from_json(obj["F"]), poly_from_json(obj["G"]))
 
 
 # -- specialness: construction and the five-way equivalence -------------------

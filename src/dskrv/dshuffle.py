@@ -18,8 +18,7 @@ read off the dual coproduct of f by coproduct_sweep; no product is
 built.  The coproduct is dense, one homogeneous part of degree m at a
 time: lists of length 2^m indexed by word bits, where each step moves
 one letter of every word at once onto u or v by strided slicing
-(shuffle_buckets, stuffle_buckets; shuffle_coproduct and
-stuffle_coproduct read {(u, v): value} off them).
+(shuffle_buckets, stuffle_buckets).
 The cached stuffles _st build the constraint rows of ds_basis.
 """
 
@@ -31,7 +30,17 @@ from types import MappingProxyType
 
 from . import CrossCheckError, linalg, words
 from .lie import from_coords, is_lie, lyndon_basis
-from .poly import Coeff, Poly, Y, derive, numerators, pi_y
+from .poly import (
+    Coeff,
+    Poly,
+    Y,
+    decompose_right,
+    derive,
+    is_antipalindromic,
+    numerators,
+    pi_y,
+    poly_to_json,
+)
 from .words import EMPTY, WordLike, as_code
 
 # -- shuffle -----------------------------------------------------------------
@@ -253,39 +262,6 @@ def stuffle_buckets(series: dict[int, Coeff]) -> dict[tuple[int, int], list]:
     return _by_degree(series, _stuffle_buckets)
 
 
-def _entries(buckets) -> dict[tuple[int, int], Coeff]:
-    """The nonzero entries of dense buckets as {(u, v): value}."""
-    out = {}
-    for (a, b), values in buckets.items():
-        mask = (1 << b) - 1
-        for i, c in enumerate(values):
-            if c:
-                out[(1 << a) | (i >> b), (1 << b) | (i & mask)] = c
-    return out
-
-
-def shuffle_coproduct(series: dict[int, Coeff]) -> dict[tuple[int, int], Coeff]:
-    """(f | sh(u, v)) for the series f = {word: c}, as {(u, v): value}.
-
-    The entries are the coefficients of Delta(f) for the coproduct dual
-    to the shuffle, which makes every letter primitive.  Only pairs with
-    deg u <= deg v are kept (Delta is cocommutative), and only nonzero
-    values; a missing pair pairs to 0.  No shuffle product is built.
-    """
-    return _entries(shuffle_buckets(series))
-
-
-def stuffle_coproduct(series: dict[int, Coeff]) -> dict[tuple[int, int], Coeff]:
-    """(f | st(u, v)) for a series f = {word: c} of words ending in y.
-
-    The coproduct dual to the stuffle has Delta(y_j) = sum over
-    i + k = j of y_i (x) y_k with y_0 = 1 (Hoffman, quasi-shuffle
-    products).  As in shuffle_coproduct, only pairs with
-    deg u <= deg v and nonzero values are kept.
-    """
-    return _entries(stuffle_buckets(series))
-
-
 def coproduct_sweep(
     buckets, num: dict[int, int], den: int, n: int, y_ending: bool = False
 ) -> dict:
@@ -344,25 +320,6 @@ def stuffle_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return out
 
 
-def stuffle_failures(f: Poly) -> list[tuple[int, int, Coeff]]:
-    """Constraint pairs with nonzero residual, as (u_code, v_code, residual).
-
-    The pairs run in stuffle_pairs order.  The pairing runs on the
-    integer numerators of f; a residual is a Fraction when a Fraction
-    coefficient of f enters it, else an int.
-    """
-    num, den = numerators(f)
-    failures = []
-    for a, b in stuffle_pairs(f.degree()):
-        st = _st(a, b)
-        res = sum(c * num.get(w, 0) for w, c in st.items())
-        if res:
-            u, v = word_of_composition(a), word_of_composition(b)
-            fraction = any(isinstance(f.terms.get(w), Fraction) for w in st)
-            failures.append((u, v, Fraction(res, den) if fraction else res // den))
-    return failures
-
-
 def starred_part(f: Poly) -> Poly:
     """The y-projection with its power-of-y correction term.
 
@@ -388,7 +345,7 @@ def is_ds(f: Poly, strict: bool = False) -> bool:
     its (y^a, y^b) entries.  With strict=True the verdict is recomputed
     from the corrected series starred_part(f) against all stuffle pairs
     (powers of y included), and CrossCheckError is raised if the two
-    disagree.  stuffle_failures(f) lists the witnesses of a failure.
+    disagree.
     """
     n = f.degree()
     if n is None or not f.is_homogeneous():
@@ -458,18 +415,16 @@ class BasisResult:
     """Exact basis of the weight-n part of ds, with audit data.
 
     ds_basis caches one result per weight and hands it to every caller,
-    so its attributes cannot be reassigned, the basis and coordinate
-    vectors are tuples, and constraint_stats and certificates are
-    read-only mappings.
+    so its attributes cannot be reassigned, the basis is a tuple, and
+    constraint_stats and certificates are read-only mappings.
     """
 
-    __slots__ = ("weight", "dimension", "basis", "coords", "constraint_stats", "certificates")
+    __slots__ = ("weight", "dimension", "basis", "constraint_stats", "certificates")
 
-    def __init__(self, weight, dimension, basis, coords, constraint_stats, certificates):
+    def __init__(self, weight, dimension, basis, constraint_stats, certificates):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "coords", tuple(map(tuple, coords)))
         object.__setattr__(self, "constraint_stats", MappingProxyType(dict(constraint_stats)))
         object.__setattr__(self, "certificates", MappingProxyType(dict(certificates)))
 
@@ -481,14 +436,11 @@ class BasisResult:
             self.weight,
             self.dimension,
             self.basis,
-            self.coords,
             dict(self.constraint_stats),
             dict(self.certificates),
         )
 
     def to_json(self) -> dict:
-        from .poly import poly_to_json
-
         return {
             "weight": self.weight,
             "dimension": self.dimension,
@@ -520,16 +472,12 @@ def ds_basis(n: int) -> BasisResult:
     null = linalg.nullspace(rows, d)
     lead_word = (1 << n) | 1  # x^(n-1) y
     basis = []
-    coords = []
     for vec in null:
         f = from_coords(vec, n)
         a = f.coeff(lead_word)
         if n % 2 == 1 and a:
-            inv = Fraction(1, 1) / a
-            f = f.scale(inv)
-            vec = [v * inv for v in vec]
+            f = f.scale(Fraction(1, 1) / a)
         basis.append(f)
-        coords.append(vec)
 
     certificates = {
         "elements_pass_is_ds": all(is_ds(f, strict=True) for f in basis),
@@ -544,7 +492,7 @@ def ds_basis(n: int) -> BasisResult:
         "cols": d,
         "rank": d - len(null),
     }
-    result = BasisResult(n, len(null), basis, coords, stats, certificates)
+    result = BasisResult(n, len(null), basis, stats, certificates)
     _basis_cache[n] = result
     return result
 
@@ -559,8 +507,7 @@ def antipal_sum_check(f: Poly) -> dict:
     the direct predicate together with the per-depth divided-difference
     certificate of the commutative-variable translation.
     """
-    from .moulds import antipal_bridge_check
-    from .poly import decompose_right, is_antipalindromic
+    from .moulds import antipal_bridge_check  # local: moulds imports dshuffle
 
     fx, fy = decompose_right(f)
     h = fx + fy
@@ -587,8 +534,6 @@ def signed_push_sums_check(f: Poly) -> dict:
     contributes r+1 terms).  Returns the verdict and a witness word on
     failure.
     """
-    from .poly import decompose_right
-
     n = f.degree()
     if n is None or not f.is_homogeneous() or n < 2:
         raise ValueError("signed_push_sums_check requires homogeneous degree >= 2")

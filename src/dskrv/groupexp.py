@@ -157,12 +157,6 @@ class TruncSeries:
     def to_json(self) -> dict:
         return {"trunc": self.trunc, "series": poly_to_json(self.poly)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "TruncSeries":
-        from .poly import poly_from_json
-
-        return cls(poly_from_json(obj["series"]), obj["trunc"])
-
 
 # -- the circled product and its exponential -----------------------------------
 

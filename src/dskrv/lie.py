@@ -21,7 +21,6 @@ from math import lcm
 
 from . import CrossCheckError, words
 from .poly import Coeff, Poly, accumulate, numerators
-from .words import Word
 
 
 class NotLieError(ValueError):
@@ -163,9 +162,6 @@ class LyndonBasis:
     @property
     def dimension(self) -> int:
         return len(self.word_codes)
-
-    def words(self) -> list[Word]:
-        return [Word(c) for c in self.word_codes]
 
 
 @lru_cache(maxsize=None)

@@ -302,21 +302,6 @@ class Mould:
             },
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Mould":
-        kind = obj.get("kind", "u")
-        comps = {}
-        for key, terms in obj["components"].items():
-            r = int(key)
-            arity = r if kind == "u" else r + 1
-            acc: dict[tuple[int, ...], Coeff] = {}
-            for t in terms:
-                e = tuple(t["exps"])
-                c = Fraction(t["coeff"])
-                acc[e] = acc.get(e, 0) + (int(c) if c.denominator == 1 else c)
-            comps[r] = CPoly(arity, acc)
-        return cls(kind, comps, obj.get("degree"))
-
 
 # -- construction from x,y-polynomials ----------------------------------------
 

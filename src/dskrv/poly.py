@@ -553,19 +553,5 @@ def poly_to_json(f: Poly) -> dict:
     }
 
 
-def poly_from_json(obj: dict) -> Poly:
-    terms: dict[int, Coeff] = {}
-    for t in obj["terms"]:
-        c = Fraction(t["coeff"])
-        coeff: Coeff = int(c) if c.denominator == 1 else c
-        code = words.code_from_str(t["word"])
-        terms[code] = terms.get(code, 0) + coeff
-    f = Poly(terms)
-    deg = obj.get("degree")
-    if deg is not None and f and (not f.is_homogeneous() or f.degree() != deg):
-        raise ValueError("declared degree does not match terms")
-    return f
-
-
 X = Poly.word("x")
 Y = Poly.word("y")

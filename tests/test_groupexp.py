@@ -438,6 +438,25 @@ def _oracle_pairing_table(kind: str, trunc: int) -> dict[tuple[int, int], dict[i
     return table
 
 
+def _entries(buckets) -> dict[tuple[int, int], object]:
+    """The nonzero entries of dense coproduct buckets as {(u, v): value}:
+    bucket (a, b) is indexed by the a bits of u above the b bits of v."""
+    out = {}
+    for (a, b), values in buckets.items():
+        for i, c in enumerate(values):
+            if c:
+                out[(1 << a) | (i >> b), (1 << b) | (i & ((1 << b) - 1))] = c
+    return out
+
+
+def shuffle_coproduct(series: dict[int, object]) -> dict[tuple[int, int], object]:
+    return _entries(dshuffle.shuffle_buckets(series))
+
+
+def stuffle_coproduct(series: dict[int, object]) -> dict[tuple[int, int], object]:
+    return _entries(dshuffle.stuffle_buckets(series))
+
+
 def _coproduct_series(name: str, trunc: int, f3, f5=None) -> Poly:
     if name == "f3":
         return groupexp.exp_circle(f3, trunc).poly
@@ -456,10 +475,10 @@ def _coproduct_series(name: str, trunc: int, f3, f5=None) -> Poly:
 def test_coproduct_entries_are_the_oracle_pairings(f3, name, trunc, kind):
     series = _coproduct_series(name, trunc, f3)
     if kind == "shuffle":
-        coproduct = dshuffle.shuffle_coproduct(series.terms)
+        coproduct = shuffle_coproduct(series.terms)
     else:
         series = groupexp.star_series(TruncSeries(series, trunc)).poly
-        coproduct = dshuffle.stuffle_coproduct(series.terms)
+        coproduct = stuffle_coproduct(series.terms)
     expected = {
         pair: sum(series.terms.get(w, 0) * m for w, m in product.items())
         for pair, product in _oracle_pairing_table(kind, trunc).items()
@@ -476,10 +495,10 @@ def test_dense_coproducts_match_the_sparse_recursion(f3, f5, name, trunc, kind):
     # coefficients themselves are covered up to order 8 above
     series = _coproduct_series(name, trunc, f3, f5)
     if kind == "shuffle":
-        dense, sparse = dshuffle.shuffle_coproduct, oracles.shuffle_coproduct
+        dense, sparse = shuffle_coproduct, oracles.shuffle_coproduct
     else:
         series = groupexp.star_series(TruncSeries(series, trunc)).poly
-        dense, sparse = dshuffle.stuffle_coproduct, oracles.stuffle_coproduct
+        dense, sparse = stuffle_coproduct, oracles.stuffle_coproduct
     num, _ = numerators(series)
     coproduct = dense(num)
     assert coproduct == sparse(num)
@@ -498,10 +517,10 @@ def test_single_word_coproducts_match_their_definitions():
                     v = "".join(w[i] for i in range(n) if i not in left)
                     key = (words.code_from_str(u), words.code_from_str(v))
                     expected[key] = expected.get(key, 0) + 1
-            assert dshuffle.shuffle_coproduct({words.code_from_str(w): 1}) == expected
+            assert shuffle_coproduct({words.code_from_str(w): 1}) == expected
             if w.endswith("y"):
                 blocks = oracles.block_coproduct_of_word(w)
-                assert dshuffle.stuffle_coproduct({words.code_from_str(w): 1}) == {
+                assert stuffle_coproduct({words.code_from_str(w): 1}) == {
                     (words.code_from_str(u), words.code_from_str(v)): c
                     for (u, v), c in blocks.items()
                     if len(u) <= len(v)
@@ -510,7 +529,7 @@ def test_single_word_coproducts_match_their_definitions():
 
 def test_stuffle_coproduct_rejects_words_ending_in_x():
     with pytest.raises(ValueError):
-        dshuffle.stuffle_coproduct({words.code_from_str("yx"): 1})
+        dshuffle.stuffle_buckets({words.code_from_str("yx"): 1})
 
 
 def test_grouplike_checks_build_no_products(f3):

@@ -196,13 +196,6 @@ def test_family_of_generator_depths(f3):
     assert z.component(1).terms == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
 
 
-def test_mould_json_roundtrip(f3):
-    for m in (moulds.u_family(f3), moulds.z_family(f3)):
-        obj = m.to_json()
-        back = Mould.from_json(obj)
-        assert back == m and back.kind == m.kind and back.degree == m.degree
-
-
 # -- operators -------------------------------------------------------------------
 
 

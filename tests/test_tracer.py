@@ -35,6 +35,23 @@ def test_every_tracer_target_resolves():
     assert missing == []
 
 
+def test_every_name_the_benchmark_reads_resolves():
+    # beyond the tracer targets, child.py reads the caches and linalg.KERNEL,
+    # and elim.py rebuilds the constraint rows and eliminates them with the pure kernel
+    from dskrv import dshuffle, linalg
+    from dskrv._kernels import pure
+
+    child, elim = _load("child"), _load("elim")
+    sizes = child.cache_sizes()
+    assert sizes and all(type(v) is int for v in sizes.values())
+    assert isinstance(linalg.KERNEL, str)
+    for n in range(3, 8):
+        rows = elim.constraint_matrix(n)
+        assert rows == dshuffle.constraint_rows(n)
+        _, pivots = pure.row_echelon(rows, len(rows[0]))
+        assert list(pivots) == elim.pivots_mod_p(rows, len(rows[0]))
+
+
 def test_every_reference_digest_is_reproduced():
     # the benchmark fails an operation whose report digest leaves reference.json
     workloads, child = _load("workloads"), _load("child")
