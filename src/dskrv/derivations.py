@@ -24,6 +24,8 @@ from .poly import (
     Coeff,
     Poly,
     Terms,
+    X,
+    Y,
     _map_words,
     _reject_empty,
     accumulate,
@@ -44,8 +46,6 @@ from .poly import (
     swap_xy,
 )
 
-X = Poly.word("x")
-Y = Poly.word("y")
 _UNSET = object()  # a cached value not computed yet
 
 
@@ -273,14 +273,10 @@ def factor_out_x(f: Poly) -> Poly:
     for w in f.terms:
         if words.starts_with_y(w) and words.ends_in_y(w):
             raise ValueError("a word of f starts and ends in y")
-    _, fy = decompose_right(f)
-    p_terms: dict[int, Coeff] = {}
-    for w, c in fy.terms.items():
-        if words.starts_with_y(w):
-            raise ValueError("the right y-factor is not divisible by x on the left")
-        m = words.degree(w)
-        p_terms[(1 << (m - 1)) | (w & ((1 << (m - 1)) - 1))] = c
-    h = s_map(Poly(p_terms))
+    p, rest = decompose_left(decompose_right(f)[1])
+    if rest:
+        raise ValueError("the right y-factor is not divisible by x on the left")
+    h = s_map(p)
     if not is_lie(h):
         raise NotLieError("reconstructed factor is not Lie", h)
     if bracket(X, h) != f:

@@ -29,7 +29,7 @@ from operator import add
 from types import MappingProxyType
 
 from . import CrossCheckError, linalg, words
-from .lie import from_coords, is_lie, lyndon_basis
+from .lie import bracket, from_coords, is_lie, lyndon_basis
 from .poly import (
     Coeff,
     Poly,
@@ -377,7 +377,7 @@ def d_f(f: Poly, g: Poly, trunc: int | None = None) -> Poly:
 
     With trunc given, terms of degree > trunc are never built.
     """
-    return derive(g, Poly.zero(), Y * f - f * Y, trunc)
+    return derive(g, Poly.zero(), bracket(Y, f), trunc)
 
 
 def poisson(f: Poly, g: Poly) -> Poly:

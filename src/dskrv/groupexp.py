@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from . import words
-from .poly import Coeff, Poly, accumulate, numerators, poly_to_json, truncated_mul
+from .poly import Coeff, Poly, X, Y, accumulate, numerators, poly_to_json, truncated_mul
 from .lie import NotLieError, bracket, is_lie
 from .dshuffle import coproduct_sweep, d_f, shuffle_buckets, stuffle_buckets
 from .derivations import TangentialDerivation, ds_to_krv
@@ -260,45 +260,26 @@ def grouplike_shuffle_check(phi: TruncSeries) -> dict:
 def star_series(phi: TruncSeries) -> TruncSeries:
     """Phi_* = exp(sum ((-1)^(n-1)/n)(Phi|x^(n-1)y) y^n) pi_y(Phi).
 
-    The correction is a series in y alone, so its exponential is a
-    scalar series sum e_k y^k.  With Phi = P/D and c_d = P(x^(d-1)y),
-    E_k = k! D^k e_k is an integer: E_0 = 1 and, from k e_k =
-    sum_d d a_d e_(k-d) (the derivative of e = exp(a)),
-    E_k = sum_{d=1..k} (-1)^(d-1) c_d D^(d-1) (k-1)!/(k-d)! E_(k-d).
-    Over the one denominator n! D^n, the word y^k w of the product then
-    takes E_k (n!/k!) D^(n-k) P(w) for every w of pi_y(Phi).
+    With Phi = P/D and L = lcm(1..trunc), the correction is the integer
+    series sum (-1)^(n-1) (L/n) P(x^(n-1)y) y^n over L D, so the driver
+    of exp_circle sums its exponential on integer numerators.  The
+    projection onto words ending in y keeps the constant term of a
+    series (unlike the polynomial operator pi_y, which has no use for
+    empty words): it is the odd codes of P, over D.
     """
-    n, den = phi.trunc, phi.den
-    c = [0] + [phi.num.get((1 << d) | 1, 0) for d in range(1, n + 1)]  # c[d] = P(x^(d-1) y)
-    big = [1]  # E_k
-    for k in range(1, n + 1):
-        total = 0
-        ratio = 1  # (k-1)!/(k-d)!
-        power = 1  # D^(d-1)
-        for d in range(1, k + 1):
-            if c[d]:
-                total += (c[d] if d & 1 else -c[d]) * power * ratio * big[k - d]
-            ratio *= k - d
-            power *= den
-        big.append(total)
-    scalars = [0] * (n + 1)  # e_k over the common denominator n! D^n
-    weight = 1  # (n!/k!) D^(n-k)
-    for k in range(n, -1, -1):
-        scalars[k] = big[k] * weight
-        weight *= k * den
-    common = factorial(n) * den**n
-    g = gcd(common, *scalars)
-    # the projection onto words ending in y keeps the constant term of
-    # a series (unlike the polynomial operator pi_y, which has no use
-    # for empty words): the odd codes
-    proj = [(w, words.degree(w), p) for w, p in phi.num.items() if w & 1]
-    out: dict[int, int] = {}
-    for k, e in enumerate(scalars):
-        if e:
-            head = words.y_power(k)
-            pairs = ((head << m | (w ^ (1 << m)), p) for w, m, p in proj if m <= n - k)
-            accumulate(out, pairs, e // g)
-    return TruncSeries._of(out, common // g * den, n)
+    trunc, den = phi.trunc, phi.den
+    lcm_t = lcm(*range(1, trunc + 1))
+    corr = Poly._of({
+        words.y_power(n): (c if n & 1 else -c) * (lcm_t // n)
+        for n in range(1, trunc + 1)
+        if (c := phi.num.get((1 << n) | 1, 0))  # c = P(x^(n-1) y)
+    })
+    rise = min(map(words.degree, corr.terms), default=trunc + 1)
+    correction = _exp(
+        lambda g: truncated_mul(corr, g, trunc), Poly.one(), rise, lcm_t * den, 1, trunc
+    )
+    proj = TruncSeries._of({w: p for w, p in phi.num.items() if w & 1}, den, trunc)
+    return correction * proj
 
 
 def grouplike_stuffle_check(phi: TruncSeries) -> dict:
@@ -345,11 +326,10 @@ def automorphism_check(d: TangentialDerivation, trunc: int = DEFAULT_TRUNCATION)
     A([x, y]) = [A(x), A(y)] up to the truncation order.  Both sides are
     compared as truncated series, on integer numerators.
     """
-    x, y = Poly.word("x"), Poly.word("y")
-    ax, ay, lhs = (exp_derivation(d, h, trunc) for h in (x, y, bracket(x, y)))
+    ax, ay, lhs = (exp_derivation(d, h, trunc) for h in (X, Y, bracket(X, Y)))
     return {
         "special": d.is_special(),
-        "fixes_x_plus_y": ax + ay == TruncSeries(x + y, trunc),
+        "fixes_x_plus_y": ax + ay == TruncSeries(X + Y, trunc),
         "bracket_sample": lhs == ax * ay - ay * ax,
         "trunc": trunc,
     }

@@ -8,14 +8,13 @@ against the prefix's kernel, eliminating only the rows that fail; the
 later primes eliminate only the rows that raised its rank.  The kernel
 bases are combined by the Chinese remainder theorem and rationally
 reconstructed, and a candidate is returned only after it annihilates
-every input row exactly.  `solve` and `row_echelon` run fraction-free
-Bareiss elimination over the integers (`dskrv._kernels.pure`) with
-rational back-substitution here.  No library code calls them: the
-special partner of `derivations` is found by back-substitution, and
-only `perfbench/elim.py` (which times `row_echelon`) and the reference
-partner solver of `tests/oracles.py` use them.  Rows may be given with
-int or Fraction entries; each row is scaled to integers first, which
-changes neither rank, nullspace nor solvability.
+every input row exactly.  `solve` reads one solution off the nullspace
+of the augmented rows.  `row_echelon` is fraction-free Bareiss
+elimination over the integers (`dskrv._kernels.pure`); no library code
+calls it, only `perfbench/elim.py`, the benchmark's tracer and the
+reference nullspace and solve of `tests/oracles.py`.  Rows may be given
+with int or Fraction entries; each row is scaled to integers first,
+which changes neither rank, nullspace nor solvability.
 """
 
 from __future__ import annotations
@@ -53,17 +52,6 @@ def integerize_row(row: list) -> list[int]:
 
 def row_echelon(rows: list[list], ncols: int) -> tuple[list[list[int]], list[int]]:
     return pure.row_echelon([integerize_row(r) for r in rows], ncols)
-
-
-def _back_substitute(
-    ech: list[list[int]], pivots: list[int], v: list[Fraction], ncols: int
-) -> None:
-    """Fill pivot coordinates of v so every echelon row pairs to zero."""
-    for i in reversed(range(len(pivots))):
-        c = pivots[i]
-        row = ech[i]
-        s = sum(row[j] * v[j] for j in range(c + 1, ncols) if v[j])
-        v[c] = Fraction(-s, row[c])
 
 
 # -- certified multi-modular nullspace -----------------------------------------
@@ -313,15 +301,17 @@ def nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
 
 
 def solve(rows: list[list], rhs: list, ncols: int) -> list[Fraction] | None:
-    """One exact solution of rows * v = rhs (free coordinates 0), or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ech, pivots = row_echelon(aug, ncols + 1)
-    if pivots and pivots[-1] == ncols:
+    """One exact solution of rows * v = rhs (free coordinates 0), or None.
+
+    The kernel of [-b | A reversed] has a vector with entry 1 on column 0
+    exactly when the system is solvable.  The first row of its reduced
+    echelon form is then that vector, and it is 0 on every other pivot
+    column: those are the free columns of A, reversed.
+    """
+    kernel = nullspace([[-b, *row[::-1]] for row, b in zip(rows, rhs)], ncols + 1)
+    if not kernel or not kernel[0][0]:
         return None
-    v = [Fraction(0)] * (ncols + 1)
-    v[ncols] = Fraction(-1)
-    _back_substitute(ech, pivots, v, ncols + 1)
-    return v[:ncols]
+    return kernel[0][:0:-1]
 
 
 def rref(rows: list[list], ncols: int) -> list[list[Fraction]]:

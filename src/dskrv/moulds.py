@@ -30,11 +30,13 @@ from math import comb
 from operator import add, mul
 
 from . import words
-from .lie import NotLieError, is_lie
+from .lie import NotLieError, bracket, is_lie
 from .poly import (
     Coeff,
     Poly,
     Terms,
+    X,
+    Y,
     accumulate,
     coeff_to_str,
     decompose_right,
@@ -415,12 +417,7 @@ _ad_cache: dict[int, Poly] = {}
 def ad_power(c: int) -> Poly:
     """ad(x)^c(y) as a polynomial."""
     if c not in _ad_cache:
-        if c == 0:
-            _ad_cache[c] = Poly.word("y")
-        else:
-            prev = ad_power(c - 1)
-            x = Poly.word("x")
-            _ad_cache[c] = x * prev - prev * x
+        _ad_cache[c] = bracket(X, ad_power(c - 1)) if c else Y
     return _ad_cache[c]
 
 
@@ -437,13 +434,28 @@ def _sum_of_products(pairs) -> Poly:
     return Poly._of(terms)
 
 
-def _ad_expansion(f: Poly) -> dict[tuple[int, ...], tuple[Coeff, Poly]]:
-    """{c: (b_c, product c)} for the expansion of ad_basis_coefficients,
-    each product built once."""
+def ad_expansion(f: Poly) -> dict[tuple[int, ...], tuple[Coeff, Poly]]:
+    """Expand f in products ad(x)^(c_1)(y) ... ad(x)^(c_r)(y): {c: (b_c, product)}.
+
+    Works depth by depth; the coefficient of the composition c is found
+    by peeling words x^(c_1) y ... x^(c_r) y in decreasing
+    lexicographic order of c (prefix-sum dominance makes the system
+    unitriangular).  Raises when f is not in the span, which for Lie
+    input never happens.
+
+    The z-family of a single product factorizes, because concatenating
+    blocks only merges exponents at the junction variable:
+
+        z-family of ad(x)^(c_1)(y)...ad(x)^(c_r)(y)
+            = (z_0-z_1)^(c_1) (z_1-z_2)^(c_2) ... (z_(r-1)-z_r)^(c_r),
+
+    so after the prefix-sum substitution each factor becomes (-u_k)^(c_k)
+    and the u-family of f is sum_c (-1)^(c_1+...+c_r) b_c u^c.
+    """
     if not f:
         return {}
     if not f.is_homogeneous():
-        raise ValueError("ad_basis_coefficients requires homogeneous input")
+        raise ValueError("ad_expansion requires homogeneous input")
     # every c with x^(c_1) y ... x^(c_r) y of degree n, in decreasing
     # lexicographic order: the compositions of n, each part minus 1
     desc = [tuple(p - 1 for p in c) for c in reversed(compositions(f.degree()))]
@@ -469,27 +481,6 @@ def _ad_expansion(f: Poly) -> dict[tuple[int, ...], tuple[Coeff, Poly]]:
     return out
 
 
-def ad_basis_coefficients(f: Poly) -> dict[tuple[int, ...], Coeff]:
-    """Expand f in products ad(x)^(c_1)(y) ... ad(x)^(c_r)(y).
-
-    Works depth by depth; the coefficient of the composition c is found
-    by peeling words x^(c_1) y ... x^(c_r) y in decreasing
-    lexicographic order of c (prefix-sum dominance makes the system
-    unitriangular).  Raises when f is not in the span, which for Lie
-    input never happens.
-
-    The z-family of a single product factorizes, because concatenating
-    blocks only merges exponents at the junction variable:
-
-        z-family of ad(x)^(c_1)(y)...ad(x)^(c_r)(y)
-            = (z_0-z_1)^(c_1) (z_1-z_2)^(c_2) ... (z_(r-1)-z_r)^(c_r),
-
-    so after the prefix-sum substitution each factor becomes (-u_k)^(c_k)
-    and the u-family of f is sum_c (-1)^(c_1+...+c_r) b_c u^c.
-    """
-    return {c: b for c, (b, _) in _ad_expansion(f).items()}
-
-
 # -- identity checks ------------------------------------------------------------
 
 
@@ -499,7 +490,7 @@ def mantar_fixed_check(f: Poly) -> dict:
     if not is_lie(f):
         raise NotLieError("mantar_fixed_check requires a Lie element", f)
     m = u_family(f)
-    expansion = _ad_expansion(f)
+    expansion = ad_expansion(f)
     coeffs = {c: b for c, (b, _) in expansion.items()}
     rebuilt = Mould(
         "u",

@@ -24,7 +24,7 @@ from numbers import Rational
 from typing import Iterable, Iterator, Union
 
 from . import words
-from .words import EMPTY, Word, WordLike, as_code
+from .words import EMPTY, WordLike, as_code
 
 Coeff = Union[int, Fraction]
 

@@ -566,13 +566,28 @@ def bareiss_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
             continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for i in reversed(range(len(pivots))):
-            c = pivots[i]
-            row = ech[i]
-            s = sum(row[j] * v[j] for j in range(c + 1, ncols) if v[j])
-            v[c] = Fraction(-s, row[c])
+        _back_substitute(ech, pivots, v)
         basis.append(v)
     return linalg.rref(basis, ncols)
+
+
+def bareiss_solve(rows: list[list], rhs: list, ncols: int) -> list[Fraction] | None:
+    """One solution of rows * v = rhs, or None, by fraction-free elimination of
+    the augmented rows: the free coordinates are 0, the pivot ones filled by
+    exact back-substitution."""
+    ech, pivots = linalg.row_echelon([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    v = [Fraction(0)] * ncols + [Fraction(-1)]
+    _back_substitute(ech, pivots, v)
+    return v[:ncols]
+
+
+def _back_substitute(ech: list[list[int]], pivots: list[int], v: list[Fraction]) -> None:
+    """Fill the pivot coordinates of v so that every echelon row pairs to zero."""
+    for c, row in reversed(list(zip(pivots, ech))):
+        s = sum(row[j] * v[j] for j in range(c + 1, len(v)) if v[j])
+        v[c] = Fraction(-s, row[c])
 
 
 # -- the special partner and the section maps, on Fractions -------------------------
@@ -591,7 +606,7 @@ def partner_by_solve(F: Poly) -> Poly | None:
     word_set = sorted(set().union(*(set(c.terms) for c in cols), set(rhs_poly.terms)))
     rows = [[c.terms.get(w, 0) for c in cols] for w in word_set]
     rhs = [rhs_poly.terms.get(w, 0) for w in word_set]
-    sol = linalg.solve(rows, rhs, lb.dimension)
+    sol = bareiss_solve(rows, rhs, lb.dimension)
     if sol is None:
         return None
     return lie.from_coords(sol, n)

@@ -105,3 +105,28 @@ def test_library_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The top-level imported names that the module never reads, except its __all__."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_library_has_no_unused_imports():
+    files = sorted((Path(__file__).resolve().parents[1] / "src" / "dskrv").rglob("*.py"))
+    assert files
+    assert [hit for path in files for hit in _unused_imports(path)] == []

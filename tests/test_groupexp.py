@@ -381,11 +381,12 @@ def test_exp_derivation_matches_oracle(request, name, trunc):
 
 
 @pytest.mark.parametrize("trunc", [6, 9, 12])
-@pytest.mark.parametrize("name", ["f3", "f5", "random", "scaled"])
+@pytest.mark.parametrize("name", ["f3", "f5", "sum", "random", "scaled"])
 def test_star_series_matches_oracle(f3, f5, name, trunc):
     element = {
         "f3": f3,
         "f5": f5,
+        "sum": f3 + f5,
         "random": lie.random_lie(4, 3),
         "scaled": f3.scale(Fraction(2, 7)),
     }[name]

@@ -115,6 +115,48 @@ def test_solve_sets_free_coordinates_to_zero(rows, rhs, ncols, expected):
     assert linalg.solve(rows, rhs, ncols) == expected
 
 
+def random_system(rng):
+    """A random system with int or Fraction entries, solvable or not, with some
+    empty matrices, zero-width rows and zero rows."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+    rows = low_rank_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), bound=5)
+    for r in rows:
+        if rng.random() < 0.15:
+            r[:] = [0] * ncols
+    if rng.random() < 0.5:
+        rows = [[Fraction(v, rng.randint(1, 6)) for v in r] for r in rows]
+    if rng.random() < 0.5:
+        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+        rhs = [sum(map(mul, r, x)) for r in rows]
+    else:
+        rhs = [rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)]) for _ in rows]
+    return rows, rhs, ncols
+
+
+def test_solve_matches_the_bareiss_solve_on_random_systems():
+    rng = random.Random(2101)
+    solvable = 0
+    for _ in range(400):
+        rows, rhs, ncols = random_system(rng)
+        got = linalg.solve(rows, rhs, ncols)
+        expected = oracles.bareiss_solve(rows, rhs, ncols)
+        assert got == expected
+        if expected is not None:
+            solvable += 1
+            assert [type(v) for v in got] == [type(v) for v in expected]
+    assert 100 < solvable < 300
+
+
+def test_solve_runs_without_the_bareiss_kernel(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("Bareiss elimination called")
+
+    monkeypatch.setattr(linalg, "row_echelon", refuse)
+    monkeypatch.setattr(pure, "row_echelon", refuse)
+    assert linalg.solve([[0, 2, 4], [0, 0, 3]], [2, 3], 3) == [0, -1, 1]
+    assert linalg.solve([[1, 1], [2, 2]], [1, 3], 2) is None
+
+
 def test_rref_canonical_form():
     rows = [[2, 4, 6], [1, 2, 4]]
     red = linalg.rref(rows, 3)
