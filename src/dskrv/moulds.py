@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from . import words
 from .lie import NotLieError, bracket, is_lie
@@ -135,19 +135,28 @@ class CPoly(Terms):
         Each output coefficient is P_k / D: P_k itself when D = 1, an int
         when the form coefficients are ints, and Fraction(P_k, D) when D > 1.
         Fraction form coefficients are carried through, so values are exact.
+
+        The rename path: when every form is {} or one entry with
+        coefficient 1 on a new variable that no earlier form has taken,
+        the kept exponent tuples map injectively to the new ones.  If
+        every coefficient of self is an int, too, each term then carries
+        over as it is, in one pass over self.terms with no numerators and
+        no accumulation.  Every other input takes the passes above.
         """
         if len(images) != self.arity:
             raise ValueError(f"expected {self.arity} linear forms, got {len(images)}")
-        for form in images:
-            if any(not 0 <= j < new_arity for j in form):
-                raise ValueError(f"linear form {form} leaves the {new_arity} new variables")
         # pick[j]: the old variable whose exponent key slot j takes, or the
         # arity, which indexes the 0 padded onto every exponent tuple
         pad = self.arity
         pick = [pad] * new_arity
         dropped, powered, expanded = [], [], []
         for i, form in enumerate(images):
-            entries = [(j, a) for j, a in form.items() if a]
+            entries = []
+            for j, a in form.items():
+                if not 0 <= j < new_arity:
+                    raise ValueError(f"linear form {form} leaves the {new_arity} new variables")
+                if a:
+                    entries.append((j, a))
             if not entries:
                 dropped.append(i)
             elif len(entries) == 1 and pick[entries[0][0]] == pad:
@@ -157,6 +166,22 @@ class CPoly(Terms):
                     powered.append((i, a))
             else:
                 expanded.append((i, entries))
+        if not (powered or expanded):
+            # the rename path; itemgetter returns a tuple from two slots up
+            key_of = (
+                itemgetter(*pick) if new_arity > 1 else lambda e: tuple(map(e.__getitem__, pick))
+            )
+            terms = {}
+            for exps, c in self.terms.items():
+                if type(c) is not int:
+                    break
+                for i in dropped:
+                    if exps[i]:
+                        break
+                else:
+                    terms[key_of((*exps, 0))] = c
+            else:
+                return CPoly._of(terms, new_arity)
         # the slots past the new variables hold the exponents that wait for
         # an expansion pass, the first such variable's last, since each pass
         # expands the last slot; in order, the short forms of the prefix sums
@@ -315,11 +340,10 @@ def z_family(f: Poly) -> Mould:
     for w, c in f.terms.items():
         if w == words.EMPTY:
             raise ValueError("the empty word has no mould translation")
+        # exponents_of is injective and c is nonzero: each key comes once
         e = words.exponents_of(w)
-        r = len(e) - 1
-        comps.setdefault(r, {})
-        comps[r][e] = comps[r].get(e, 0) + c
-    return Mould("z", {r: CPoly(r + 1, t) for r, t in comps.items()}, deg)
+        comps.setdefault(len(e) - 1, {})[e] = c
+    return Mould("z", {r: CPoly._of(t, r + 1) for r, t in comps.items()}, deg)
 
 
 def u_family(f: Poly) -> Mould:

@@ -10,10 +10,17 @@ package.
 The empty word (code 1) is allowed only as the multiplicative unit of
 truncated series; the structural operations below (reversal, push,
 exponent decomposition, ...) reject it.
+
+The per-code maps exponents_of, anti_code and push_code are pure
+functions of the code and are memoized.  Each cache holds fewer than
+2^(d+1) entries when no word it sees is longer than d: 2^11 at
+MAX_WEIGHT = 10 and 2^17 at groupexp.MAX_TRUNCATION = 16.  Errors are
+not cached, so the empty word raises on every call.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator, Union
 
 from . import CrossCheckError
@@ -116,6 +123,7 @@ def _require_nonempty(code: int) -> int:
     return code
 
 
+@cache
 def exponents_of(code: int) -> tuple[int, ...]:
     """Exponent tuple (a_0, ..., a_r) of w = x^a0 y x^a1 y ... y x^ar.
 
@@ -145,6 +153,7 @@ def code_from_exponents(exps: Iterable[int]) -> int:
     return code
 
 
+@cache
 def anti_code(code: int) -> int:
     """Code of the reversed word."""
     _require_nonempty(code)
@@ -155,6 +164,7 @@ def anti_code(code: int) -> int:
     return out
 
 
+@cache
 def push_code(code: int) -> int:
     """Cyclic rotation on exponent tuples: (a_0,...,a_r) -> (a_r,a_0,...,a_{r-1}).
 

@@ -46,6 +46,22 @@ def interleave_shuffle(u: str, v: str) -> dict[str, int]:
     return out
 
 
+def exponents_by_str(code: int) -> tuple[int, ...]:
+    """(a_0, ..., a_r) of x^a0 y ... y x^ar: the lengths of the x-runs between the y's."""
+    return tuple(len(run) for run in words.str_from_code(code).split("y"))
+
+
+def anti_by_str(code: int) -> int:
+    """The reversed word, reversed as a string."""
+    return words.code_from_str(words.str_from_code(code)[::-1])
+
+
+def push_by_str(code: int) -> int:
+    """The push: the last x-run moves to the front, the y's stay between runs."""
+    runs = words.str_from_code(code).split("y")
+    return words.code_from_str("y".join(runs[-1:] + runs[:-1]))
+
+
 def _degrees_up_to(n: int):
     """(a, b) with 1 <= a <= b and a + b <= n, by a, then b."""
     return ((a, b) for a in range(1, n // 2 + 1) for b in range(a, n - a + 1))
@@ -442,6 +458,17 @@ def expand_cpoly_subst(p: CPoly, images: list[dict[int, object]], new_arity: int
                 )
         accumulate(out, acc.items())
     return CPoly(new_arity, out)
+
+
+def z_family_by_copy(f: Poly) -> dict[int, CPoly]:
+    """The z-family components of f, added up key by key and copied
+    through the validating CPoly constructor."""
+    comps: dict[int, dict[tuple[int, ...], object]] = {}
+    for w, c in f.terms.items():
+        e = exponents_by_str(w)
+        t = comps.setdefault(len(e) - 1, {})
+        t[e] = t.get(e, 0) + c
+    return {r: CPoly(r + 1, t) for r, t in comps.items()}
 
 
 def d_f(f: Poly, g: Poly) -> Poly:

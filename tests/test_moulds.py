@@ -146,6 +146,68 @@ def test_cpoly_subst_returns_integral_coefficients_as_ints():
     assert {type(c) for c in q.terms.values()} == {int}
 
 
+def _count_numerators(mp: pytest.MonkeyPatch) -> list:
+    """Record each call subst makes to numerators, the entry of its general path."""
+    calls: list = []
+
+    def counted(f):
+        calls.append(f)
+        return poly.numerators(f)
+
+    mp.setattr(moulds, "numerators", counted)
+    return calls
+
+
+@st.composite
+def _rename_forms(draw, arity: int, new_arity: int) -> list[dict]:
+    """One form per old variable: {} or {j: 1} on a new variable j not yet taken."""
+    free = draw(st.permutations(range(new_arity)))
+    forms: list[dict] = []
+    for _ in range(arity):
+        renamed = free and draw(st.booleans())
+        forms.append({free.pop(): draw(st.sampled_from([1, Fraction(1)]))} if renamed else {})
+    return forms
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), arity=st.integers(0, 4), new_arity=st.integers(0, 4), ints=st.booleans())
+def test_cpoly_subst_rename_path_matches_the_expansion(data, arity, new_arity, ints):
+    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    # int, Fraction and integral Fraction coefficients; only all-int input takes the path
+    coeff = st.integers(-3, 3) if ints else st.one_of(_coeff, st.integers(-3, 3).map(Fraction))
+    p = CPoly(arity, data.draw(st.dictionaries(exps, coeff, max_size=6)))
+    forms = data.draw(_rename_forms(arity, new_arity))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_numerators(mp)
+        q = p.subst(forms, new_arity)
+    assert len(calls) == (not all(type(c) is int for c in p.terms.values()))
+    expected = oracles.expand_cpoly_subst(p, forms, new_arity)
+    assert q.arity == new_arity
+    assert list(q.terms.items()) == list(expected.terms.items())
+    kind = Fraction if poly.numerators(p)[1] > 1 else int
+    assert all(type(c) is kind for c in q.terms.values())
+
+
+@pytest.mark.parametrize(
+    "terms, forms, new_arity",
+    [
+        ({(1, 2): 3, (2, 0): -1}, [{0: 1}, {0: 1}], 1),
+        ({(1, 2): 3, (2, 0): -1}, [{0: -1}, {1: 1}], 2),
+        ({(1, 2): 3, (2, 0): -1}, [{1: 2}, {0: 1}], 2),
+        # D = 1: the integral Fraction(2) comes back as the int 2
+        ({(1, 0): Fraction(2), (0, 1): 1}, [{1: 1}, {0: 1}], 2),
+    ],
+    ids=["two-old-on-one-new", "coefficient-minus-one", "coefficient-two", "integral-fraction"],
+)
+def test_cpoly_subst_near_misses_take_the_general_path(monkeypatch, terms, forms, new_arity):
+    p = CPoly(2, terms)
+    calls = _count_numerators(monkeypatch)
+    q = p.subst(forms, new_arity)
+    assert len(calls) == 1
+    assert q.terms == oracles.expand_cpoly_subst(p, forms, new_arity).terms
+    assert {type(c) for c in q.terms.values()} == {int}
+
+
 def test_cpoly_exact_division_by_variable():
     p = CPoly(2, {(2, 1): 1, (1, 1): -2})
     q = p.div_var(0)
@@ -185,6 +247,20 @@ def test_z_family_depth0_and_degree():
     assert m.component(0).terms == {(3,): 1}
     assert m.component(1).terms == {(2, 0): 1}
     assert m.degree == 3
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_z_family_adopts_what_the_copying_build_makes(n, basis_cache):
+    # random Lie elements have int coefficients, basis elements Fractions
+    for f in [lie.random_lie(n, s) for s in range(3)] + list(basis_cache(n).basis):
+        got = moulds.z_family(f).components
+        expected = oracles.z_family_by_copy(f)
+        assert list(got) == list(expected)
+        for r, p in got.items():
+            assert p.arity == r + 1
+            assert [(e, type(c), c) for e, c in p.terms.items()] == [
+                (e, type(c), c) for e, c in expected[r].terms.items()
+            ]
 
 
 def test_family_of_generator_depths(f3):
@@ -397,6 +473,17 @@ def test_antipal_bridge_on_basis(n, basis_cache):
         assert rep["verdict"], rep
         assert rep["formula_matches_direct_family"]
         assert rep["agrees_with_direct_predicate"]
+
+
+def test_antipal_bridge_check_takes_only_the_rename_path(monkeypatch):
+    # every substitution of the bridge check renames or drops variables of
+    # an int polynomial; the prefix sums of u_family need the general path
+    f = lie.random_lie(6, 0)
+    calls = _count_numerators(monkeypatch)
+    moulds.antipal_bridge_check(f)
+    assert len(calls) == 0
+    moulds.u_family(f)
+    assert len(calls) > 0
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -6,6 +6,7 @@ import doctest
 
 import pytest
 
+import oracles
 from dskrv import words
 from dskrv.words import Word
 
@@ -13,6 +14,11 @@ from dskrv.words import Word
 def test_module_doctests():
     failures, _ = doctest.testmod(words)
     assert failures == 0
+
+
+def test_doctests_are_found_behind_the_cache_wrappers():
+    found = {t.name for t in doctest.DocTestFinder().find(words) if t.examples}
+    assert {"dskrv.words.exponents_of", "dskrv.words.push_code"} <= found
 
 
 def test_letter_constants():
@@ -118,6 +124,21 @@ def test_empty_word_is_rejected_by_structural_ops():
         words.push_code(words.EMPTY)
     with pytest.raises(ValueError):
         words.exponents_of(words.EMPTY)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_memoized_word_maps_match_the_string_references(n):
+    for code in words.all_words(n):
+        assert words.exponents_of(code) == oracles.exponents_by_str(code)
+        assert words.anti_code(code) == oracles.anti_by_str(code)
+        assert words.push_code(code) == oracles.push_by_str(code)
+
+
+@pytest.mark.parametrize("op", [words.exponents_of, words.anti_code, words.push_code])
+def test_memoized_word_maps_cache_no_error(op):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            op(words.EMPTY)
 
 
 def test_word_wrapper():
