@@ -6,11 +6,17 @@ not both powers of y, where st is the stuffle product on words built
 from the blocks y_i = x^(i-1) y.  Such words are encoded here as
 composition tuples (i_1, ..., i_k).
 
-ds_basis computes the degree-n part exactly: stuffle constraints are
-expressed on Lyndon coordinates of the free Lie algebra and the
-nullspace is the certified multi-modular one of linalg.nullspace
-(exact rationals, checked against every constraint row), normalized
-to reduced echelon form with a fixed scaling convention.
+ds_basis computes the degree-n part exactly.  Stuffle constraints are
+expressed on Lyndon coordinates of the free Lie algebra, and rows are
+built only for a seeded sample of the pairs.  The kernel of any subset
+of the rows contains ds_n, so the certified multi-modular nullspace of
+linalg.nullspace (exact rationals, checked against the rows it is
+given) bounds ds_n from above.  Each kernel basis vector is then swept
+against every defining relation, as in is_ds, and the witness pair of
+each one that fails is added as a row, until all of them pass; the
+kernel is then ds_n itself.  Its reduced echelon basis is unique, so
+it does not depend on the sample, and it is normalized with a fixed
+scaling convention.
 
 Every identity that pairs f with products, (f | st(u, v)) = 0 in
 is_ds, shuffle orthogonality in lie and group-likeness in groupexp, is
@@ -19,11 +25,12 @@ built.  The coproduct is dense, one homogeneous part of degree m at a
 time: lists of length 2^m indexed by word bits, where each step moves
 one letter of every word at once onto u or v by strided slicing
 (shuffle_buckets, stuffle_buckets).
-The cached stuffles _st build the constraint rows of ds_basis.
+The cached stuffles _st build the sampled constraint rows of ds_basis.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
@@ -337,6 +344,21 @@ def starred_part(f: Poly) -> Poly:
     return pi_y(f) + corr
 
 
+def _stuffle_sweep(f: Poly, n: int) -> dict:
+    """The defining stuffle relations of a degree-n f, swept as in coproduct_sweep.
+
+    The pairings (f | st(u, v)) are read off the stuffle coproduct of
+    pi_y(f) with its (y^a, y^b) entries zeroed, since those pairs are no
+    defining relation; the witness of a failure is a pair of
+    stuffle_pairs(n), as words.
+    """
+    num, den = numerators(pi_y(f))
+    buckets = stuffle_buckets(num)
+    for values in buckets.values():
+        values[-1] = 0  # the pair (y^a, y^b)
+    return coproduct_sweep(buckets, num, den, n, y_ending=True)
+
+
 def is_ds(f: Poly, strict: bool = False) -> bool:
     """Exact membership in the double shuffle Lie algebra.
 
@@ -354,11 +376,7 @@ def is_ds(f: Poly, strict: bool = False) -> bool:
         raise ValueError("double shuffle elements have degree >= 3")
     if not is_lie(f):
         return False
-    num, den = numerators(pi_y(f))
-    buckets = stuffle_buckets(num)
-    for values in buckets.values():
-        values[-1] = 0  # the pair (y^a, y^b), which is no defining relation
-    verdict = coproduct_sweep(buckets, num, den, n, y_ending=True)["verdict"]
+    verdict = _stuffle_sweep(f, n)["verdict"]
     if strict:
         num, den = numerators(starred_part(f))
         star = coproduct_sweep(stuffle_buckets(num), num, den, n, y_ending=True)
@@ -388,11 +406,12 @@ def poisson(f: Poly, g: Poly) -> Poly:
 # -- basis computation --------------------------------------------------------
 
 
-def constraint_rows(n: int) -> list[list[int]]:
+def constraint_rows(n: int, pairs: list | None = None) -> list[list[int]]:
     """The weight-n stuffle constraints on Lyndon coordinates.
 
-    One integer row per pair of stuffle_pairs(n): entry j is the pairing
-    of that stuffle with the j-th Lyndon basis expansion.
+    One integer row per composition pair, of stuffle_pairs(n) in order
+    unless pairs is given: entry j is the pairing of that stuffle with
+    the j-th Lyndon basis expansion.
     """
     lb = lyndon_basis(n)
     d = lb.dimension
@@ -402,13 +421,50 @@ def constraint_rows(n: int) -> list[list[int]]:
             if words.ends_in_y(w):
                 index.setdefault(w, []).append((j, c))
     rows = []
-    for a, b in stuffle_pairs(n):
+    for a, b in stuffle_pairs(n) if pairs is None else pairs:
         row = [0] * d
         for w, c in _st(a, b).items():
             for j, ec in index.get(w, ()):
                 row[j] += c * ec
         rows.append(row)
     return rows
+
+
+def _witness_pair(witness: tuple[str, str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The composition pair of a sweep witness (u, v), ordered as in stuffle_pairs."""
+    a, b = (composition_of(words.code_from_str(w)) for w in witness)
+    return (b, a) if sum(a) == sum(b) and a > b else (a, b)
+
+
+def _refine(n: int, pairs: list) -> tuple[list[Poly], list]:
+    """The kernel of the stuffle rows of pairs, cut down to ds_n by the sweep.
+
+    Each round takes the certified nullspace of the rows so far and runs
+    the defining stuffle sweep on every kernel basis vector; the witness
+    pair of each vector that fails becomes a new row, which that vector
+    does not annihilate, so the kernel shrinks.  The kernel of any set of
+    stuffle rows contains ds_n, so once every basis vector passes the
+    sweep the kernel is ds_n.  Returns its reduced echelon basis, as Lie
+    elements, and the pairs whose rows were built: pairs, then the
+    witnesses in the order they were added.  Only the new rows are built
+    in each round.
+    """
+    d = lyndon_basis(n).dimension
+    pairs = list(pairs)
+    rows = constraint_rows(n, pairs)
+    while True:
+        kernel = [from_coords(vec, n) for vec in linalg.nullspace(rows, d)]
+        new = []
+        for f in kernel:
+            sweep = _stuffle_sweep(f, n)
+            if not sweep["verdict"]:
+                pair = _witness_pair(sweep["witness"])
+                if pair not in new:
+                    new.append(pair)
+        if not new:
+            return kernel, pairs
+        pairs += new
+        rows += constraint_rows(n, new)
 
 
 class BasisResult:
@@ -454,13 +510,27 @@ _basis_cache: dict[int, BasisResult] = {}
 
 MAX_WEIGHT = 10
 
+# ds_basis starts from the rows of d + _SAMPLE_EXTRA stuffle pairs, drawn
+# with random.Random(_SAMPLE_SEED); they affect only the speed.
+_SAMPLE_EXTRA = 64
+_SAMPLE_SEED = 1
+
 
 def ds_basis(n: int) -> BasisResult:
-    """Basis of ds at weight n by exact nullspace of the stuffle constraints.
+    """Basis of ds at weight n by exact nullspace of sampled stuffle constraints.
 
+    The rows of a seeded sample of d + _SAMPLE_EXTRA pairs of
+    stuffle_pairs(n), d = dim Lie_n, are refined by _refine: their
+    kernel is an upper bound for ds_n, and the witnesses of the stuffle
+    sweep are added as rows until every kernel basis vector passes it.
+    Every defining relation is thus checked on the result, which is ds_n
+    itself.  The sample holds every pair of two depth-one words, and it
+    is all of stuffle_pairs(n), in order, when there are no more pairs
+    than its size.
     Basis vectors are in reduced echelon form over Lyndon coordinates
-    (first nonzero coordinate 1); for odd n a vector with nonzero
-    coefficient on x^(n-1)y is rescaled so that coefficient is 1.
+    (first nonzero coordinate 1), unique for the space; for odd n a
+    vector with nonzero coefficient on x^(n-1)y is rescaled so that
+    coefficient is 1.
     """
     if not 3 <= n <= MAX_WEIGHT:
         raise ValueError(f"weight must be between 3 and {MAX_WEIGHT}, got {n}")
@@ -468,12 +538,20 @@ def ds_basis(n: int) -> BasisResult:
         return _basis_cache[n]
 
     d = lyndon_basis(n).dimension
-    rows = constraint_rows(n)
-    null = linalg.nullspace(rows, d)
+    pairs = stuffle_pairs(n)
+    sample = pairs
+    if len(pairs) > d + _SAMPLE_EXTRA:
+        # The pairs of two depth-one words are the only relations that see
+        # the coefficient of x^(n-1) y; a sample without them often needs a
+        # second round for it.
+        lead = [i for i, (a, b) in enumerate(pairs) if len(a) == len(b) == 1]
+        rest = [i for i, (a, b) in enumerate(pairs) if len(a) + len(b) > 2]
+        drawn = random.Random(_SAMPLE_SEED).sample(rest, d + _SAMPLE_EXTRA - len(lead))
+        sample = [pairs[i] for i in sorted(lead + drawn)]
+    kernel, _ = _refine(n, sample)
     lead_word = (1 << n) | 1  # x^(n-1) y
     basis = []
-    for vec in null:
-        f = from_coords(vec, n)
+    for f in kernel:
         a = f.coeff(lead_word)
         if n % 2 == 1 and a:
             f = f.scale(Fraction(1, 1) / a)
@@ -488,11 +566,11 @@ def ds_basis(n: int) -> BasisResult:
         ),
     }
     stats = {
-        "rows": len(rows),
+        "rows": len(pairs),
         "cols": d,
-        "rank": d - len(null),
+        "rank": d - len(basis),
     }
-    result = BasisResult(n, len(null), basis, stats, certificates)
+    result = BasisResult(n, len(basis), basis, stats, certificates)
     _basis_cache[n] = result
     return result
 

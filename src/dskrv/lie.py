@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import CrossCheckError, words
-from .poly import Coeff, Poly, accumulate, numerators
+from .poly import Coeff, Poly, accumulate, concat_pairs, numerators
 
 
 class NotLieError(ValueError):
@@ -32,8 +32,17 @@ class NotLieError(ValueError):
 
 
 def bracket(f: Poly, g: Poly) -> Poly:
-    """Commutator fg - gf."""
-    return f * g - g * f
+    """Commutator fg - gf.
+
+    When f or g is homogeneous, every word of gf has one factorization,
+    so the products of gf are subtracted one at a time in the pass that
+    built fg: the values, types and dict order of f * g - g * f, with no
+    intermediate polynomial.
+    """
+    if not (f.is_homogeneous() or g.is_homogeneous()):
+        return f * g - g * f
+    terms = accumulate({}, concat_pairs(f, g))
+    return Poly._of(accumulate(terms, concat_pairs(g, f), -1))
 
 
 _phi_cache: dict[int, Poly] = {}

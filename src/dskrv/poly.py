@@ -158,20 +158,24 @@ class Poly(Terms):
         for w in sorted(self.terms):
             yield w, self.terms[w]
 
+    # A longer word has a larger code (see words.py), so the degrees of a
+    # polynomial are read off its smallest and largest codes.
+
     def degree(self) -> int | None:
         """Maximal word length, or None for the zero polynomial."""
         if not self.terms:
             return None
-        return max(words.degree(w) for w in self.terms)
+        return max(self.terms).bit_length() - 1
 
     def is_homogeneous(self) -> bool:
-        return len({words.degree(w) for w in self.terms}) <= 1
+        return not self.terms or min(self.terms).bit_length() == max(self.terms).bit_length()
 
     def homogeneous_part(self, n: int) -> "Poly":
-        return Poly._of({w: c for w, c in self.terms.items() if words.degree(w) == n})
+        lo, hi = (1 << n, 2 << n) if n >= 0 else (0, 0)  # the codes of degree n
+        return Poly._of({w: c for w, c in self.terms.items() if lo <= w < hi})
 
     def degrees(self) -> list[int]:
-        return sorted({words.degree(w) for w in self.terms})
+        return [b - 1 for b in sorted(set(map(int.bit_length, self.terms)))]
 
     def depth_part(self, r: int) -> "Poly":
         return Poly._of({w: c for w, c in self.terms.items() if words.depth(w) == r})
@@ -187,12 +191,7 @@ class Poly(Terms):
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        pairs = (
-            (words.concat_codes(a, b), ca * cb)
-            for a, ca in self.terms.items()
-            for b, cb in other.terms.items()
-        )
-        return Poly._of(accumulate({}, pairs))
+        return Poly._of(accumulate({}, concat_pairs(self, other)))
 
     def __rmul__(self, other) -> "Poly":
         if isinstance(other, Rational):
@@ -221,6 +220,19 @@ class Poly(Terms):
 
     def __repr__(self) -> str:
         return f"<Poly {self}>"
+
+
+def concat_pairs(f: Poly, g: Poly) -> Iterator[tuple[int, Coeff]]:
+    """(code of ab, (f|a)(g|b)) for each term a of f and, within it, each term b of g.
+
+    The length and the letter bits of each b are computed once, not once
+    per term of f.
+    """
+    blocks = []
+    for b, cb in g.terms.items():
+        nb = b.bit_length() - 1
+        blocks.append((nb, b ^ (1 << nb), cb))
+    return (((a << nb) | bits, ca * cb) for a, ca in f.terms.items() for nb, bits, cb in blocks)
 
 
 def _map_words(f: Poly, word_map) -> Poly:

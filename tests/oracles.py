@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from dskrv import derivations, lie, linalg, words
+from dskrv import derivations, dshuffle, lie, linalg, words
 from dskrv.moulds import CPoly
 from dskrv.poly import Poly, accumulate, partial_x
 
@@ -389,6 +389,38 @@ def certified_dimension(n: int, candidates: list[dict[str, Fraction]]) -> dict:
     }
 
 
+# -- the double shuffle basis from every constraint row ------------------------------
+
+
+def full_row_ds_basis(n: int) -> dict:
+    """ds_basis(n) from the certified nullspace of all its constraint rows.
+
+    The kernel of every row of dshuffle.constraint_rows(n), in reduced
+    echelon form over Lyndon coordinates, with the rescaling, the
+    constraint statistics and the certificates that ds_basis reports.
+    """
+    d = lie.lyndon_basis(n).dimension
+    rows = dshuffle.constraint_rows(n)
+    lead_word = (1 << n) | 1  # x^(n-1) y
+    basis = []
+    for vec in linalg.nullspace(rows, d):
+        f = lie.from_coords(vec, n)
+        a = f.coeff(lead_word)
+        if n % 2 == 1 and a:
+            f = f.scale(Fraction(1, 1) / a)
+        basis.append(f)
+    certificates = {
+        "elements_pass_is_ds": all(dshuffle.is_ds(f, strict=True) for f in basis),
+        "elements_are_lie": all(lie.is_lie(f) for f in basis),
+        "lead_coefficient": tuple(str(f.coeff(lead_word)) for f in basis),
+        "even_weight_lead_vanishes": (
+            all(f.coeff(lead_word) == 0 for f in basis) if n % 2 == 0 else None
+        ),
+    }
+    stats = {"rows": len(rows), "cols": d, "rank": d - len(basis)}
+    return {"basis": basis, "constraint_stats": stats, "certificates": certificates}
+
+
 # -- the group layer from its formulas ---------------------------------------------
 
 X = Poly.word("x")
@@ -674,6 +706,21 @@ def fold_sum(start: dict, steps: list[tuple[dict, object]]) -> Poly:
         scaled = Poly(src).scale(c).terms
         out = Poly({**out.terms, **{k: out.terms.get(k, 0) + v for k, v in scaled.items()}})
     return out
+
+
+def concat_fold(f: Poly, g: Poly) -> dict:
+    """The terms of fg, accumulated word pair by word pair with words.concat_codes."""
+    pairs = (
+        (words.concat_codes(a, b), ca * cb)
+        for a, ca in f.terms.items()
+        for b, cb in g.terms.items()
+    )
+    return accumulate({}, pairs)
+
+
+def bracket_fold(f: Poly, g: Poly) -> dict:
+    """The terms of fg - gf: both products in full, then their difference."""
+    return accumulate(concat_fold(f, g), concat_fold(g, f).items(), -1)
 
 
 # -- the ad(x)-product expansion -------------------------------------------------------

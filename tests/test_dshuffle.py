@@ -16,7 +16,7 @@ from functools import lru_cache
 import pytest
 
 import oracles
-from dskrv import cli, dshuffle, lie, poly, words
+from dskrv import cli, dshuffle, lie, linalg, poly, words
 from dskrv.poly import Poly, numerators
 
 
@@ -254,6 +254,102 @@ def test_weight_bound_is_enforced():
         dshuffle.ds_basis(dshuffle.MAX_WEIGHT + 1)
     with pytest.raises(ValueError):
         dshuffle.ds_basis(2)
+
+
+# -- the sampled basis against every constraint row ----------------------------
+
+
+def _typed_basis(basis) -> list:
+    return [[(w, type(c), c) for w, c in f.terms.items()] for f in basis]
+
+
+def _assert_matches_full_rows(res, n):
+    ref = oracles.full_row_ds_basis(n)
+    assert _typed_basis(res.basis) == _typed_basis(ref["basis"])
+    assert res.dimension == len(ref["basis"])
+    assert dict(res.constraint_stats) == ref["constraint_stats"]
+    assert dict(res.certificates) == ref["certificates"]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_sampled_basis_matches_the_full_row_reference(basis_cache, n):
+    _assert_matches_full_rows(basis_cache(n), n)
+
+
+def test_sampled_basis_matches_the_full_row_reference_past_the_cap(monkeypatch):
+    monkeypatch.setattr(dshuffle, "MAX_WEIGHT", 11)
+    monkeypatch.setattr(dshuffle, "_basis_cache", {})
+    res = dshuffle.ds_basis(11)
+    assert res.dimension == 2
+    _assert_matches_full_rows(res, 11)
+
+
+def _record_witnesses(monkeypatch) -> list:
+    """Patch the stuffle sweep to record the witness of every failure."""
+    witnesses = []
+    sweep = dshuffle._stuffle_sweep
+
+    def recording(f, n):
+        result = sweep(f, n)
+        if not result["verdict"]:
+            witnesses.append(result["witness"])
+        return result
+
+    monkeypatch.setattr(dshuffle, "_stuffle_sweep", recording)
+    return witnesses
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_witness_pairs_come_back_as_stuffle_pairs(n):
+    # the sweep names (u, v) with deg u <= deg v, and u <= v as codes when
+    # the degrees agree, which is the reverse of the composition order
+    for a, b in dshuffle.stuffle_pairs(n):
+        u, v = sorted(
+            (dshuffle.word_of_composition(a), dshuffle.word_of_composition(b)),
+            key=lambda w: (words.degree(w), w),
+        )
+        witness = (words.str_from_code(u), words.str_from_code(v))
+        assert dshuffle._witness_pair(witness) == (a, b)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_refinement_from_three_pairs_reaches_ds(monkeypatch, n):
+    witnesses = _record_witnesses(monkeypatch)
+    pairs = dshuffle.stuffle_pairs(n)
+    kernel, used = dshuffle._refine(n, pairs[:3])
+    d = lie.lyndon_basis(n).dimension
+    want = [lie.from_coords(v, n) for v in linalg.nullspace(dshuffle.constraint_rows(n), d)]
+    assert _typed_basis(kernel) == _typed_basis(want)
+    assert used[:3] == pairs[:3]
+    added = used[3:]
+    assert added and len(set(added)) == len(added)
+    # every added row is the witness of a failed sweep, as a pair of stuffle_pairs(n)
+    assert set(added) <= set(pairs)
+    witness_sets = {
+        frozenset(oracles.composition_of_word(w) for w in witness) for witness in witnesses
+    }
+    assert {frozenset(pair) for pair in added} == witness_sets
+
+
+def test_cold_basis_builds_only_the_sampled_and_witness_rows(monkeypatch):
+    witnesses = _record_witnesses(monkeypatch)
+    built = []
+    rows_of = dshuffle.constraint_rows
+
+    def counting(n, pairs=None):
+        built.append(None if pairs is None else len(pairs))
+        return rows_of(n, pairs)
+
+    monkeypatch.setattr(dshuffle, "constraint_rows", counting)
+    monkeypatch.setattr(dshuffle, "_basis_cache", {})
+    res = dshuffle.ds_basis(10)
+    d = lie.lyndon_basis(10).dimension
+    assert None not in built  # no call builds every row
+    assert built[0] == d + dshuffle._SAMPLE_EXTRA
+    assert sum(built) <= d + dshuffle._SAMPLE_EXTRA + len(witnesses)
+    assert sum(built) < len(dshuffle.stuffle_pairs(10)) // 4
+    assert res.constraint_stats["rows"] == len(dshuffle.stuffle_pairs(10)) == 1155
+    assert res.certificates["elements_pass_is_ds"] is True
 
 
 # -- derivation d_f and the Poisson bracket -----------------------------------

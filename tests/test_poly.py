@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from dskrv import poly, words
+from dskrv import lie, poly, words
 from dskrv.poly import Poly
 
 
@@ -297,3 +297,44 @@ def test_section_maps_match_the_fraction_fold_on_edge_cases(f3):
     ]
     for f in cases:
         _assert_section_maps_match_the_fold(f)
+
+
+def _small_poly(data, label):
+    """A Poly on a few short words: homogeneous or not, int, Fraction or mixed."""
+    kind = data.draw(st.sampled_from(sorted(_KIND_COEFFS)), label=f"{label} kind")
+    if data.draw(st.booleans(), label=f"{label} homogeneous"):
+        n = data.draw(st.integers(0, 3), label=f"{label} degree")
+        codes = _codes(n, n)
+    else:
+        codes = _codes(0, 3)
+    return Poly(data.draw(st.dictionaries(codes, _KIND_COEFFS[kind], max_size=6), label=label))
+
+
+@given(st.data())
+def test_degree_queries_read_the_code_order(data):
+    f = _small_poly(data, "f") + _small_poly(data, "g")
+    degrees = sorted({words.degree(w) for w in f.terms})
+    assert f.degree() == (degrees[-1] if degrees else None)
+    assert f.is_homogeneous() is (len(degrees) <= 1)
+    assert f.degrees() == degrees
+    for n in range(-2, 6):
+        part = f.homogeneous_part(n)
+        assert typed(part.terms) == typed({w: c for w, c in f.terms.items() if words.degree(w) == n})
+
+
+@given(st.data())
+def test_product_and_bracket_keep_values_types_and_order(data):
+    f, g = _small_poly(data, "f"), _small_poly(data, "g")
+    assert typed((f * g).terms) == typed(oracles.concat_fold(f, g))
+    assert typed(lie.bracket(f, g).terms) == typed(oracles.bracket_fold(f, g))
+
+
+def test_bracket_of_two_inhomogeneous_polynomials_keeps_the_difference_order():
+    # xy of gf has two factorizations, x.y and xy.1; subtracting them one
+    # at a time from fg would cancel it on the way, move it last and make
+    # it an int
+    f = P(("xx", -1), ("y", -1), ("xy", Fraction(1, 2)))
+    g = P(("y", -1), ("", 2), ("x", 2))
+    want = oracles.bracket_fold(f, g)
+    assert typed(lie.bracket(f, g).terms) == typed(want)
+    assert typed(want)[2] == (words.code_from_str("xy"), Fraction, 2)
