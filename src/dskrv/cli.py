@@ -112,11 +112,12 @@ def _render_text(report: dict, lines: list[str]) -> str:
     return "\n".join(head + lines + tail) + "\n"
 
 
-def _emit(report: dict, args, text_lines: list[str]) -> None:
+def _emit(report: dict, args, text_lines) -> None:
+    """Write the report; text_lines() builds the text body, for --format text only."""
     if args.format == "json":
         out = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
     else:
-        out = _render_text(report, text_lines)
+        out = _render_text(report, text_lines())
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -196,13 +197,14 @@ def _on_basis(n: int, check):
     return res, [entry for entry, _ in results], all(good for _, good in results)
 
 
-def _element_lists(ws: list[int], check, line) -> tuple[dict, bool, list[str]]:
+def _element_lists(ws: list[int], check, line):
     """Payload, verdict and text lines of a command that runs
     check(f, n) -> (entry, good) on every basis element: the entry list of
     each weight, and one line "weight n: line(entry)" per element."""
     ok, payload = _per_weight(ws, lambda n: _on_basis(n, lambda f: check(f, n))[1:])
-    lines = [f"weight {n}: {line(e)}" for n, entries in payload.items() for e in entries]
-    return payload, ok, lines
+    return payload, ok, lambda: [
+        f"weight {n}: {line(e)}" for n, entries in payload.items() for e in entries
+    ]
 
 
 def _sample(args, n: int, run, passes) -> tuple[list, dict | None]:
@@ -242,18 +244,24 @@ def _injection(f: Poly, n: int):
 
 
 # -- subcommands -----------------------------------------------------------------
-# Each returns (parameters, payload, ok, text lines); main() writes the report.
+# Each returns (parameters, payload, ok, text lines), the last a function that
+# builds the lines of a text report; main() writes the report.
 
 
 def cmd_basis(args):
     ws = _parse_weights(args, 3, 3)
-    lines = []
 
     def record(n):
         res = ds_basis(n)
-        lines.append(f"weight {n}: dimension {res.dimension}")
-        lines.extend(f"  {poly_text(f)}" for f in res.basis)
         return res.to_json(), all(v for v in res.certificates.values() if isinstance(v, bool))
+
+    def lines():  # ds_basis(n) is memoized, so this builds nothing again
+        out = []
+        for n in ws:
+            res = ds_basis(n)
+            out.append(f"weight {n}: dimension {res.dimension}")
+            out.extend(f"  {poly_text(f)}" for f in res.basis)
+        return out
 
     ok, payload = _per_weight(ws, record)
     return {"weights": ws}, payload, ok, lines
@@ -305,10 +313,13 @@ def cmd_bracket(args):
         "is_member": member,
         "commutator_compatible": compatible,
     }
-    lines = [
-        f"bracket weight {na + nb}: member={member} compatible={compatible}",
-        f"  {poly_text(br)}",
-    ]
+
+    def lines():
+        return [
+            f"bracket weight {na + nb}: member={member} compatible={compatible}",
+            f"  {poly_text(br)}",
+        ]
+
     parameters = {"w1": na, "w2": nb, "index1": args.index1, "index2": args.index2}
     if args.strict:  # absent by default, so default reports keep their bytes
         parameters["strict"] = True
@@ -533,10 +544,13 @@ def cmd_verify(args):
         "truncate": args.truncate,
         "strict": args.strict,
     }
-    lines = [f"suite {args.suite}: weights {ws}"] + [
-        f"  weight {n}: {json.dumps(_jsonable(payload[str(n)]), sort_keys=True)[:200]}"
-        for n in sorted(ws)
-    ]
+
+    def lines():
+        return [f"suite {args.suite}: weights {ws}"] + [
+            f"  weight {n}: {json.dumps(_jsonable(payload[str(n)]), sort_keys=True)[:200]}"
+            for n in sorted(ws)
+        ]
+
     return parameters, payload, ok, lines
 
 

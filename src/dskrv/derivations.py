@@ -228,11 +228,11 @@ def special_equivalences(f: Poly) -> dict:
     g_solved = partner_by_elimination(big_f)
     existence = g_solved is not None
 
+    # G = P/D solves [x, G] = [F, y] when [x, P] = D [F, y]; only then is
+    # G peeled in the Lyndon basis
     g_formula = solve_partner(big_f)
     num, den = numerators(g_formula)
-    formula = is_lie(g_formula) and not (
-        bracket(X, Poly._of(num)) + bracket(Y, big_f).scale(den)
-    )
+    formula = bracket(X, Poly._of(num)) == bracket(big_f, Y).scale(den) and is_lie(g_formula)
 
     report = {
         "existence": existence,

@@ -19,7 +19,9 @@ push/teru identity, and the bridge expressing antipalindromy of
 f_x + f_y through divided differences of the z-family.
 
 Every change of variables here is one CPoly.subst, given one sparse
-linear form {new variable: coefficient} per old variable.
+linear form {new variable: coefficient} per old variable, except in
+antipal_bridge_check, whose renames and drops of variables are read
+straight off the exponent tuples.
 """
 
 from __future__ import annotations
@@ -648,13 +650,19 @@ def antipal_bridge_check(f: Poly) -> dict:
     are compared; lhs is verified against the actual z-family of
     f_x + f_y, and the conjunction over all depths is verified to agree
     with the direct antipalindromy predicate.
+
+    Every substitution in the forms renames or drops variables, and each
+    division is exact by one variable, so both forms are built straight
+    from exponent tuples: the term of z^e in vimo_(f^(r+1)) survives
+    when e_(r+1) = 0, and the divided difference of vimo_(f^r) keeps the
+    terms with e_r > 0, one power of z_r lower.
     """
     n = f.degree()
     if n is None or not f.is_homogeneous() or n < 2:
         raise ValueError("antipal_bridge_check requires homogeneous input of degree >= 2")
     fx, fy = decompose_right(f)
     h = fx + fy
-    zf = z_family(f)
+    zf = {r: p.terms for r, p in z_family(f).components.items()}
     zh = z_family(h)
     sign = 1 if (n - 1) % 2 == 0 else -1
     per_depth = {}
@@ -665,20 +673,19 @@ def antipal_bridge_check(f: Poly) -> dict:
     formula_matches = True
 
     for r in range(1, n):
-        vnext = zf.component(r + 1)
-        vr = zf.component(r)
-
-        ident = [{k: 1} for k in range(r + 1)]  # z_0, ..., z_r
-        a = vnext.subst(ident + [{}], r + 1)
-        cut = vr.subst(ident[:r] + [{}], r + 1)
-        lhs = a + (vr - cut).div_var(r)
-
-        rev = ident[::-1]  # z_r, ..., z_0
-        arev = vnext.subst(rev + [{}], r + 1)
-        gcut = vr.subst(rev[:r] + [{}], r + 1)
-        rhs = (arev + (vr.subst(rev, r + 1) - gcut).div_var(0)).scale(sign)
-
-        if lhs != zh.component(r):
+        vnext = zf.get(r + 1, {}).items()
+        vr = zf.get(r, {}).items()
+        # (z_0, ..., z_r) -> keys e[:-1]; reversed, (z_r, ..., z_0) -> keys e[-2::-1]
+        lhs = accumulate(
+            {e[:-1]: c for e, c in vnext if not e[-1]},
+            ((e[:-1] + (e[-1] - 1,), c) for e, c in vr if e[-1]),
+        )
+        rhs = accumulate(
+            {e[-2::-1]: sign * c for e, c in vnext if not e[-1]},
+            (((e[-1] - 1,) + e[-2::-1], c) for e, c in vr if e[-1]),
+            sign,
+        )
+        if lhs != zh.component(r).terms:
             formula_matches = False
         per_depth[r] = lhs == rhs
 

@@ -307,8 +307,10 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
     numerators of f: one pass per letter position, in which a word with
     x there sends a*p to itself and b*p to the word with y there, a word
     with y sends c*p to the word with x there and d*p to itself, and
-    shorter words pass through.  Only words reachable from f are held,
-    and each output coefficient is divided out once, at the end.
+    shorter words pass through.  Only words reachable from f are held.
+    When no Fraction enters, the numerators are the int coefficients
+    themselves and the butterfly's output is the result; otherwise each
+    output coefficient is divided out once, at the end.
 
     Terms come in ascending code order.  An output coefficient is a
     Fraction when a Fraction, of f or of an image entry on its path,
@@ -320,22 +322,29 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
     if EMPTY in f.terms:
         raise ValueError("subst_linear is not defined on the empty word")
     entries = [g.terms.get(w, 0) for g in (x_image, y_image) for w in (words.X_CODE, words.Y_CODE)]
-    scale = lcm(1, *(v.denominator for v in entries))
-    a, b, c, d = (int(v * scale) for v in entries)
     ta, tb, tc, td = (isinstance(v, Fraction) for v in entries)
-    num, den = numerators(f)
-    # A key is code << 1 | t, where t = 1 marks the share of a coefficient
-    # that a Fraction has entered; it stays apart from the int share.
-    cur = {w << 1 | isinstance(f.terms[w], Fraction): p for w, p in num.items()}
+    # Keys are plain codes when no Fraction enters.  Otherwise a key is
+    # code << 1 | t, where t = 1 marks the share of a coefficient that a
+    # Fraction has entered; it stays apart from the int share.
+    tagged = ta or tb or tc or td or any(isinstance(v, Fraction) for v in f.terms.values())
+    shift = 1 if tagged else 0  # the width of the tag below each code
+    if tagged:
+        scale = lcm(1, *(v.denominator for v in entries))
+        a, b, c, d = (int(v * scale) for v in entries)
+        num, den = numerators(f)
+        cur = {w << 1 | isinstance(f.terms[w], Fraction): p for w, p in num.items()}
+    else:
+        a, b, c, d = entries
+        cur = f.terms
     done: dict[int, int] = {}
-    for i in range(max(map(words.degree, num), default=0)):
-        bit = 2 << i  # letter position i, in a key
+    for i in range(f.degree() or 0):
+        bit = 1 << (i + shift)  # letter position i, in a key
         nxt: dict[int, int] = {}
         get = nxt.get
         for key, p in cur.items():
             if not p:
                 continue
-            if key >> (i + 1) == 1:  # a word of degree i: every position is done
+            if key >> (i + shift) == 1:  # a word of degree i: every position is done
                 done[key] = p
             elif key & bit:  # y at position i
                 if c:
@@ -353,6 +362,8 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
                     nxt[k] = get(k, 0) + b * p
         cur = nxt
     done.update(cur)
+    if not tagged:
+        return Poly._of({w: p for w, p in sorted(done.items()) if p})
 
     def share(key: int, p: int) -> Coeff:
         q = den * scale ** (key.bit_length() - 2)

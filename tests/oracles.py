@@ -21,8 +21,17 @@ from fractions import Fraction
 from itertools import combinations
 
 from dskrv import derivations, dshuffle, lie, linalg, words
-from dskrv.moulds import CPoly
-from dskrv.poly import Poly, accumulate, partial_x
+from dskrv.moulds import CPoly, z_family
+from dskrv.poly import (
+    Poly,
+    accumulate,
+    decompose_right,
+    is_antipalindromic,
+    is_push_invariant,
+    numerators,
+    partial_x,
+    subst_linear,
+)
 
 MODULUS = 2_000_003  # prime; squares stay far below 2**63
 
@@ -753,3 +762,73 @@ def evaluate(terms: dict[tuple[int, ...], object], point: list) -> Fraction:
             value *= Fraction(x) ** e
         total += value
     return total
+
+
+def antipal_bridge_by_subst(f: Poly) -> dict:
+    """moulds.antipal_bridge_check built from CPoly.subst, div_var and ring arithmetic.
+
+    Each form is the change of variables written in its docstring: the
+    renames and drops of z_0..z_(r+1) are CPoly.subst calls, and the
+    divided differences are exact divisions by one variable.
+    """
+    n = f.degree()
+    if n is None or not f.is_homogeneous() or n < 2:
+        raise ValueError("antipal_bridge_check requires homogeneous input of degree >= 2")
+    fx, fy = decompose_right(f)
+    h = fx + fy
+    zf = z_family(f)
+    zh = z_family(h)
+    sign = 1 if (n - 1) % 2 == 0 else -1
+    per_depth = {}
+    c0 = h.terms.get(words.x_power(n - 1), 0)
+    per_depth[0] = c0 == sign * c0
+    formula_matches = True
+    for r in range(1, n):
+        vnext = zf.component(r + 1)
+        vr = zf.component(r)
+
+        ident = [{k: 1} for k in range(r + 1)]  # z_0, ..., z_r
+        a = vnext.subst(ident + [{}], r + 1)
+        cut = vr.subst(ident[:r] + [{}], r + 1)
+        lhs = a + (vr - cut).div_var(r)
+
+        rev = ident[::-1]  # z_r, ..., z_0
+        arev = vnext.subst(rev + [{}], r + 1)
+        gcut = vr.subst(rev[:r] + [{}], r + 1)
+        rhs = (arev + (vr.subst(rev, r + 1) - gcut).div_var(0)).scale(sign)
+
+        if lhs != zh.component(r):
+            formula_matches = False
+        per_depth[r] = lhs == rhs
+    verdict = all(per_depth.values())
+    direct = is_antipalindromic(h) if h else True
+    return {
+        "verdict": verdict,
+        "per_depth": per_depth,
+        "formula_matches_direct_family": formula_matches,
+        "agrees_with_direct_predicate": verdict == direct,
+    }
+
+
+def special_equivalences_peel_first(f: Poly) -> dict:
+    """derivations.special_equivalences with the formula condition read as
+    is_lie(G) and not ([x, P] + D [y, F]), G = P/D: G is peeled first."""
+    big_f = subst_linear(f, -X - Y, Y)
+    big_fx, big_fy = decompose_right(big_f)
+    fx, fy = decompose_right(f)
+    g_solved = derivations.partner_by_elimination(big_f)
+    g_formula = derivations.solve_partner(big_f)
+    num, den = numerators(g_formula)
+    formula = lie.is_lie(g_formula) and not (
+        lie.bracket(X, Poly._of(num)) + lie.bracket(Y, big_f).scale(den)
+    )
+    report = {
+        "existence": g_solved is not None,
+        "formula": formula,
+        "right_anti": is_antipalindromic(big_fy),
+        "push_inv": is_push_invariant(big_f),
+        "factor_anti": is_antipalindromic(fy - fx),
+    }
+    report["agree"] = len(set(report.values())) == 1
+    report["partner"] = g_solved
+    return report

@@ -175,6 +175,41 @@ def test_formula_rejects_a_partner_off_by_a_fraction(monkeypatch, f5):
     assert rep["existence"] and not rep["formula"] and not rep["agree"]
 
 
+def _count_is_lie(monkeypatch) -> list:
+    """Record each argument special_equivalences passes to is_lie."""
+    calls: list = []
+    is_lie = derivations.is_lie
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return is_lie(f, *args, **kwargs)
+
+    monkeypatch.setattr(derivations, "is_lie", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_formula_peels_no_partner_that_misses_the_equation(monkeypatch, seed):
+    f = lie.random_lie(6, seed)
+    expected = oracles.special_equivalences_peel_first(f)
+    calls = _count_is_lie(monkeypatch)
+    rep = derivations.special_equivalences(f)
+    assert not rep["existence"] and not rep["formula"]
+    assert calls == [f]  # the input only: G is not peeled
+    assert rep == expected
+
+
+def test_formula_peels_the_partner_that_solves_the_equation(monkeypatch, f5):
+    f = poly.negate_y(f5)
+    expected = oracles.special_equivalences_peel_first(f)
+    calls = _count_is_lie(monkeypatch)
+    rep = derivations.special_equivalences(f)
+    assert rep["existence"] and rep["formula"]
+    big_f = poly.subst_linear(f, -X - Y, Y)
+    assert calls == [f, derivations.solve_partner(big_f)]
+    assert rep == expected
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_five_conditions_agree_on_random_lie(n):
     for seed in range(25):

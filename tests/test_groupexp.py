@@ -97,6 +97,18 @@ def test_exp_log_on_inhomogeneous_lie():
     assert groupexp.log_circle(phi) == f
 
 
+def test_log_recomputes_the_exponential_past_its_first_increment(f3):
+    # The logarithm finds the increment f3 at degree 3 and then rebuilds
+    # exp_circle(f3, T) at full order.  That second exponential is its only
+    # look at Phi above degree 3: a Lie element L added at degree 8 keeps
+    # Phi' group-like, and only the rebuilt series shows it in the logarithm.
+    lyndon = lie.lyndon_basis(8).expansions[0]
+    phi = TruncSeries(groupexp.exp_circle(f3, 8).poly + lyndon, 8)
+    assert groupexp.grouplike_shuffle_check(phi)["verdict"]
+    assert groupexp.log_circle(phi) == f3 + lyndon
+    assert groupexp.group_certificate(f3, phi)["log_roundtrip"] is False
+
+
 def test_shuffle_grouplike_frozen_pair_count(f3):
     phi = groupexp.exp_circle(f3, 9)
     rep = groupexp.grouplike_shuffle_check(phi)

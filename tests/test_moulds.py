@@ -496,3 +496,35 @@ def test_antipal_bridge_formula_is_formal(seed):
     assert rep["agrees_with_direct_predicate"]
     fx, fy = poly.decompose_right(f)
     assert rep["verdict"] == poly.is_antipalindromic(fx + fy)
+
+
+def _assert_bridge_matches_the_subst_reference(f):
+    assert moulds.antipal_bridge_check(f) == oracles.antipal_bridge_by_subst(f)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_antipal_bridge_check_matches_the_subst_reference_on_random_lie(n):
+    # per_depth included; the Fraction multiples carry Fraction coefficients
+    for seed in range(6):
+        f = lie.random_lie(n, seed)
+        _assert_bridge_matches_the_subst_reference(f)
+        _assert_bridge_matches_the_subst_reference(f.scale(Fraction(-5, 3)))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_antipal_bridge_check_matches_the_subst_reference_on_ds_basis(n, basis_cache):
+    for f in basis_cache(n).basis:
+        _assert_bridge_matches_the_subst_reference(f)
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.dictionaries(st.integers(1 << n, (2 << n) - 1), _coeff)  # degree n codes
+    )
+)
+@settings(max_examples=150)
+def test_antipal_bridge_check_matches_the_subst_reference_off_lie(terms):
+    # homogeneous polynomials that need not be Lie: most verdicts are False
+    f = Poly(terms)
+    if f:
+        _assert_bridge_matches_the_subst_reference(f)

@@ -135,6 +135,25 @@ def test_subst_linear_holds_only_reachable_words():
     assert poly.subst_linear(xy39, -x - y, y) == -xy39 - y40
 
 
+def test_subst_linear_takes_the_untagged_branch_only_without_fractions(monkeypatch):
+    # int f and int images need no numerators and no tag; one Fraction
+    # coefficient, even an integral one, takes the tagged branch
+    calls = []
+    numerators = poly.numerators
+    monkeypatch.setattr(poly, "numerators", lambda f: calls.append(f) or numerators(f))
+    x, y = Poly.word("x"), Poly.word("y")
+    f = Poly({words.code_from_str("xy"): 2, words.code_from_str("yx"): -1})
+    got = poly.subst_linear(f, -x - y, y)
+    assert calls == []
+    assert typed(got.terms) == sorted(typed(oracles.expand_substitution(f, -x - y, y).terms))
+    assert list(got.terms) == sorted(got.terms)
+    g = f + Poly.word("yy", Fraction(2))
+    got = poly.subst_linear(g, -x - y, y)
+    assert calls == [g]
+    assert got == oracles.expand_substitution(g, -x - y, y)
+    assert type(got.terms[words.code_from_str("yy")]) is Fraction
+
+
 def test_right_and_left_decomposition():
     f = P(("xxy", 1), ("xyx", -2), ("yxx", 1))
     fx, fy = poly.decompose_right(f)

@@ -71,3 +71,21 @@ def test_every_reference_digest_is_reproduced():
         if code != 0 or child.digest(json.loads(out.getvalue())) != reference[label]:
             mismatches.append(label)
     assert mismatches == []
+
+
+def test_sampled_identity_suites_reproduce_their_digests():
+    # thm21, propA3 and thm33 with the arguments of the identity-suites
+    # workload: each report's digest is the one in reference.json
+    workloads, child = _load("workloads"), _load("child")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    ops = [
+        (label, argv)
+        for label, argv in workloads.identity_suites(0)
+        if argv[:2] in (["verify", "thm21"], ["verify", "propA3"], ["verify", "thm33"])
+    ]
+    assert len(ops) == 3
+    for label, argv in ops:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0, label
+        assert child.digest(json.loads(out.getvalue())) == reference[label], label
