@@ -2,7 +2,10 @@
 
 Entries stay integers throughout: every update is
 (pivot * a - lead * b) / previous_pivot with an exact division.  It
-backs `linalg.solve` and `linalg.row_echelon`.
+backs only `linalg.row_echelon`, which no library code calls: only the
+elimination benchmark (`perfbench/elim.py`), the benchmark tracer and
+the Bareiss references of the tests reach it.  `linalg.solve` runs on
+`linalg.nullspace`.
 """
 
 from __future__ import annotations

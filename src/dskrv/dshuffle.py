@@ -88,7 +88,12 @@ def _sh(u: int, v: int) -> dict[int, int]:
 
 
 def shuffle(u: WordLike, v: WordLike) -> Poly:
-    """Shuffle product of two words (empty words allowed)."""
+    """Shuffle product of two words (empty words allowed).
+
+    No library code calls it: the coproduct checks use shuffle_buckets.
+    It stays public because the benchmark reads it by name: its tracer
+    wraps dshuffle.shuffle, and its cache-size report reads _sh_cache.
+    """
     return Poly._of(dict(_sh(as_code(u), as_code(v))))
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from . import words
 from .lie import NotLieError, bracket, is_lie
@@ -137,13 +137,6 @@ class CPoly(Terms):
         Each output coefficient is P_k / D: P_k itself when D = 1, an int
         when the form coefficients are ints, and Fraction(P_k, D) when D > 1.
         Fraction form coefficients are carried through, so values are exact.
-
-        The rename path: when every form is {} or one entry with
-        coefficient 1 on a new variable that no earlier form has taken,
-        the kept exponent tuples map injectively to the new ones.  If
-        every coefficient of self is an int, too, each term then carries
-        over as it is, in one pass over self.terms with no numerators and
-        no accumulation.  Every other input takes the passes above.
         """
         if len(images) != self.arity:
             raise ValueError(f"expected {self.arity} linear forms, got {len(images)}")
@@ -168,22 +161,6 @@ class CPoly(Terms):
                     powered.append((i, a))
             else:
                 expanded.append((i, entries))
-        if not (powered or expanded):
-            # the rename path; itemgetter returns a tuple from two slots up
-            key_of = (
-                itemgetter(*pick) if new_arity > 1 else lambda e: tuple(map(e.__getitem__, pick))
-            )
-            terms = {}
-            for exps, c in self.terms.items():
-                if type(c) is not int:
-                    break
-                for i in dropped:
-                    if exps[i]:
-                        break
-                else:
-                    terms[key_of((*exps, 0))] = c
-            else:
-                return CPoly._of(terms, new_arity)
         # the slots past the new variables hold the exponents that wait for
         # an expansion pass, the first such variable's last, since each pass
         # expands the last slot; in order, the short forms of the prefix sums
