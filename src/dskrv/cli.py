@@ -35,7 +35,6 @@ from .poly import (
 from .lie import NotLieError, lyndon_basis, random_lie
 from .dshuffle import (
     MAX_WEIGHT,
-    antipal_sum_check,
     ds_basis,
     is_ds,
     poisson,
@@ -435,7 +434,7 @@ def _suite_thm21(args, n):
 
 def _check_thm33(args, f, n):
     """Antipalindromy of f_x + f_y."""
-    rep = antipal_sum_check(f)
+    rep = moulds.antipal_sum_check(f)
     return rep, rep["verdict"] and rep["consistent"]
 
 

@@ -19,12 +19,12 @@ it does not depend on the sample, and it is normalized with a fixed
 scaling convention.
 
 Every identity that pairs f with products, (f | st(u, v)) = 0 in
-is_ds, shuffle orthogonality in lie and group-likeness in groupexp, is
-read off the dual coproduct of f by coproduct_sweep; no product is
-built.  The coproduct is dense, one homogeneous part of degree m at a
-time: lists of length 2^m indexed by word bits, where each step moves
-one letter of every word at once onto u or v by strided slicing
-(shuffle_buckets, stuffle_buckets).
+is_ds and group-likeness in groupexp, is read off the dual coproduct
+of f by coproduct_sweep; no product is built.  The coproduct is dense,
+one homogeneous part of degree m at a time: lists of length 2^m
+indexed by word bits, where each step moves one letter of every word
+at once onto u or v by strided slicing (shuffle_buckets,
+stuffle_buckets).
 The cached stuffles _st build the sampled constraint rows of ds_basis.
 """
 
@@ -43,7 +43,6 @@ from .poly import (
     Y,
     decompose_right,
     derive,
-    is_antipalindromic,
     numerators,
     pi_y,
     poly_to_json,
@@ -581,27 +580,6 @@ def ds_basis(n: int) -> BasisResult:
 
 
 # -- combinatorial properties of double shuffle elements -----------------------
-
-
-def antipal_sum_check(f: Poly) -> dict:
-    """Check that f_x + f_y is antipalindromic (f = f_x x + f_y y).
-
-    Every double shuffle element has this property; the report carries
-    the direct predicate together with the per-depth divided-difference
-    certificate of the commutative-variable translation.
-    """
-    from .moulds import antipal_bridge_check  # local: moulds imports dshuffle
-
-    fx, fy = decompose_right(f)
-    h = fx + fy
-    direct = True if not h else is_antipalindromic(h)
-    bridge = antipal_bridge_check(f)
-    return {
-        "verdict": direct,
-        "bridge": bridge,
-        "consistent": bridge["verdict"] == direct
-        and bridge["agrees_with_direct_predicate"],
-    }
 
 
 def signed_push_sums_check(f: Poly) -> dict:

@@ -5,9 +5,9 @@ of commutators.  Coordinates are taken in the Lyndon basis (standard
 right-factorization bracketings, whose expansions are unitriangular
 against the Lyndon words), and membership is decided exactly by peeling
 those coordinates off each homogeneous part: a nonzero residual means
-the part is not Lie.  The Dynkin idempotent (phi(f) = n f on the
-degree-n part) and shuffle orthogonality, swept over the dense shuffle
-coproduct with no product built, remain as cross-checks.
+the part is not Lie.  The right-nested bracketing map dynkin_phi,
+with phi(f) = n f on a degree-n Lie element, is the Dynkin criterion
+that the tests compare this against.
 Seeded random Lie elements are drawn as small integer coordinate
 vectors.
 """
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from . import CrossCheckError, words
+from . import words
 from .poly import Coeff, Poly, accumulate, concat_pairs, numerators
 
 
@@ -74,48 +74,21 @@ def dynkin_phi(f: Poly) -> Poly:
     return Poly._of(terms)
 
 
-def is_lie(f: Poly, cross_check: bool = False) -> bool:
+def is_lie(f: Poly) -> bool:
     """Exact Lie membership by Lyndon peeling, per degree.
 
     Each homogeneous part, scaled to integer coefficients, must expand
     in the Lyndon basis (`to_coords`); a nonzero constant term is never
-    Lie.  With cross_check=True the verdict is recomputed with the
-    Dynkin criterion (phi(f) = n f) and from shuffle orthogonality
-    ((f|sh(u,v)) = 0 for all nonempty u, v, read off the dense shuffle
-    coproduct of each part by dshuffle.coproduct_sweep), and
-    CrossCheckError is raised unless all three agree.
+    Lie.
     """
-    verdict = True
     for n in f.degrees():
         if n == 0:
-            verdict = False
-            break
+            return False
         try:  # on integer numerators: scaling does not change membership
             to_coords(Poly._of(numerators(f.homogeneous_part(n))[0]), n)
         except NotLieError:
-            verdict = False
-            break
-    if cross_check:
-        from .dshuffle import coproduct_sweep, shuffle_buckets
-
-        dynkin_verdict = True
-        sh_verdict = True
-        for n in f.degrees():
-            if n == 0:
-                dynkin_verdict = sh_verdict = False
-                continue
-            part = f.homogeneous_part(n)
-            if dynkin_phi(part) != part.scale(n):
-                dynkin_verdict = False
-            num, den = numerators(part)
-            sweep = coproduct_sweep(shuffle_buckets(num), num, den, n)
-            sh_verdict = sh_verdict and sweep["verdict"]
-        if not verdict == dynkin_verdict == sh_verdict:
-            raise CrossCheckError(
-                f"Lie criteria disagree: Lyndon peeling {verdict}, "
-                f"Dynkin {dynkin_verdict}, shuffle orthogonality {sh_verdict}"
-            )
-    return verdict
+            return False
+    return True
 
 
 # -- Lyndon basis ------------------------------------------------------------

@@ -547,13 +547,14 @@ def translation_rule_check(f: Poly) -> bool:
     return True
 
 
-def ecalle_identity_check(f: Poly, require_ds: bool = True) -> dict:
+def ecalle_identity_check(f: Poly) -> dict:
     """The push/teru identity teru(ma) = push(mantar(teru(mantar(ma)))).
 
-    Holds for every double shuffle element in all depths 1..n; on other
-    input it generically fails at some depth, which the report records.
+    Holds for every double shuffle element in all depths 1..n, and f
+    must be one (ValueError otherwise); the report records the first
+    depth at which the identity fails, if any.
     """
-    if require_ds and not is_ds(f):
+    if not is_ds(f):
         raise ValueError("ecalle_identity_check requires a double shuffle element")
     m = u_family(f)
     lhs = teru(m)
@@ -673,4 +674,23 @@ def antipal_bridge_check(f: Poly) -> dict:
         "per_depth": per_depth,
         "formula_matches_direct_family": formula_matches,
         "agrees_with_direct_predicate": verdict == direct,
+    }
+
+
+def antipal_sum_check(f: Poly) -> dict:
+    """Check that f_x + f_y is antipalindromic (f = f_x x + f_y y).
+
+    Every double shuffle element has this property; the report carries
+    the direct predicate together with the per-depth divided-difference
+    certificate of the commutative-variable translation.
+    """
+    fx, fy = decompose_right(f)
+    h = fx + fy
+    direct = True if not h else is_antipalindromic(h)
+    bridge = antipal_bridge_check(f)
+    return {
+        "verdict": direct,
+        "bridge": bridge,
+        "consistent": bridge["verdict"] == direct
+        and bridge["agrees_with_direct_predicate"],
     }

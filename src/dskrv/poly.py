@@ -125,14 +125,6 @@ class Poly(Terms):
     def word(cls, w: WordLike, c: Coeff = 1) -> "Poly":
         return cls({as_code(w): c})
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[WordLike, Coeff]]) -> "Poly":
-        terms: dict[int, Coeff] = {}
-        for w, c in pairs:
-            code = as_code(w)
-            terms[code] = terms.get(code, 0) + c
-        return cls(terms)
-
     # -- basic queries ---------------------------------------------------
 
     def coeff(self, w: WordLike) -> Coeff:
@@ -148,10 +140,6 @@ class Poly(Terms):
         if len(b) < len(a):
             a, b = b, a
         return sum(c * b[w] for w, c in a.items() if w in b)
-
-    def support(self) -> list[int]:
-        """Word codes with nonzero coefficient, in canonical order."""
-        return sorted(self.terms)
 
     def items(self) -> Iterator[tuple[int, Coeff]]:
         """(code, coeff) pairs in canonical term order."""

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dskrv import cli, dshuffle
+from dskrv import cli, dshuffle, moulds
 
 
 def run(capsys, *argv):
@@ -194,7 +194,7 @@ def test_suites_that_read_truncate_reject_order_zero(capsys, suite):
 
 
 def test_failing_element_check_fails_the_report(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "antipal_sum_check", lambda f: {"verdict": False, "consistent": True})
+    monkeypatch.setattr(moulds, "antipal_sum_check", lambda f: {"verdict": False, "consistent": True})
     code, rep = run_json(capsys, "verify", "thm33", "--weights", "3..4")
     assert code == 1
     assert rep["ok"] is False

@@ -18,7 +18,7 @@ Y = Poly.word("y")
 
 
 def P(*pairs):
-    return Poly.from_pairs(pairs)
+    return Poly(poly.accumulate({}, ((words.as_code(w), c) for w, c in pairs)))
 
 
 # -- trace space ----------------------------------------------------------------

@@ -35,7 +35,7 @@ def necklace_dimension(n: int) -> int:
 
 
 def test_bracket_basics():
-    assert lie.bracket(X, Y) == Poly.from_pairs([("xy", 1), ("yx", -1)])
+    assert lie.bracket(X, Y) == Poly.word("xy") - Poly.word("yx")
     assert lie.bracket(X, X) == Poly.zero()
     f, g = lie.random_lie(3, 1), lie.random_lie(4, 2)
     assert lie.bracket(f, g) == -lie.bracket(g, f)
@@ -70,11 +70,13 @@ def test_is_lie():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_is_lie_cross_check_agrees(n):
-    # the shuffle-orthogonality route and the projector route agree
+    # Lyndon peeling agrees with the two references of this module: the
+    # Dynkin projector and shuffle orthogonality over built products
     f = lie.random_lie(n, 5)
-    assert lie.is_lie(f, cross_check=True)
+    assert lie.is_lie(f)
+    assert lie.is_lie(f) == dynkin_verdict(f) == product_sweep_verdict(f)
     g = f + Poly.word("x" * (n - 1) + "y", 1)
-    assert lie.is_lie(g) == lie.is_lie(g, cross_check=True)
+    assert lie.is_lie(g) == dynkin_verdict(g) == product_sweep_verdict(g)
 
 
 def dynkin_verdict(f: Poly) -> bool:
@@ -114,7 +116,7 @@ def test_is_lie_agrees_with_dynkin_criterion(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_is_lie_three_criteria_agree(n):
     for f in lie_membership_cases(n):
-        assert lie.is_lie(f, cross_check=True) == dynkin_verdict(f)
+        assert lie.is_lie(f) == dynkin_verdict(f) == product_sweep_verdict(f)
 
 
 @lru_cache(maxsize=None)
@@ -146,15 +148,7 @@ def test_cross_check_sweeps_only_pairs_of_the_part_degree(n):
         sweep = dshuffle.coproduct_sweep(dshuffle.shuffle_buckets(num), num, den, n)
         assert sweep == oracles.first_pairing_failure(table, num, den)
         assert sweep["verdict"] == dynkin_verdict(part)
-        assert lie.is_lie(f, cross_check=True) == product_sweep_verdict(f) == dynkin_verdict(f)
-
-
-def test_cross_check_builds_no_products():
-    f = lie.random_lie(6, 3)
-    dshuffle._sh_cache.clear()
-    assert lie.is_lie(f, cross_check=True)
-    assert not lie.is_lie(f + Poly.word("xxyxyy"), cross_check=True)
-    assert not dshuffle._sh_cache
+        assert lie.is_lie(f) == product_sweep_verdict(f) == dynkin_verdict(f)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

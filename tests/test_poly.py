@@ -14,7 +14,7 @@ from dskrv.poly import Poly
 
 
 def P(*pairs):
-    return Poly.from_pairs(pairs)
+    return Poly(poly.accumulate({}, ((words.as_code(w), c) for w, c in pairs)))
 
 
 def test_zero_terms_are_dropped():

@@ -137,7 +137,7 @@ _ds_elements = st.sampled_from(range(3, 9)).filter(
 @given(_ds_elements)
 def test_ds_identities_on_random_multiples(f):
     assert derivations.krv_to_ds(derivations.ds_to_krv(f)) == f
-    antipal = dshuffle.antipal_sum_check(f)
+    antipal = moulds.antipal_sum_check(f)
     assert antipal["verdict"] and antipal["consistent"]
     assert dshuffle.signed_push_sums_check(f)["verdict"]
 
