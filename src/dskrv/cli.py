@@ -18,10 +18,10 @@ error (no report).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, groupexp, linalg, moulds, words
 from .poly import (
@@ -56,21 +56,60 @@ class UsageError(Exception):
 
 
 # -- formatting -----------------------------------------------------------------
+# A JSON report has one layout: keys sorted as strings, a two-space indent,
+# and every non-ASCII or control character escaped.  _json writes it in one
+# walk, as the exact text of json.dumps(..., sort_keys=True, indent=2) on the
+# report's plain data; with pad=None it gives the one-line form of
+# json.dumps(..., sort_keys=True).  The stdlib falls back to its pure-Python
+# encoder whenever indent is set, so only its C string escaper is used here.
 
 
-def _jsonable(obj):
-    """Recursively convert report values to JSON-encodable data."""
+def _json(obj, pad: str | None = "") -> str:
+    """The JSON text of a report value; pad is the indent of its line.
+
+    Fractions are written as "n/d" strings, Polys by poly_to_json, and
+    derivations, moulds and series by their to_json.  Any other type that
+    JSON cannot hold raises TypeError.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):  # finite: a report holds no NaN or infinity
+        return float.__repr__(obj)
     if isinstance(obj, Fraction):
-        return coeff_to_str(obj)
+        return encode_basestring_ascii(coeff_to_str(obj))
     if isinstance(obj, Poly):
-        return poly_to_json(obj)
-    if isinstance(obj, (TangentialDerivation, moulds.Mould, groupexp.TruncSeries)):
-        return obj.to_json()
+        obj = poly_to_json(obj)
+    elif isinstance(obj, (TangentialDerivation, moulds.Mould, groupexp.TruncSeries)):
+        obj = obj.to_json()
+    inner = None if pad is None else pad + "  "
+    # a string value, the most common, is written without a call
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        # the keys are distinct, so sorting the items never compares values
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        parts = [
+            f"{encode_basestring_ascii(k)}: "
+            f"{encode_basestring_ascii(v) if type(v) is str else _json(v, inner)}"
+            for k, v in items
+        ]
+        ends = "{}"
+    elif isinstance(obj, (list, tuple)):
+        parts = [encode_basestring_ascii(v) if type(v) is str else _json(v, inner) for v in obj]
+        ends = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not parts:
+        return ends
+    if pad is None:
+        return ends[0] + ", ".join(parts) + ends[1]
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{ends[1]}"
 
 
 def poly_text(f: Poly) -> str:
@@ -105,7 +144,7 @@ def _render_text(report: dict, lines: list[str]) -> str:
     head = [
         f"command: {report['command']}",
         f"version: {report['version']}",
-        f"parameters: {json.dumps(report['parameters'], sort_keys=True)}",
+        f"parameters: {_json(report['parameters'], None)}",
     ]
     tail = [f"verdict: {'pass' if report['ok'] else 'FAIL'}"]
     return "\n".join(head + lines + tail) + "\n"
@@ -114,7 +153,7 @@ def _render_text(report: dict, lines: list[str]) -> str:
 def _emit(report: dict, args, text_lines) -> None:
     """Write the report; text_lines() builds the text body, for --format text only."""
     if args.format == "json":
-        out = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+        out = _json(report) + "\n"
     else:
         out = _render_text(report, text_lines())
     if args.out:
@@ -546,7 +585,7 @@ def cmd_verify(args):
 
     def lines():
         return [f"suite {args.suite}: weights {ws}"] + [
-            f"  weight {n}: {json.dumps(_jsonable(payload[str(n)]), sort_keys=True)[:200]}"
+            f"  weight {n}: {_json(payload[str(n)], None)[:200]}"
             for n in sorted(ws)
         ]
 

@@ -548,6 +548,8 @@ def push_constant(f: Poly) -> Coeff | None:
 
 
 def coeff_to_str(c: Coeff) -> str:
+    if type(c) is int or type(c) is Fraction:
+        return str(c)  # n, or n/d in lowest terms
     c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 

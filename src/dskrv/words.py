@@ -58,9 +58,11 @@ def code_from_str(s: str) -> int:
     return code
 
 
+_LETTERS = str.maketrans("01", "xy")
+
+
 def str_from_code(code: int) -> str:
-    n = degree(code)
-    return "".join("y" if (code >> (n - 1 - i)) & 1 else "x" for i in range(n))
+    return bin(code)[3:].translate(_LETTERS)  # the bits below the leading 1
 
 
 def as_code(w: WordLike) -> int:

@@ -13,6 +13,8 @@ nullspace comes from fraction-free Bareiss elimination and
 back-substitution, and so does the special partner G of [x, G] =
 -[y, F]; the section maps s, s' sum Fraction-scaled ring products.  Commutative polynomials are evaluated at points,
 which checks a change of variables without expanding it.
+A report's text is checked against json.dumps on the plain data that
+the original report converter made of it.
 """
 
 from __future__ import annotations
@@ -20,16 +22,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from dskrv import derivations, dshuffle, lie, linalg, words
+from dskrv import derivations, dshuffle, groupexp, lie, linalg, moulds, words
 from dskrv.moulds import CPoly, z_family
 from dskrv.poly import (
     Poly,
     accumulate,
+    coeff_to_str,
     decompose_right,
     is_antipalindromic,
     is_push_invariant,
     numerators,
     partial_x,
+    poly_to_json,
     subst_linear,
 )
 
@@ -832,3 +836,21 @@ def special_equivalences_peel_first(f: Poly) -> dict:
     report["agree"] = len(set(report.values())) == 1
     report["partner"] = g_solved
     return report
+
+
+# -- report data for json.dumps ----------------------------------------------------
+
+
+def jsonable(obj):
+    """Recursively convert report values to JSON-encodable data."""
+    if isinstance(obj, Fraction):
+        return coeff_to_str(obj)
+    if isinstance(obj, Poly):
+        return poly_to_json(obj)
+    if isinstance(obj, (derivations.TangentialDerivation, moulds.Mould, groupexp.TruncSeries)):
+        return obj.to_json()
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    return obj

@@ -5,13 +5,17 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from fractions import Fraction
+from itertools import zip_longest
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dskrv import cli, dshuffle, moulds
+from dskrv.poly import Poly
 
 
 def run(capsys, *argv):
@@ -169,8 +173,12 @@ def test_exp_builds_each_series_once(monkeypatch, capsys):
 
 
 def test_timings_flag_is_opt_in(capsys):
-    _, rep = run_json(capsys, "basis", "--weight", "3", "--timings")
-    assert "timings" in rep and "total" in rep["timings"]
+    _, out = run(capsys, "basis", "--weight", "3", "--timings")
+    rep = json.loads(out)
+    total = rep["timings"]["total"]
+    # no golden report holds a float: this is the writer's float path
+    assert type(total) is float and f'"total": {total!r}' in out
+    assert cli._json(rep) + "\n" == out
 
 
 def test_failing_check_exits_one(monkeypatch, capsys):
@@ -522,6 +530,11 @@ GOLDEN_REPORTS = {
         "json": "176ede4b94d014982adfd23e830884a4eb299562403eb8d98455d7556a0ec367",
         "text": "d678ab46c28b8baf75834ec2527f8fbab9efc4aa697309c949f30b6fe01e814c",
     },
+    # recorded when reports were json.dumps of the data that oracles.jsonable makes
+    "basis --weights 3..10": {
+        "json": "5f8c611d49863b720f9c7405cde87d680fedd4ffa344730ae0706732ca8b1d2d",
+        "text": "e18a6c20c122b9b88e017ad18a1b81c6e975ff28b2683c7de1e3ad2a96fdaa57",
+    },
 }
 
 
@@ -531,6 +544,69 @@ def test_golden_report_hashes(capsys, command, fmt):
     code, out = run(capsys, *command.split(), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[command][fmt]
+
+
+def _dumps(obj, pad=""):
+    """What json.dumps writes for the reference data of obj, in the layout of _json(obj, pad)."""
+    return json.dumps(oracles.jsonable(obj), sort_keys=True, indent=None if pad is None else 2)
+
+
+def _first_difference(a: str, b: str):
+    """None when a == b, else the first pair of lines that differ; pytest's
+    own diff of two whole reports takes minutes."""
+    return next((ab for ab in zip_longest(a.splitlines(), b.splitlines()) if ab[0] != ab[1]), None)
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_REPORTS))
+def test_writer_matches_json_dumps_on_golden_reports(monkeypatch, capsys, command):
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, *rest: reports.append(report) or emit(report, *rest))
+    run(capsys, *command.split())
+    (report,) = reports
+    assert _first_difference(cli._json(report), _dumps(report)) is None
+    assert _first_difference(cli._json(report, None), _dumps(report, None)) is None
+
+
+_keys = st.one_of(st.text(max_size=4), st.integers(-3, 30))
+_fractions = st.one_of(st.fractions(), st.integers().map(Fraction))
+_polys = st.dictionaries(
+    st.integers(1, 64), st.one_of(st.integers(-3, 3), _fractions), max_size=4
+).map(Poly)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),  # non-ASCII and control characters included
+    _fractions,
+    _polys,
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+@example({"\u00e9": ["\x00\"\\\u2028\U0001f600", (), {}], 3: [Fraction(4, 1), -0.5, None, True]})
+def test_writer_matches_json_dumps(obj):
+    assert cli._json(obj) == _dumps(obj)
+    assert cli._json(obj, None) == _dumps(obj, None)
+
+
+@pytest.mark.parametrize("obj", [object(), {"a": [1, {2j}]}, [b"xy"]])
+def test_writer_rejects_what_json_dumps_rejects(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)
+    with pytest.raises(TypeError):
+        cli._json(obj)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -216,6 +216,23 @@ def test_basis_certificates(basis_cache):
     assert certs8["even_weight_lead_vanishes"] is True
 
 
+def test_basis_certificates_peel_each_element_once(monkeypatch):
+    peeled = []
+    is_lie = dshuffle.is_lie
+    monkeypatch.setattr(dshuffle, "is_lie", lambda f: peeled.append(f) or is_lie(f))
+    monkeypatch.setattr(dshuffle, "_basis_cache", {})
+    res = dshuffle.ds_basis(9)
+    assert res.certificates["elements_pass_is_ds"] and res.certificates["elements_are_lie"]
+    assert peeled == list(res.basis)  # the peel inside is_ds, and no second one
+
+
+def test_basis_lie_certificate_peels_when_is_ds_fails(monkeypatch):
+    monkeypatch.setattr(dshuffle, "is_ds", lambda f, strict=False: False)
+    monkeypatch.setattr(dshuffle, "_basis_cache", {})
+    certs = dshuffle.ds_basis(5).certificates
+    assert certs["elements_pass_is_ds"] is False and certs["elements_are_lie"] is True
+
+
 def test_cached_basis_result_cannot_be_changed():
     res = dshuffle.ds_basis(3)
     f3 = res.basis[0]

@@ -204,6 +204,20 @@ def test_json_roundtrip():
     assert {"word": "xxy", "coeff": "1/3"} in obj["terms"]
 
 
+@pytest.mark.parametrize(
+    "c", [0, 7, -7, Fraction(0), Fraction(4, 1), Fraction(-6, 1), Fraction(1, 3), Fraction(-5, 12), True]
+)
+def test_coeff_to_str_matches_fraction_formula(c):
+    q = Fraction(c)
+    expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    assert poly.coeff_to_str(c) == expected
+
+
+def test_coeff_to_str_rejects_none():
+    with pytest.raises(TypeError):
+        poly.coeff_to_str(None)
+
+
 # Few keys, so that steps collide, cancel and re-add keys.
 _keys = st.integers(2, 9)
 _coeffs = st.one_of(

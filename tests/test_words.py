@@ -27,7 +27,7 @@ def test_letter_constants():
     assert words.str_from_code(words.Y_CODE) == "y"
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(13))
 def test_string_roundtrip_all_words(n):
     for code in words.all_words(n):
         s = words.str_from_code(code)
