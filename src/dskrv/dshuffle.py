@@ -404,7 +404,7 @@ def d_f(f: Poly, g: Poly, trunc: int | None = None) -> Poly:
 
 def poisson(f: Poly, g: Poly) -> Poly:
     """Poisson (Ihara) bracket {f, g} = [f, g] + d_f(g) - d_g(f)."""
-    return f * g - g * f + d_f(f, g) - d_f(g, f)
+    return bracket(f, g) + d_f(f, g) - d_f(g, f)
 
 
 # -- basis computation --------------------------------------------------------

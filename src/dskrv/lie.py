@@ -129,6 +129,7 @@ class LyndonBasis:
     __slots__ = ("degree", "word_codes", "expansions")
 
     def __init__(self, n: int):
+        # for words of one length, lexicographic order is code order
         tuples = _lyndon_tuples(n)
         codes = []
         for t in tuples:
@@ -136,10 +137,9 @@ class LyndonBasis:
             for bit in t:
                 code = (code << 1) | bit
             codes.append(code)
-        order = sorted(range(len(codes)), key=lambda i: codes[i])
         self.degree = n
-        self.word_codes = [codes[i] for i in order]
-        self.expansions = [_lyndon_expansion(tuples[i]) for i in order]
+        self.word_codes = codes
+        self.expansions = [_lyndon_expansion(t) for t in tuples]
 
     @property
     def dimension(self) -> int:

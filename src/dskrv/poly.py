@@ -291,74 +291,53 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
     Both images must be homogeneous of degree 1, so the substitution
     preserves grading.  With x -> a x + b y and y -> c x + d y it acts on
     the words of length n as the n-fold Kronecker power of the matrix
-    ((a, b), (c, d)), applied as a sparse butterfly on the integer
-    numerators of f: one pass per letter position, in which a word with
-    x there sends a*p to itself and b*p to the word with y there, a word
-    with y sends c*p to the word with x there and d*p to itself, and
-    shorter words pass through.  Only words reachable from f are held.
-    When no Fraction enters, the numerators are the int coefficients
-    themselves and the butterfly's output is the result; otherwise each
-    output coefficient is divided out once, at the end.
+    ((a, b), (c, d)), applied as a sparse butterfly: one pass per letter
+    position, in which a word with x there sends a*p to itself and b*p
+    to the word with y there, a word with y sends c*p to the word with x
+    there and d*p to itself, and shorter words pass through.  Only words
+    reachable from f are held, keyed by their plain word codes.
 
-    Terms come in ascending code order.  An output coefficient is a
-    Fraction when a Fraction, of f or of an image entry on its path,
-    contributes to it, and an int otherwise.
+    When f has a Fraction coefficient, the butterfly runs on the integer
+    numerators P of f = P/D and every output coefficient is
+    Fraction(p, D); otherwise it runs on the coefficients of f and each
+    output coefficient is the plain sum of its shares.  Image entries
+    are used as given, so a Fraction entry makes the shares on its path
+    Fractions.  Terms come in ascending code order.
     """
     for g in (x_image, y_image):
         if g and (not g.is_homogeneous() or g.degree() != 1):
             raise ValueError("substitution images must be linear in x, y")
     if EMPTY in f.terms:
         raise ValueError("subst_linear is not defined on the empty word")
-    entries = [g.terms.get(w, 0) for g in (x_image, y_image) for w in (words.X_CODE, words.Y_CODE)]
-    ta, tb, tc, td = (isinstance(v, Fraction) for v in entries)
-    # Keys are plain codes when no Fraction enters.  Otherwise a key is
-    # code << 1 | t, where t = 1 marks the share of a coefficient that a
-    # Fraction has entered; it stays apart from the int share.
-    tagged = ta or tb or tc or td or any(isinstance(v, Fraction) for v in f.terms.values())
-    shift = 1 if tagged else 0  # the width of the tag below each code
-    if tagged:
-        scale = lcm(1, *(v.denominator for v in entries))
-        a, b, c, d = (int(v * scale) for v in entries)
-        num, den = numerators(f)
-        cur = {w << 1 | isinstance(f.terms[w], Fraction): p for w, p in num.items()}
-    else:
-        a, b, c, d = entries
-        cur = f.terms
-    done: dict[int, int] = {}
+    a, b, c, d = (g.terms.get(w, 0) for g in (x_image, y_image) for w in (words.X_CODE, words.Y_CODE))
+    fractional = any(isinstance(v, Fraction) for v in f.terms.values())
+    cur, den = numerators(f) if fractional else (f.terms, 1)
+    done: dict[int, Coeff] = {}
     for i in range(f.degree() or 0):
-        bit = 1 << (i + shift)  # letter position i, in a key
-        nxt: dict[int, int] = {}
+        bit = 1 << i  # letter position i, in a word code
+        nxt: dict[int, Coeff] = {}
         get = nxt.get
-        for key, p in cur.items():
+        for w, p in cur.items():
             if not p:
                 continue
-            if key >> (i + shift) == 1:  # a word of degree i: every position is done
-                done[key] = p
-            elif key & bit:  # y at position i
+            if w >> i == 1:  # a word of degree i: every position is done
+                done[w] = p
+            elif w & bit:  # y at position i
                 if c:
-                    k = (key ^ bit) | tc
+                    k = w ^ bit
                     nxt[k] = get(k, 0) + c * p
                 if d:
-                    k = key | td
-                    nxt[k] = get(k, 0) + d * p
+                    nxt[w] = get(w, 0) + d * p
             else:
                 if a:
-                    k = key | ta
-                    nxt[k] = get(k, 0) + a * p
+                    nxt[w] = get(w, 0) + a * p
                 if b:
-                    k = key | bit | tb
+                    k = w | bit
                     nxt[k] = get(k, 0) + b * p
         cur = nxt
     done.update(cur)
-    if not tagged:
-        return Poly._of({w: p for w, p in sorted(done.items()) if p})
-
-    def share(key: int, p: int) -> Coeff:
-        q = den * scale ** (key.bit_length() - 2)
-        return Fraction(p, q) if key & 1 else p // q
-
-    pairs = ((key >> 1, share(key, p)) for key, p in sorted(done.items()) if p)
-    return Poly._of(accumulate({}, pairs))
+    pairs = sorted((w, p) for w, p in done.items() if p)
+    return Poly._of({w: Fraction(p, den) for w, p in pairs} if fractional else dict(pairs))
 
 
 def numerators(f: Poly) -> tuple[dict[int, int], int]:

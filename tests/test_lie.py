@@ -157,6 +157,13 @@ def test_lyndon_basis_dimension_matches_necklace_count(n):
     assert oracles.witt_dimension(n) == necklace_dimension(n)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lyndon_basis_words_come_in_increasing_code_order(n):
+    # to_coords peels the basis words in this order
+    codes = lie.lyndon_basis(n).word_codes
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+
+
 def test_lyndon_expansion_leading_term():
     # each basis element is its Lyndon word plus lex-larger words
     basis = lie.lyndon_basis(5)

@@ -135,9 +135,10 @@ def test_subst_linear_holds_only_reachable_words():
     assert poly.subst_linear(xy39, -x - y, y) == -xy39 - y40
 
 
-def test_subst_linear_takes_the_untagged_branch_only_without_fractions(monkeypatch):
-    # int f and int images need no numerators and no tag; one Fraction
-    # coefficient, even an integral one, takes the tagged branch
+def test_subst_linear_takes_numerators_only_of_a_fraction_input(monkeypatch):
+    # int f and int images need no numerators; one Fraction coefficient,
+    # even an integral one, runs the butterfly on the numerators of f and
+    # makes every output coefficient a Fraction
     calls = []
     numerators = poly.numerators
     monkeypatch.setattr(poly, "numerators", lambda f: calls.append(f) or numerators(f))
@@ -295,7 +296,10 @@ def test_subst_linear_matches_the_word_by_word_expansion(data):
         want = oracles.expand_substitution(f, *images)
         assert got == want
         assert list(got.terms) == sorted(got.terms)
-        if kind != "mixed":
+        if Fraction in map(type, f.terms.values()) and kind == "mixed":
+            # one Fraction coefficient of f makes every output a Fraction
+            assert all(type(c) is Fraction for c in got.terms.values())
+        else:
             assert typed(got.terms) == sorted(typed(want.terms))
 
 
