@@ -21,6 +21,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__, groupexp, linalg, moulds, words
@@ -330,6 +331,12 @@ def cmd_bracket(args):
     for n in (na, nb):
         if n < 3 or n > MAX_WEIGHT:
             raise UsageError(f"weight {n} outside supported range 3..{MAX_WEIGHT}")
+    # the cost of the bracket and its checks doubles with each weight: at 18
+    # they exhaust memory instead of failing
+    if na + nb > groupexp.MAX_TRUNCATION:
+        raise UsageError(
+            f"bracket weight {na + nb} is above the maximum {groupexp.MAX_TRUNCATION}"
+        )
     ra, rb = ds_basis(na), ds_basis(nb)
     if not (0 <= args.index1 < ra.dimension and 0 <= args.index2 < rb.dimension):
         raise UsageError(
@@ -595,7 +602,9 @@ def cmd_verify(args):
 # -- argument parsing --------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)  # the flags of every command
     common.add_argument("--weight", type=int, help="single weight")
     common.add_argument("--weights", help="range a..b or comma list")

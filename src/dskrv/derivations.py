@@ -28,6 +28,7 @@ from .poly import (
     Y,
     _map_words,
     _reject_empty,
+    _section_numerators,
     accumulate,
     anti,
     coeff_to_str,
@@ -37,7 +38,6 @@ from .poly import (
     is_antipalindromic,
     is_push_invariant,
     negate_y,
-    numerators,
     poly_to_json,
     push_constant,
     s_map,
@@ -47,6 +47,7 @@ from .poly import (
 )
 
 _UNSET = object()  # a cached value not computed yet
+_MINUS_X_MINUS_Y = -X - Y  # the image of x under the change of variables F = f(-x-y, y)
 
 
 # -- cyclic words -------------------------------------------------------------
@@ -221,18 +222,21 @@ def special_equivalences(f: Poly) -> dict:
         )
     if not is_lie(f):
         raise NotLieError("special_equivalences requires a Lie element", f)
-    big_f = subst_linear(f, -X - Y, Y)
+    big_f = subst_linear(f, _MINUS_X_MINUS_Y, Y)
     big_fx, big_fy = decompose_right(big_f)
     fx, fy = decompose_right(f)
 
     g_solved = partner_by_elimination(big_f)
     existence = g_solved is not None
 
-    # G = P/D solves [x, G] = [F, y] when [x, P] = D [F, y]; only then is
-    # G peeled in the Lyndon basis
-    g_formula = solve_partner(big_f)
-    num, den = numerators(g_formula)
-    formula = bracket(X, Poly._of(num)) == bracket(big_f, Y).scale(den) and is_lie(g_formula)
+    # G = s'(F_x) = P/D solves [x, G] = [F, y] when [x, P] = D [F, y]; only
+    # then is G built and peeled in the Lyndon basis
+    num, den = _section_numerators(big_fx, right=False)
+    formula = bracket(X, Poly._of(num)) == bracket(big_f, Y).scale(den)
+    g_formula = None
+    if formula:
+        g_formula = Poly._of({w: Fraction(c, den) for w, c in num.items()})
+        formula = is_lie(g_formula)
 
     report = {
         "existence": existence,
@@ -366,7 +370,7 @@ def pushconst_transport(f: Poly) -> dict:
         raise ValueError("f_y is not push-constant")
     if n % 2 == 0 and a != 0:
         raise ValueError("even degree forces a vanishing push constant")
-    big_f = subst_linear(f, -X - Y, Y)
+    big_f = subst_linear(f, _MINUS_X_MINUS_Y, Y)
     bfx, bfy = decompose_right(big_f)
     got = push_constant(bfy - bfx)
     return {"A": a, "transported": got, "ok": got == a}
@@ -387,7 +391,7 @@ def ds_to_krv(ft: Poly, check: bool = True) -> TangentialDerivation:
     if check and not is_ds(ft):
         raise ValueError("input is not a double shuffle element")
     f = negate_y(ft)
-    big_f = subst_linear(f, -X - Y, Y)
+    big_f = subst_linear(f, _MINUS_X_MINUS_Y, Y)
     f_upper_x, _ = decompose_left(big_f)
     g = s_map(f_upper_x)
     d = TangentialDerivation(big_f, g, check=check)
@@ -410,7 +414,7 @@ def krv_to_ds(d: TangentialDerivation) -> Poly:
     if not h:
         return Poly.zero()
     big_f = factor_out_y(h)
-    f = subst_linear(big_f, -X - Y, Y)
+    f = subst_linear(big_f, _MINUS_X_MINUS_Y, Y)
     return negate_y(f)
 
 

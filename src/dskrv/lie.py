@@ -34,15 +34,46 @@ class NotLieError(ValueError):
 def bracket(f: Poly, g: Poly) -> Poly:
     """Commutator fg - gf.
 
-    When f or g is homogeneous, every word of gf has one factorization,
-    so the products of gf are subtracted one at a time in the pass that
-    built fg: the values, types and dict order of f * g - g * f, with no
-    intermediate polynomial.
+    When f or g is homogeneous, every word of fg, and of gf, has one
+    factorization: fg is built as a dict with no repeated key, and the
+    products of gf are subtracted from it one at a time.  That gives the
+    values, types and dict order of f * g - g * f, with no intermediate
+    polynomial.  A factor that is the letter x or y appends and prepends
+    that letter to the words of the other factor directly.
     """
-    if not (f.is_homogeneous() or g.is_homogeneous()):
+    if (bit := _unit_letter(g)) is not None:
+        terms = {(w << 1) | bit: c for w, c in f.terms.items()}
+        pairs = zip(_prepended(bit, f), f.terms.values())
+    elif (bit := _unit_letter(f)) is not None:
+        terms = dict(zip(_prepended(bit, g), g.terms.values()))
+        pairs = zip([(w << 1) | bit for w in g.terms], g.terms.values())
+    elif not (f.is_homogeneous() or g.is_homogeneous()):
         return f * g - g * f
-    terms = accumulate({}, concat_pairs(f, g))
-    return Poly._of(accumulate(terms, concat_pairs(g, f), -1))
+    else:
+        terms = dict(concat_pairs(f, g))
+        pairs = concat_pairs(g, f)
+    get = terms.get
+    for k, v in pairs:
+        s = get(k, 0) - v
+        if s:
+            terms[k] = s
+        else:
+            del terms[k]
+    return Poly._of(terms)
+
+
+def _unit_letter(p: Poly) -> int | None:
+    """0 if p is the word x with coefficient int 1, 1 if it is y; else None."""
+    if len(p.terms) == 1:
+        ((w, c),) = p.terms.items()
+        if (w == words.X_CODE or w == words.Y_CODE) and c == 1 and type(c) is int:
+            return w & 1
+    return None
+
+
+def _prepended(bit: int, h: Poly) -> list[int]:
+    """The code of l w for each word w of h, l the letter x (bit 0) or y (bit 1)."""
+    return [w + ((1 + bit) << (w.bit_length() - 1)) for w in h.terms]
 
 
 _phi_cache: dict[int, Poly] = {}
@@ -84,8 +115,12 @@ def is_lie(f: Poly) -> bool:
     for n in f.degrees():
         if n == 0:
             return False
-        try:  # on integer numerators: scaling does not change membership
-            to_coords(Poly._of(numerators(f.homogeneous_part(n))[0]), n)
+        part = f.homogeneous_part(n)
+        if any(type(c) is not int for c in part.terms.values()):
+            # on integer numerators: scaling does not change membership
+            part = Poly._of(numerators(part)[0])
+        try:
+            to_coords(part, n)
         except NotLieError:
             return False
     return True

@@ -233,14 +233,54 @@ def _reconstruct(acc: list[list[int]], modulus: int) -> list[list[Fraction]] | N
 
 
 def _failing_row(rows: list[list[int]], vecs: list[list[Fraction]]) -> int | None:
-    """Index of a row with a nonzero product with one of vecs, or None."""
+    """The first row with a nonzero product with vecs[i], for the least i
+    that has one, or None when every vector annihilates every row.
+
+    Each vector is scaled to integer numerators v_i, and every row is
+    checked against all of them in one exact pass.  Column j packs the
+    entries v_i[j] into one signed int, v_i[j] in slot i of W bits, so a
+    row's products d_i with the v_i read as sum(map(mul, row, packed)) =
+    sum_i d_i 2^(W i).  Each |d_i| is at most B = max |row entry| times
+    max_i sum_j |v_i[j]|, and the slot width W = B.bit_length() + 2 keeps
+    B below 2^(W-2): the top nonzero d_i then outweighs every slot below
+    it, so the sum is 0 exactly when every d_i is, and a nonzero sum is
+    read back slot by slot.  One vector is its own packing, and the row
+    bound is not needed.  The zero entries of a row are skipped.
+    """
+    ints = []
     for vec in vecs:
         den = lcm(*(q.denominator for q in vec))
-        ints = [q.numerator * (den // q.denominator) for q in vec]
-        for i, row in enumerate(rows):
-            if sum(map(mul, row, ints)):
-                return i
-    return None
+        ints.append([q.numerator * (den // q.denominator) for q in vec])
+    if len(ints) == 1:
+        packed, width = ints[0], 0
+    else:
+        entry = max(max(map(max, rows), default=0), -min(map(min, rows), default=0))
+        width = (entry * max((sum(map(abs, v)) for v in ints), default=0)).bit_length() + 2
+        packed = [sum(v << (width * i) for i, v in enumerate(col)) for col in zip(*ints)]
+    first: dict[int, int] = {}  # each failing vector's first failing row
+    for r, row in enumerate(rows):
+        total = sum(map(mul, filter(None, row), compress(packed, row)))
+        if total:
+            for i in _nonzero_slots(total, width, len(ints)):
+                first.setdefault(i, r)
+            if 0 in first:
+                return r
+    return first[min(first)] if first else None
+
+
+def _nonzero_slots(total: int, width: int, k: int) -> list[int]:
+    """The i < k with d_i != 0 in total = sum_i d_i 2^(width i), each
+    |d_i| < 2^(width - 1); with width 0, total is d_0 alone."""
+    if not width:
+        return [0] if total else []
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    for i in range(k):
+        d = ((total + half) & mask) - half
+        if d:
+            out.append(i)
+        total = (total - d) >> width
+    return out
 
 
 def nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:

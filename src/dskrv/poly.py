@@ -276,12 +276,7 @@ def partial_x(f: Poly) -> Poly:
     The empty word is a constant for the derivation: x maps to the
     unit, the unit maps to zero.
     """
-    pairs = (
-        (((w >> (i + 1)) << i) | (w & ((1 << i) - 1)), c)
-        for w, c in f.terms.items()
-        for i in range(words.degree(w))
-        if not (w >> i) & 1  # x at bit position i
-    )
+    pairs = ((u, c) for w, c in f.terms.items() for u in words.x_deletions(w))
     return Poly._of(accumulate({}, pairs))
 
 
@@ -310,32 +305,45 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
     if EMPTY in f.terms:
         raise ValueError("subst_linear is not defined on the empty word")
     a, b, c, d = (g.terms.get(w, 0) for g in (x_image, y_image) for w in (words.X_CODE, words.Y_CODE))
-    fractional = any(isinstance(v, Fraction) for v in f.terms.values())
+    fractional = any(type(v) is Fraction for v in f.terms.values())
     cur, den = numerators(f) if fractional else (f.terms, 1)
-    done: dict[int, Coeff] = {}
-    for i in range(f.degree() or 0):
-        bit = 1 << i  # letter position i, in a word code
-        nxt: dict[int, Coeff] = {}
-        get = nxt.get
-        for w, p in cur.items():
-            if not p:
-                continue
-            if w >> i == 1:  # a word of degree i: every position is done
-                done[w] = p
-            elif w & bit:  # y at position i
-                if c:
-                    k = w ^ bit
-                    nxt[k] = get(k, 0) + c * p
-                if d:
-                    nxt[w] = get(w, 0) + d * p
-            else:
-                if a:
-                    nxt[w] = get(w, 0) + a * p
-                if b:
-                    k = w | bit
-                    nxt[k] = get(k, 0) + b * p
-        cur = nxt
-    done.update(cur)
+    if c == 0 and d == 1 and type(a) is type(b) is type(d) is int:
+        # y is fixed: a word with y at position i, or of degree at most i,
+        # keeps its share, so each pass updates the words with x there in
+        # place.  Every share is an int.
+        done = dict(cur)
+        get = done.get
+        for i in range(f.degree() or 0):
+            bit = 1 << i  # letter position i, in a word code
+            for w, p in [(w, p) for w, p in done.items() if p and w > bit and not w & bit]:
+                done[w] = a * p
+                k = w | bit
+                done[k] = get(k, 0) + b * p
+    else:
+        done = {}
+        for i in range(f.degree() or 0):
+            bit = 1 << i
+            nxt: dict[int, Coeff] = {}
+            get = nxt.get
+            for w, p in cur.items():
+                if not p:
+                    continue
+                if w >> i == 1:  # a word of degree i: every position is done
+                    done[w] = p
+                elif w & bit:  # y at position i
+                    if c:
+                        k = w ^ bit
+                        nxt[k] = get(k, 0) + c * p
+                    if d:
+                        nxt[w] = get(w, 0) + d * p
+                else:
+                    if a:
+                        nxt[w] = get(w, 0) + a * p
+                    if b:
+                        k = w | bit
+                        nxt[k] = get(k, 0) + b * p
+            cur = nxt
+        done.update(cur)
     pairs = sorted((w, p) for w, p in done.items() if p)
     return Poly._of({w: Fraction(p, den) for w, p in pairs} if fractional else dict(pairs))
 
@@ -420,35 +428,41 @@ def decompose_left(f: Poly) -> tuple[Poly, Poly]:
     return Poly._of(fx), Poly._of(fy)
 
 
-def _section_map(h: Poly, right: bool) -> Poly:
-    """sum_i (-1)^i/i! (d/dx)^i(h) y x^i if right, else sum_i (-1)^i/i! x^i y (d/dx)^i(h).
+def _section_numerators(h: Poly, right: bool) -> tuple[dict[int, int], int]:
+    """s_map(h) if right, else s_prime_map(h), as integer numerators P over
+    one denominator D: the map is P/D.
 
-    The sum runs on integer numerators: with h = P/D and m the top
-    degree of h, the i-th summand of P is weighted by the int
-    (-1)^i m!/i!, and each coefficient is divided by D m! once at the end.
+    With h = Q/E and m the top degree of h, the i-th summand of Q is
+    weighted by the int (-1)^i m!/i!, and D = E m!.  The summands have
+    no word in common, since the factor y x^i (or x^i y) ends (or starts)
+    each word of the i-th one, so P holds them in order of i, each in
+    the order of (d/dx)^i(Q).
     """
     if not h:
-        return Poly.zero()
+        return {}, 1
     num, den = numerators(h)
-    m = max(map(words.degree, num))
+    m = max(num).bit_length() - 1
     weight = factorial(m)
     common = den * weight
     terms: dict[int, int] = {}
     term = Poly._of(num)
     i = 0
     while term:
-        x_i = words.x_power(i)
-        if right:
-            tail = words.concat_codes(words.Y_CODE, x_i)
-            pairs = ((words.concat_codes(w, tail), c) for w, c in term.terms.items())
-        else:
-            head = words.concat_codes(x_i, words.Y_CODE)
-            pairs = ((words.concat_codes(head, w), c) for w, c in term.terms.items())
-        accumulate(terms, pairs, -weight if i & 1 else weight)
+        c = -weight if i & 1 else weight
+        if right:  # w y x^i
+            terms.update({(w << (i + 1)) | (1 << i): c * v for w, v in term.terms.items()})
+        else:  # x^i y w
+            terms.update({w | (1 << (w.bit_length() + i)): c * v for w, v in term.terms.items()})
         i += 1
         weight //= i
         term = partial_x(term)
-    return Poly._of({w: Fraction(c, common) for w, c in terms.items()})
+    return terms, common
+
+
+def _section_map(h: Poly, right: bool) -> Poly:
+    """sum_i (-1)^i/i! (d/dx)^i(h) y x^i if right, else sum_i (-1)^i/i! x^i y (d/dx)^i(h)."""
+    num, den = _section_numerators(h, right)
+    return Poly._of({w: Fraction(c, den) for w, c in num.items()})
 
 
 def s_map(h: Poly) -> Poly:
@@ -477,12 +491,23 @@ def _require_homogeneous(f: Poly, op: str) -> int | None:
     return f.degree()
 
 
+def _mirrored(f: Poly, op: str, word_map, sign: int) -> bool:
+    """True when (f|word_map(w)) = sign (f|w) for every word w of f.
+
+    word_map permutes the words of each length, so this is f = sign
+    word_map(f), tested term by term up to the first mismatch.
+    """
+    _reject_empty(f, op)
+    get = f.terms.get
+    return all(get(word_map(w), 0) == sign * c for w, c in f.terms.items())
+
+
 def is_palindromic(f: Poly) -> bool:
     """True when f equals (-1)^(m-1) anti(f), m the degree of f."""
     m = _require_homogeneous(f, "is_palindromic")
     if m is None:
         return True
-    return f == (anti(f) if (m - 1) % 2 == 0 else -anti(f))
+    return _mirrored(f, "anti", words.anti_code, 1 if (m - 1) % 2 == 0 else -1)
 
 
 def is_antipalindromic(f: Poly) -> bool:
@@ -490,14 +515,14 @@ def is_antipalindromic(f: Poly) -> bool:
     m = _require_homogeneous(f, "is_antipalindromic")
     if m is None:
         return True
-    return f == (anti(f) if m % 2 == 0 else -anti(f))
+    return _mirrored(f, "anti", words.anti_code, 1 if m % 2 == 0 else -1)
 
 
 def is_push_invariant(f: Poly) -> bool:
     m = _require_homogeneous(f, "is_push_invariant")
     if m is None:
         return True
-    return push(f) == f
+    return _mirrored(f, "push", words.push_code, 1)
 
 
 def push_constant(f: Poly) -> Coeff | None:

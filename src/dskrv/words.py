@@ -11,10 +11,10 @@ The empty word (code 1) is allowed only as the multiplicative unit of
 truncated series; the structural operations below (reversal, push,
 exponent decomposition, ...) reject it.
 
-The per-code maps exponents_of, anti_code and push_code are pure
-functions of the code and are memoized.  Each cache holds fewer than
-2^(d+1) entries when no word it sees is longer than d: 2^11 at
-MAX_WEIGHT = 10 and 2^17 at groupexp.MAX_TRUNCATION = 16.  Errors are
+The per-code maps exponents_of, x_deletions, anti_code and push_code
+are pure functions of the code and are memoized.  Each cache holds
+fewer than 2^(d+1) entries when no word it sees is longer than d: 2^11
+at MAX_WEIGHT = 10 and 2^17 at groupexp.MAX_TRUNCATION = 16.  Errors are
 not cached, so the empty word raises on every call.
 """
 
@@ -153,6 +153,21 @@ def code_from_exponents(exps: Iterable[int]) -> int:
     if first:
         raise ValueError("exponent tuple must be nonempty")
     return code
+
+
+@cache
+def x_deletions(code: int) -> tuple[int, ...]:
+    """Codes of the words left by deleting one x, for each x from the last
+    letter to the first, repeats included.
+
+    >>> [str_from_code(c) for c in x_deletions(code_from_str("xyxx"))]
+    ['xyx', 'xyx', 'yxx']
+    """
+    return tuple(
+        ((code >> (i + 1)) << i) | (code & ((1 << i) - 1))
+        for i in range(degree(code))
+        if not (code >> i) & 1  # x at bit position i
+    )
 
 
 @cache

@@ -11,8 +11,11 @@ defined straight from its formulas on Poly ring arithmetic alone: every
 product is built in full and truncated afterwards.  The rational
 nullspace comes from fraction-free Bareiss elimination and
 back-substitution, and so does the special partner G of [x, G] =
--[y, F]; the section maps s, s' sum Fraction-scaled ring products.  Commutative polynomials are evaluated at points,
-which checks a change of variables without expanding it.
+-[y, F]; a nullspace candidate is checked one vector at a time.  The
+section maps s, s' sum Fraction-scaled ring products, and the symmetry
+predicates compare f with its anti or push image built in full.
+Commutative polynomials are evaluated at points, which checks a change
+of variables without expanding it.
 A report's text is checked against json.dumps on the plain data that
 the original report converter made of it.
 """
@@ -21,12 +24,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 from dskrv import derivations, dshuffle, groupexp, lie, linalg, moulds, words
 from dskrv.moulds import CPoly, z_family
 from dskrv.poly import (
     Poly,
     accumulate,
+    anti,
     coeff_to_str,
     decompose_right,
     is_antipalindromic,
@@ -34,6 +40,7 @@ from dskrv.poly import (
     numerators,
     partial_x,
     poly_to_json,
+    push,
     subst_linear,
 )
 
@@ -643,6 +650,18 @@ def bareiss_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
     return linalg.rref(basis, ncols)
 
 
+def failing_row_by_vector(rows: list[list[int]], vecs: list[list[Fraction]]) -> int | None:
+    """Index of a row with a nonzero product with one of vecs, or None:
+    each vector in turn, scaled to integer numerators, against every row."""
+    for vec in vecs:
+        den = lcm(*(q.denominator for q in vec))
+        ints = [q.numerator * (den // q.denominator) for q in vec]
+        for i, row in enumerate(rows):
+            if sum(map(mul, row, ints)):
+                return i
+    return None
+
+
 def bareiss_solve(rows: list[list], rhs: list, ncols: int) -> list[Fraction] | None:
     """One solution of rows * v = rhs, or None, by fraction-free elimination of
     the augmented rows: the free coordinates are 0, the pivot ones filled by
@@ -702,6 +721,38 @@ def section_map_fold(h: Poly, right: bool) -> Poly:
         fact *= i
         term = partial_x(term)
     return Poly._of(terms)
+
+
+# -- the symmetry predicates by building the image ---------------------------------
+
+
+def _homogeneous_degree(f: Poly, op: str) -> int | None:
+    if not f.is_homogeneous():
+        raise ValueError(f"{op} requires a homogeneous polynomial")
+    return f.degree()
+
+
+def is_palindromic_by_image(f: Poly) -> bool:
+    """f == (-1)^(m-1) anti(f), with anti(f) built in full."""
+    m = _homogeneous_degree(f, "is_palindromic")
+    if m is None:
+        return True
+    return f == (anti(f) if (m - 1) % 2 == 0 else -anti(f))
+
+
+def is_antipalindromic_by_image(f: Poly) -> bool:
+    """f == (-1)^m anti(f), with anti(f) built in full."""
+    m = _homogeneous_degree(f, "is_antipalindromic")
+    if m is None:
+        return True
+    return f == (anti(f) if m % 2 == 0 else -anti(f))
+
+
+def is_push_invariant_by_image(f: Poly) -> bool:
+    """push(f) == f, with push(f) built in full."""
+    if _homogeneous_degree(f, "is_push_invariant") is None:
+        return True
+    return push(f) == f
 
 
 # -- sparse accumulation as a fold of ring additions --------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 from itertools import zip_longest
 from contextlib import redirect_stderr, redirect_stdout
@@ -307,6 +308,34 @@ def test_bracket_accepts_the_common_sampling_flags(capsys):
     )
     assert code == 0
     assert rep["payload"]["weight"] == 8
+
+
+def test_bracket_above_the_maximum_weight_is_a_usage_error(capsys, monkeypatch):
+    # weight 18 exhausts memory instead of failing; the check comes first
+    def refuse(n):
+        raise AssertionError("ds_basis called")
+
+    monkeypatch.setattr(cli, "ds_basis", refuse)
+    start = time.perf_counter()
+    code = cli.main(["bracket", "9", "9"])
+    captured = capsys.readouterr()
+    assert code == 2 and time.perf_counter() - start < 1
+    assert captured.out == ""
+    assert "bracket weight 18 is above the maximum 16" in captured.err
+
+
+def test_main_reuses_one_parser_and_a_usage_error_does_not_leak(capsys):
+    cli.build_parser.cache_clear()
+    try:
+        assert cli.main(["bracket", "3", "5", "--weights", "7", "--index1", "0"]) == 2
+        assert cli.main(["verify"]) == 2  # argparse: the suite is missing
+        code, out = run(capsys, "bracket", "3", "5", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS["bracket 3 5"]["json"]
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
+    finally:
+        cli.build_parser.cache_clear()
 
 
 @pytest.mark.parametrize(

@@ -168,9 +168,14 @@ def test_special_equivalences_run_no_elimination(monkeypatch, f3):
 
 def test_formula_rejects_a_partner_off_by_a_fraction(monkeypatch, f5):
     f = poly.negate_y(f5)
-    off = lie.lyndon_basis(5).expansions[2].scale(Fraction(1, 7))
-    solve_partner = derivations.solve_partner
-    monkeypatch.setattr(derivations, "solve_partner", lambda F: solve_partner(F) + off)
+    off = lie.lyndon_basis(5).expansions[2]
+    section_numerators = derivations._section_numerators
+
+    def off_by_a_seventh(h, right):  # s'(F_x) + off/7, as P/D
+        num, den = section_numerators(h, right)
+        return poly.accumulate({w: 7 * c for w, c in num.items()}, off.terms.items(), den), 7 * den
+
+    monkeypatch.setattr(derivations, "_section_numerators", off_by_a_seventh)
     rep = derivations.special_equivalences(f)
     assert rep["existence"] and not rep["formula"] and not rep["agree"]
 
@@ -213,8 +218,10 @@ def test_formula_peels_the_partner_that_solves_the_equation(monkeypatch, f5):
 @pytest.mark.parametrize("n", range(3, 7))
 def test_five_conditions_agree_on_random_lie(n):
     for seed in range(25):
-        rep = derivations.special_equivalences(lie.random_lie(n, seed))
+        f = lie.random_lie(n, seed)
+        rep = derivations.special_equivalences(f)
         assert rep["agree"], (n, seed, rep)
+        assert rep == oracles.special_equivalences_peel_first(f), (n, seed)
 
 
 def test_five_conditions_all_true_on_generators(f3, f5):
@@ -222,6 +229,8 @@ def test_five_conditions_all_true_on_generators(f3, f5):
         rep = derivations.special_equivalences(poly.negate_y(f))
         assert rep["agree"] and rep["existence"]
         assert rep["partner"] is not None
+        expected = oracles.special_equivalences_peel_first(poly.negate_y(f))
+        assert rep == expected and _typed(rep["partner"]) == _typed(expected["partner"])
 
 
 def test_five_conditions_all_false_somewhere():

@@ -9,6 +9,8 @@ from math import isqrt, lcm
 from operator import mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from dskrv import CrossCheckError, dshuffle, lie, linalg
@@ -302,6 +304,43 @@ def test_nullspace_catches_a_rank_drop_the_first_prime_cannot_see(monkeypatch):
         rows = body[:at] + [hidden] + body[at:]
         assert linalg.nullspace(rows, 4) == [] == oracles.bareiss_nullspace(rows, 4)
         assert caught[0] == hidden
+
+
+# Small entries, and powers of two and their neighbours up to 2**80, which
+# fill a slot of the packed check up to its bound.
+_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.integers(0, 80).flatmap(lambda k: st.sampled_from([2**k, 2**k - 1, -(2**k), 1 - 2**k])),
+)
+
+
+@given(data=st.data())
+def test_failing_row_matches_the_per_vector_check(data):
+    ncols = data.draw(st.integers(1, 6), label="ncols")
+    columns = st.sets(st.integers(0, ncols - 1))
+    entry = st.builds(Fraction, _ENTRIES, st.integers(1, 6))
+    # a candidate is 0 on its quiet columns, so a row on them passes it
+    vecs = []
+    for _ in range(data.draw(st.integers(1, 5), label="candidates")):
+        quiet = data.draw(columns, label="quiet")
+        vecs.append([Fraction(0) if j in quiet else data.draw(entry) for j in range(ncols)])
+    rows = []
+    for _ in range(data.draw(st.integers(0, 6), label="rows")):
+        support = data.draw(columns, label="support")
+        rows.append([data.draw(_ENTRIES) if j in support else 0 for j in range(ncols)])
+    assert linalg._failing_row(rows, vecs) == oracles.failing_row_by_vector(rows, vecs)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 63, 64, 200])
+def test_failing_row_keeps_a_full_slot_from_cancelling_the_next(m):
+    # the row pairs to 2^m with the first candidate and to -2^k with the
+    # second: in slots of m - k bits, 2^m would carry into the second slot
+    # and cancel it, so every width up to m must be refused
+    for k in range(m + 1):
+        vecs = [[Fraction(2**m), Fraction(0)], [Fraction(-(2**k)), Fraction(0)]]
+        assert linalg._failing_row([[0, 1], [1, 0]], vecs) == 1
+        assert oracles.failing_row_by_vector([[0, 1], [1, 0]], vecs) == 1
+        assert linalg._failing_row([[0, 1]], vecs) is None
 
 
 def test_nullspace_does_not_depend_on_the_row_order():

@@ -257,7 +257,7 @@ def test_accumulate_matches_the_ring_fold(data):
 _X, _Y = Poly.word("x"), Poly.word("y")
 # (x image, y image): the substitution of the injection, the identity, the
 # swap, a shear, a scaling by a Fraction and an int, a map with Fraction
-# entries only, and two zero images.  On an input whose coefficients are all
+# entries only, two zero images, and an int map that fixes y.  On an input whose coefficients are all
 # int or all Fraction, each of these gives every output coefficient one type
 # whatever the order of the sums.
 _SUBSTITUTIONS = (
@@ -269,6 +269,7 @@ _SUBSTITUTIONS = (
     (_X.scale(Fraction(1, 2)) - _Y.scale(Fraction(1, 3)), (_X + _Y).scale(Fraction(1, 3))),
     (Poly.zero(), _Y),
     (_X, Poly.zero()),
+    (_X.scale(2) - _Y.scale(3), _Y),
 )
 _KIND_COEFFS = {
     "int": st.integers(-3, 3).filter(bool),
@@ -320,6 +321,20 @@ def test_section_maps_match_the_fraction_fold(data):
     _assert_section_maps_match_the_fold(f)
 
 
+@given(st.data())
+def test_section_numerators_are_the_section_maps(data):
+    kind = data.draw(st.sampled_from(sorted(_KIND_COEFFS)), label="kind")
+    codes = _codes(0, 6) if data.draw(st.booleans(), label="inhomogeneous") else _codes(5, 5)
+    f = Poly(data.draw(st.dictionaries(codes, _KIND_COEFFS[kind], max_size=8)))
+    for right, section in ((True, poly.s_map), (False, poly.s_prime_map)):
+        num, den = poly._section_numerators(f, right)
+        assert type(den) is int and den > 0
+        assert all(type(c) is int and c for c in num.values())
+        want = oracles.section_map_fold(f, right)
+        assert typed({w: Fraction(c, den) for w, c in num.items()}) == typed(want.terms)
+        assert typed(section(f).terms) == typed(want.terms)
+
+
 def test_section_maps_match_the_fraction_fold_on_edge_cases(f3):
     fx, fy = poly.decompose_right(f3)
     cases = [
@@ -364,6 +379,7 @@ def test_product_and_bracket_keep_values_types_and_order(data):
     f, g = _small_poly(data, "f"), _small_poly(data, "g")
     assert typed((f * g).terms) == typed(oracles.concat_fold(f, g))
     assert typed(lie.bracket(f, g).terms) == typed(oracles.bracket_fold(f, g))
+    assert typed(lie.bracket(f, g).terms) == typed((f * g - g * f).terms)
 
 
 def test_bracket_of_two_inhomogeneous_polynomials_keeps_the_difference_order():
@@ -375,3 +391,71 @@ def test_bracket_of_two_inhomogeneous_polynomials_keeps_the_difference_order():
     want = oracles.bracket_fold(f, g)
     assert typed(lie.bracket(f, g).terms) == typed(want)
     assert typed(want)[2] == (words.code_from_str("xy"), Fraction, 2)
+
+
+_LETTERS = [_X, _Y, -_X, _Y.scale(2), _X.scale(Fraction(1)), _Y.scale(Fraction(-1, 2))]
+
+
+@given(st.data())
+def test_bracket_with_a_letter_keeps_values_types_and_order(data):
+    # x and y with coefficient int 1 take the letter path; the others do not
+    f = _small_poly(data, "f")
+    letter = data.draw(st.sampled_from(_LETTERS), label="letter")
+    for a, b in ((f, letter), (letter, f)):
+        want = (a * b - b * a).terms
+        assert typed(lie.bracket(a, b).terms) == typed(want) == typed(oracles.bracket_fold(a, b))
+
+
+def _symmetric_poly(data):
+    """A Poly of one degree, made anti- or push-symmetric (or not) on purpose."""
+    kind = data.draw(st.sampled_from(sorted(_KIND_COEFFS)), label="kind")
+    n = data.draw(st.integers(1, 6), label="degree")
+    f = Poly(data.draw(st.dictionaries(_codes(n, n), _KIND_COEFFS[kind], max_size=6)))
+    how = data.draw(st.sampled_from(["plain", "anti+", "anti-", "push"]), label="symmetrize")
+    if how == "anti+":
+        f = f + poly.anti(f)
+    elif how == "anti-":
+        f = f - poly.anti(f)
+    elif how == "push":  # the sum over each push orbit, repeats included
+        f = Poly(poly.accumulate({}, ((v, c) for w, c in f.terms.items() for v in words.push_orbit(w))))
+    if f and data.draw(st.booleans(), label="perturb"):
+        f = f + Poly.word(data.draw(st.sampled_from(sorted(f.terms))), data.draw(_KIND_COEFFS[kind]))
+    return f
+
+
+_PREDICATES = [
+    (poly.is_palindromic, oracles.is_palindromic_by_image),
+    (poly.is_antipalindromic, oracles.is_antipalindromic_by_image),
+    (poly.is_push_invariant, oracles.is_push_invariant_by_image),
+]
+
+
+def _outcome(predicate, f):
+    try:
+        return predicate(f)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@given(st.data())
+def test_symmetry_predicates_match_the_image_comparison(data):
+    f = _symmetric_poly(data)
+    if data.draw(st.booleans(), label="inhomogeneous"):
+        f = f + _small_poly(data, "g")
+    for predicate, oracle in _PREDICATES:
+        assert _outcome(predicate, f) == _outcome(oracle, f)
+
+
+def test_symmetry_predicates_raise_as_the_image_comparison():
+    cases = [
+        Poly.one(),  # the empty word
+        Poly.one().scale(Fraction(1, 2)),
+        P(("xy", 1), ("x", 1)),  # not homogeneous
+        P(("", 1), ("y", 1)),
+    ]
+    for f in cases:
+        for predicate, oracle in _PREDICATES:
+            outcome = _outcome(predicate, f)
+            assert outcome == _outcome(oracle, f) and outcome[0] == "ValueError"
+    assert _outcome(poly.is_push_invariant, Poly.one()) == ("ValueError", "push is not defined on the empty word")
+    assert _outcome(poly.is_antipalindromic, Poly.one()) == ("ValueError", "anti is not defined on the empty word")
