@@ -477,7 +477,7 @@ def kv_dimensions(n: int) -> dict:
 
     return {
         "weight": n,
-        "dim_special": len(linalg.nullspace(rows_iii, d)),
+        "dim_special": linalg.nullity(rows_iii, d),
         "dim_krv": len(krv_null),
         "dim_vkv": len(vkv_null),
         "same_span": same_span,

@@ -21,10 +21,16 @@ scaling convention.
 Every identity that pairs f with products, (f | st(u, v)) = 0 in
 is_ds and group-likeness in groupexp, is read off the dual coproduct
 of f by coproduct_sweep; no product is built.  The coproduct is dense,
-one homogeneous part of degree m at a time: lists of length 2^m
-indexed by word bits, where each step moves one letter of every word
-at once onto u or v by strided slicing (shuffle_buckets,
-stuffle_buckets).
+one homogeneous part of degree m at a time, on lists indexed by word
+bits, where each step moves one letter of every word at once onto u or
+v by strided slicing.  The shuffle coproduct (shuffle_buckets) holds
+lists of length 2^m.  The stuffle coproduct (stuffle_buckets) holds
+only its y-ending support: words u, v ending in y, indexed by their
+bits above the final y, so a bucket of degree m has 2^(m-2) entries
+when u and v are nonempty.  coproduct_sweep checks each bucket row u,
+one contiguous slice, against f(u) f(v); it counts a missing bucket
+without reading it when one of its degrees has no word in f, and only
+tests a row of f(u) = 0 for a nonzero entry.
 The cached stuffles _st build the sampled constraint rows of ds_basis.
 """
 
@@ -213,41 +219,63 @@ def _stuffle_buckets(row: list, m: int) -> dict[tuple[int, int], list]:
 
     Delta(y_j) = sum over i + k = j of y_i (x) y_k sends the first i
     letters of the block x^(j-1) y to u, the last of them written as y,
-    and the other k letters to v unchanged.  The letters move last
-    first, in the layout of _shuffle_buckets, through a transducer with
-    two states per bucket.  In "right" every letter of the current block
-    so far went to v: its next x goes to v, or to u as the block's last
-    left letter, written y.  In "left" the block has sent a letter to u,
-    so its remaining x's go to u.  A y starts the block before, from
-    either state, and goes to v (state right) or to u (state left).
+    and the other k letters to v unchanged.  So u and v end in y, and a
+    state is indexed, as in _shuffle_buckets, by the bits [u | v | P]
+    without the final y of u or of v: row holds the 2^(m-1) words by
+    their bits above the final y, and bucket (a, b) ends with
+    2^(max(a-1, 0) + max(b-1, 0)) entries.  The letters move last first
+    through a transducer with two states per bucket.  In "right" every
+    letter of the current block so far went to v: its next x goes to v,
+    or to u as the block's last left letter, written y.  In "left" the
+    block has sent a letter to u, so its remaining x's go to u.  A y
+    starts the block before, from either state, and goes to v (state
+    right) or to u (state left).  The first letter onto an empty u or v
+    is its final y and adds no bit.  The final y of the word starts the
+    run, on v in state right or, when m > 1, on u in state left; so a
+    bucket has state right exactly when b >= 1 and state left exactly
+    when a >= 1, and an absent state is None.
     """
-    nothing = [0] * (1 << m)
-    layer = {(0, 0): [row, nothing]}  # bucket: [state right, state left]
-    for d in range(m - 1, -1, -1):
+    if not m:
+        return {(0, 0): row}
+    layer = {(0, 1): (row, None)}  # bucket: (state right, state left)
+    if m > 1:
+        layer[(1, 0)] = (None, row)
+    for d in range(m - 2, -1, -1):
         moved: dict[tuple[int, int], list] = {}
         for (a, b), (right, left) in layer.items():
-            x_right, x_left = right[0::2], left[0::2]
-            y_any = list(map(add, right[1::2], left[1::2]))
-            states = moved.setdefault((a, b + 1), [nothing, nothing])
-            states[0] = _interleave(x_right, y_any, 1 << (b + d))
+            if right is None:
+                x_right, y_any = None, left[1::2]
+            else:
+                x_right, y_any = right[0::2], right[1::2]
+                if left is not None:
+                    y_any = list(map(add, y_any, left[1::2]))
+            onto_v = y_any if x_right is None else _interleave(x_right, y_any, 1 << (b - 1 + d))
+            moved.setdefault((a, b + 1), [None, None])[0] = onto_v
             if a < b + d:
-                states = moved.setdefault((a + 1, b), [nothing, nothing])
-                states[1] = x_left + list(map(add, x_right, y_any))
+                onto_u = y_any if x_right is None else list(map(add, x_right, y_any))
+                if left is not None:
+                    onto_u = left[0::2] + onto_u
+                moved.setdefault((a + 1, b), [None, None])[1] = onto_u
         layer = moved
-    return {key: list(map(add, right, left)) for key, (right, left) in layer.items()}
+    return {
+        key: right if left is None else left if right is None else list(map(add, right, left))
+        for key, (right, left) in layer.items()
+    }
 
 
-def _by_degree(series: dict[int, Coeff], coproduct_of_part) -> dict[tuple[int, int], list]:
+def _by_degree(
+    series: dict[int, Coeff], coproduct_of_part, low: int
+) -> dict[tuple[int, int], list]:
     """The dense coproduct of series, one homogeneous part at a time; the
-    part of degree m is a list of length 2^m indexed by the m bits of
-    its words (code - 2^m)."""
+    part of degree m is a list indexed by the bits of its words above
+    their low bits ((code - 2^m) >> low), of length 2^(m - low) (1 at m = 0)."""
     parts: dict[int, list] = {}
     for w, c in series.items():
         if c:
-            m = words.degree(w)
+            m = w.bit_length() - 1
             if m not in parts:
-                parts[m] = [0] * (1 << m)
-            parts[m][w - (1 << m)] = c
+                parts[m] = [0] * (1 << max(m - low, 0))
+            parts[m][(w - (1 << m)) >> low] = c
     out = {}
     for m, row in parts.items():
         out.update(coproduct_of_part(row, m))
@@ -261,16 +289,22 @@ def shuffle_buckets(series: dict[int, Coeff]) -> dict[tuple[int, int], list]:
     the bits of u above the bits of v, whose entry is (f | sh(u, v)).
     A missing bucket is all zeros.
     """
-    return _by_degree(series, _shuffle_buckets)
+    return _by_degree(series, _shuffle_buckets, 0)
 
 
 def stuffle_buckets(series: dict[int, Coeff]) -> dict[tuple[int, int], list]:
-    """The stuffle coproduct of a series of words ending in y, dense as in
-    shuffle_buckets, with entries (f | st(u, v)); only the entries of
-    words u, v ending in y (or empty) can be nonzero."""
+    """The stuffle coproduct of a series of words ending in y, dense on
+    its y-ending support.
+
+    Only pairs of words u, v ending in y (or empty) can be nonzero, so
+    bucket (deg u, deg v), deg u <= deg v, is indexed by the bits of u
+    above its final y over the bits of v above its final y, with
+    2^(max(deg u - 1, 0) + max(deg v - 1, 0)) entries (f | st(u, v)).
+    A missing bucket is all zeros.
+    """
     if any(c and not w & 1 for w, c in series.items()):
         raise ValueError("the stuffle coproduct needs words ending in y")
-    return _by_degree(series, _stuffle_buckets)
+    return _by_degree(series, _stuffle_buckets, 1)
 
 
 def coproduct_sweep(
@@ -278,12 +312,15 @@ def coproduct_sweep(
 ) -> dict:
     """Certify den * Delta(u, v) == num(u) num(v) for the series num/den.
 
-    buckets is its dense coproduct (shuffle_buckets or stuffle_buckets),
-    a missing bucket counting as zeros.  The pairs (u, v) of nonempty
-    words (ending in y, with y_ending) with 1 <= deg u <= deg v and
-    deg u + deg v <= n, by deg u, deg v, u, v, with v >= u when the
-    degrees agree, are checked a bucket row u at a time, against num(u)
-    times the coefficients of degree deg v.
+    buckets is its dense coproduct, shuffle_buckets or (with y_ending)
+    stuffle_buckets, a missing bucket counting as zeros.  The pairs
+    (u, v) of nonempty words (ending in y, with y_ending) with
+    1 <= deg u <= deg v and deg u + deg v <= n, by deg u, deg v, u, v,
+    with v >= u when the degrees agree, are checked a bucket row u at a
+    time: the row is contiguous, one entry per word v of degree deg v,
+    and is compared with num(u) times their coefficients.  A row with
+    num(u) = 0 only has to be zero, and a missing bucket whose degree
+    deg u or deg v has no word in num is counted without being read.
     Returns the verdict, the witness pair of the first failure,
     and the number of pairs checked before it (all, on a pass).
     """
@@ -292,22 +329,35 @@ def coproduct_sweep(
     pairs = 0
     for a in range(1, n // 2 + 1):
         for b in range(a, n - a + 1):
-            values = buckets.get((a, b)) or [0] * (1 << (a + b))
+            width = len(coeffs[b])  # the words v, and the entries of a row
+            values = buckets.get((a, b))
+            if values is None:
+                if not (any(coeffs[a]) and any(coeffs[b])):
+                    rows = len(coeffs[a])
+                    pairs += rows * (rows + 1) // 2 if a == b else rows * width
+                    continue
+                values = [0] * (len(coeffs[a]) * width)
             for i, left in enumerate(coeffs[a]):
                 skip = i if a == b else 0
-                right = coeffs[b][skip:]
-                p = start + i * step  # the bits of u
-                found = values[(p << b) + start + skip * step : (p + 1) << b : step]
-                expected = [left * c for c in right]
-                if [den * c for c in found] != expected:
+                found = values[i * width + skip : (i + 1) * width]
+                if left:
+                    expected = [left * c for c in coeffs[b][skip:]]
+                    if [den * c for c in found] == expected:
+                        pairs += len(found)
+                        continue
                     j = next(j for j, c in enumerate(found) if den * c != expected[j])
-                    v = (1 << b) | (start + (skip + j) * step)
-                    return {
-                        "verdict": False,
-                        "witness": (words.str_from_code((1 << a) | p), words.str_from_code(v)),
-                        "pairs": pairs + j,
-                    }
-                pairs += len(right)
+                elif any(found):
+                    j = next(j for j, c in enumerate(found) if c)
+                else:
+                    pairs += len(found)
+                    continue
+                u = (1 << a) | (start + i * step)
+                v = (1 << b) | (start + (skip + j) * step)
+                return {
+                    "verdict": False,
+                    "witness": (words.str_from_code(u), words.str_from_code(v)),
+                    "pairs": pairs + j,
+                }
     return {"verdict": True, "witness": None, "pairs": pairs}
 
 

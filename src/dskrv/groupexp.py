@@ -20,6 +20,8 @@ degree truncation N, this module provides:
     coefficient of the shuffle coproduct of Phi, computed densely on
     word-bit lists (dshuffle.shuffle_buckets) of the series' own
     numerators, so no product and no Fraction is built, and
+    (Phi_* | st(u,v)) that of the stuffle coproduct of Phi_*, on lists
+    of its y-ending words only (dshuffle.stuffle_buckets);
     dshuffle.coproduct_sweep checks each bucket row u against
     Phi(u) Phi(v) at once;
   - exponentials of tangential derivations as automorphisms of the
@@ -42,7 +44,9 @@ from .dshuffle import coproduct_sweep, d_f, shuffle_buckets, stuffle_buckets
 from .derivations import TangentialDerivation, ds_to_krv
 
 DEFAULT_TRUNCATION = 12
-MAX_TRUNCATION = 16  # the group-likeness checks hold lists of 2^T entries at degree T
+# the group-likeness checks hold lists of 2^T entries at degree T for the
+# shuffle, and of 2^(T-2) entries per bucket for the stuffle
+MAX_TRUNCATION = 16
 
 
 def _cut(terms: dict, trunc: int) -> dict:

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals, deterministic throughout.
 
-`nullspace` is certified multi-modular elimination.  For each prime of a
-deterministic sequence of word-size primes, the kernel mod p is read off
-a forward echelon form by one back-substitution.  The first prime
-eliminates a seeded prefix of the rows and checks every other row
-against the prefix's kernel, eliminating only the rows that fail; the
-later primes eliminate only the rows that raised its rank.  The kernel
+`nullspace` is certified multi-modular elimination, and `nullity` counts
+its vectors without putting them in reduced echelon form.  For each
+prime of a deterministic sequence of word-size primes, the kernel mod p
+is read off a forward echelon form by one back-substitution.  The
+first prime eliminates a seeded prefix of the rows and checks every
+other row against the prefix's kernel, eliminating only the rows that
+fail; the later primes eliminate only the rows that raised its rank.  The kernel
 bases are combined by the Chinese remainder theorem and rationally
 reconstructed, and a candidate is returned only after it annihilates
 every input row exactly.  `solve` reads one solution off the nullspace
@@ -232,7 +233,9 @@ def _reconstruct(acc: list[list[int]], modulus: int) -> list[list[Fraction]] | N
     return out
 
 
-def _failing_row(rows: list[list[int]], vecs: list[list[Fraction]]) -> int | None:
+def _failing_row(
+    rows: list[list[int]], vecs: list[list[Fraction]], entry: int | None
+) -> int | None:
     """The first row with a nonzero product with vecs[i], for the least i
     that has one, or None when every vector annihilates every row.
 
@@ -240,12 +243,13 @@ def _failing_row(rows: list[list[int]], vecs: list[list[Fraction]]) -> int | Non
     checked against all of them in one exact pass.  Column j packs the
     entries v_i[j] into one signed int, v_i[j] in slot i of W bits, so a
     row's products d_i with the v_i read as sum(map(mul, row, packed)) =
-    sum_i d_i 2^(W i).  Each |d_i| is at most B = max |row entry| times
-    max_i sum_j |v_i[j]|, and the slot width W = B.bit_length() + 2 keeps
-    B below 2^(W-2): the top nonzero d_i then outweighs every slot below
-    it, so the sum is 0 exactly when every d_i is, and a nonzero sum is
-    read back slot by slot.  One vector is its own packing, and the row
-    bound is not needed.  The zero entries of a row are skipped.
+    sum_i d_i 2^(W i).  Each |d_i| is at most B = entry times
+    max_i sum_j |v_i[j]|, where entry is the largest |row entry|, and the
+    slot width W = B.bit_length() + 2 keeps B below 2^(W-2): the top
+    nonzero d_i then outweighs every slot below it, so the sum is 0
+    exactly when every d_i is, and a nonzero sum is read back slot by
+    slot.  One vector is its own packing, and entry is not read (the
+    caller may pass None).  The zero entries of a row are skipped.
     """
     ints = []
     for vec in vecs:
@@ -254,7 +258,6 @@ def _failing_row(rows: list[list[int]], vecs: list[list[Fraction]]) -> int | Non
     if len(ints) == 1:
         packed, width = ints[0], 0
     else:
-        entry = max(max(map(max, rows), default=0), -min(map(min, rows), default=0))
         width = (entry * max((sum(map(abs, v)) for v in ints), default=0)).bit_length() + 2
         packed = [sum(v << (width * i) for i, v in enumerate(col)) for col in zip(*ints)]
     first: dict[int, int] = {}  # each failing vector's first failing row
@@ -286,6 +289,20 @@ def _nonzero_slots(total: int, width: int, k: int) -> list[int]:
 def nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
     """Canonical rational nullspace basis (reduced row echelon rows).
 
+    The reduced echelon form of the certified vectors of _certified_kernel.
+    """
+    return rref(_certified_kernel(rows, ncols), ncols)
+
+
+def nullity(rows: list[list], ncols: int) -> int:
+    """The dimension of the rational nullspace, certified as in nullspace:
+    the number of its vectors, without their reduced echelon form."""
+    return len(_certified_kernel(rows, ncols))
+
+
+def _certified_kernel(rows: list[list], ncols: int) -> list[list[Fraction]]:
+    """A basis of the rational nullspace: unit vectors on the free columns.
+
     For each prime p the kernel mod p is read off a forward echelon form,
     with unit vectors on the free columns (see _kernel_mod_p).  The first
     prime visits the rows in a seeded shuffled order: it eliminates the
@@ -301,10 +318,13 @@ def nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
     columns, are that many independent kernel elements.  So the primes,
     the row order and the checked prefix affect only the speed, and the
     reduced echelon form of the verified vectors does not depend on them.
+    The largest |entry| of the rows, which _failing_row needs for two or
+    more candidates, is taken once, from the distinct entries.
     """
     mat = [integerize_row(r) for r in rows]
     if ncols == 0:
         return []
+    entry = None
     order = list(range(len(mat)))
     random.Random(_ORDER_SEED).shuffle(order)
     best = ncols + 1
@@ -332,9 +352,11 @@ def nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
         candidates = _reconstruct(acc, modulus)
         if candidates is None:
             continue
-        bad = _failing_row(mat, candidates)
+        if entry is None and len(candidates) > 1:
+            entry = max(map(abs, set().union(*mat)), default=0)
+        bad = _failing_row(mat, candidates, entry)
         if bad is None:
-            return rref(candidates, ncols)
+            return candidates
         if bad not in subset:
             subset = sorted(subset + [bad])
     raise CrossCheckError("no certified nullspace from the primes below 2**24")

@@ -336,3 +336,8 @@ def test_kv_dimensions_frozen(n, expected):
     rep = derivations.kv_dimensions(n)
     for k, v in expected.items():
         assert rep[k] == v, (n, k, rep[k])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_kv_dimensions_counts_the_special_subspace(n):
+    assert derivations.kv_dimensions(n)["dim_special"] == len(oracles.special_subspace(n))

@@ -299,6 +299,32 @@ def test_sampled_basis_matches_the_full_row_reference_past_the_cap(monkeypatch):
     _assert_matches_full_rows(res, 11)
 
 
+def _defining_stuffle(u: str, v: str) -> Poly:
+    """st(u, v), or 0 for two powers of y: those pairs are no defining relation."""
+    if set(u) == set(v) == {"y"}:
+        return Poly.zero()
+    return dshuffle.stuffle(u, v)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(5, None), (5, 0), (5, -1), (6, 0), (6, -1), (7, None), (7, 0), (7, -1)]
+)
+def test_defining_sweep_matches_the_product_oracle(basis_cache, n, k):
+    # the ds basis (empty at n = 6) plus 1/7 times the k-th Lyndon basis
+    # element: every row u of the sweep has coefficient 0, so it only has
+    # to be zero, and the buckets below degree n are counted unread
+    d = lie.lyndon_basis(n).dimension
+    coords = [0] * d
+    if k is not None:
+        coords[k] = Fraction(1, 7)
+    f = lie.from_coords(coords, n)
+    for g in basis_cache(n).basis:
+        f = f + g
+    report = dshuffle._stuffle_sweep(f, n)
+    assert report == oracles.grouplike_sweep(poly.pi_y(f), n, _defining_stuffle, y_ending=True)
+    assert report["verdict"] is (k is None)
+
+
 def _record_witnesses(monkeypatch) -> list:
     """Patch the stuffle sweep to record the witness of every failure."""
     witnesses = []

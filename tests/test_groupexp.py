@@ -451,14 +451,23 @@ def _oracle_pairing_table(kind: str, trunc: int) -> dict[tuple[int, int], dict[i
     return table
 
 
-def _entries(buckets) -> dict[tuple[int, int], object]:
-    """The nonzero entries of dense coproduct buckets as {(u, v): value}:
-    bucket (a, b) is indexed by the a bits of u above the b bits of v."""
+def _entries(buckets, y_ending: bool = False) -> dict[tuple[int, int], object]:
+    """The nonzero entries of dense coproduct buckets as {(u, v): value}.
+
+    A shuffle bucket (a, b) is indexed by the a bits of u above the b
+    bits of v.  A stuffle bucket (y_ending) holds only words ending in y
+    (or empty): it is indexed by the bits of u above its final y over the
+    bits of v above its final y, max(a - 1, 0) and max(b - 1, 0) of them.
+    """
     out = {}
     for (a, b), values in buckets.items():
+        low = max(b - 1, 0) if y_ending else b
         for i, c in enumerate(values):
             if c:
-                out[(1 << a) | (i >> b), (1 << b) | (i & ((1 << b) - 1))] = c
+                u, v = i >> low, i & ((1 << low) - 1)
+                if y_ending:  # the final y; the empty word's code 1 is its own
+                    u, v = u << 1 | 1, v << 1 | 1
+                out[(1 << a) | u, (1 << b) | v] = c
     return out
 
 
@@ -467,7 +476,7 @@ def shuffle_coproduct(series: dict[int, object]) -> dict[tuple[int, int], object
 
 
 def stuffle_coproduct(series: dict[int, object]) -> dict[tuple[int, int], object]:
-    return _entries(dshuffle.stuffle_buckets(series))
+    return _entries(dshuffle.stuffle_buckets(series), y_ending=True)
 
 
 def _coproduct_series(name: str, trunc: int, f3, f5=None) -> Poly:
@@ -538,6 +547,17 @@ def test_single_word_coproducts_match_their_definitions():
                     for (u, v), c in blocks.items()
                     if len(u) <= len(v)
                 }
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_stuffle_buckets_hold_only_the_y_ending_pairs(m):
+    # every word of degree m ending in y, so that every bucket of the part
+    # is built: bucket (a, b) has one entry per pair of y-ending words
+    series = {w: 1 for w in words.all_words(m) if w & 1}
+    buckets = dshuffle.stuffle_buckets(series)
+    assert {key: len(values) for key, values in buckets.items()} == {
+        (a, m - a): 2 ** (max(a - 1, 0) + max(m - a - 1, 0)) for a in range(m // 2 + 1)
+    }
 
 
 def test_stuffle_coproduct_rejects_words_ending_in_x():
@@ -658,5 +678,69 @@ def test_sweeps_match_the_fraction_oracle(f3, data):
         bad.poly, trunc, dshuffle.shuffle
     )
     assert groupexp.grouplike_stuffle_check(bad) == oracles.grouplike_sweep(
+        star, trunc, dshuffle.stuffle, y_ending=True
+    )
+
+
+@pytest.mark.parametrize(
+    "word,shuffle_report,stuffle_report",
+    [
+        ("x", (("x", "x"), 0), (None, 1)),
+        ("y", (("y", "y"), 2), (("y", "y"), 0)),
+    ],
+)
+def test_sweeps_read_the_buckets_the_kernels_never_build(word, shuffle_report, stuffle_report):
+    # 1 + x and 1 + y have no part of degree 2, so neither kernel builds
+    # bucket (1, 1).  Its pairs are counted unread when a degree has no
+    # word (the y-ending words of degree 1 of 1 + x), and compared with
+    # zeros otherwise; a row u of coefficient 0 (u = x, for 1 + y) only
+    # has to be zero.
+    series = Poly.one() + Poly.word(word)
+    num, den = numerators(series)
+    y_num = {w: c for w, c in num.items() if w & 1}
+    sh_buckets, st_buckets = dshuffle.shuffle_buckets(num), dshuffle.stuffle_buckets(y_num)
+    assert (1, 1) not in sh_buckets and (1, 1) not in st_buckets
+    sh_report = dshuffle.coproduct_sweep(sh_buckets, num, den, 2)
+    st_report = dshuffle.coproduct_sweep(st_buckets, y_num, den, 2, y_ending=True)
+    for report, (witness, pairs) in ((sh_report, shuffle_report), (st_report, stuffle_report)):
+        assert report == {"verdict": witness is None, "witness": witness, "pairs": pairs}
+    assert sh_report == oracles.grouplike_sweep(series, 2, dshuffle.shuffle)
+    assert sh_report == groupexp.grouplike_shuffle_check(TruncSeries(series, 2))
+    y_series = Poly._of(dict(y_num))
+    assert st_report == oracles.grouplike_sweep(y_series, 2, dshuffle.stuffle, y_ending=True)
+
+
+def test_stuffle_check_of_one_plus_a_letter():
+    # the group-level stuffle check runs on Phi_*: that of 1 + x is 1, whose
+    # bucket (1, 1) is never built and is counted unread; that of 1 + y has
+    # a part of degree 2 and fails in its built bucket (1, 1)
+    for word, report in (("x", (None, 1)), ("y", (("y", "y"), 0))):
+        phi = TruncSeries(Poly.one() + Poly.word(word), 2)
+        star = groupexp.star_series(phi)
+        assert ((1, 1) in dshuffle.stuffle_buckets(star.num)) is (word == "y")
+        expected = oracles.grouplike_sweep(star.poly, 2, dshuffle.stuffle, y_ending=True)
+        assert groupexp.grouplike_stuffle_check(phi) == expected
+        assert (expected["witness"], expected["pairs"]) == report
+
+
+@pytest.mark.parametrize("perturbation", [None, "low", "top"])
+@pytest.mark.parametrize("trunc", range(5, 10))
+def test_sweeps_of_exp_f5_match_the_fraction_oracle(f5, trunc, perturbation):
+    # exp_circle(f5, T) is 1 + f5 below degree 10: every bucket of a part of
+    # degree other than 5 is missing, and every row u of degree below 5 has
+    # coefficient 0.  One coefficient is raised by 1/7, in degree T - 4
+    # ("low", a word ending in y) or in degree T ("top").
+    phi = groupexp.exp_circle(f5, trunc)
+    if perturbation:
+        if perturbation == "low":
+            word = "x" * (trunc - 5) + "y"
+        else:
+            word = ("yx" * trunc)[: trunc - 1] + "y"
+        phi = TruncSeries(phi.poly + Poly.word(word, Fraction(1, 7)), trunc)
+    star = groupexp.star_series(phi).poly
+    shuffle_report = groupexp.grouplike_shuffle_check(phi)
+    assert shuffle_report == oracles.grouplike_sweep(phi.poly, trunc, dshuffle.shuffle)
+    assert shuffle_report["verdict"] is (perturbation is None)
+    assert groupexp.grouplike_stuffle_check(phi) == oracles.grouplike_sweep(
         star, trunc, dshuffle.stuffle, y_ending=True
     )

@@ -220,6 +220,34 @@ def test_nullspace_matches_bareiss_on_ds_constraints(n):
     assert linalg.nullspace(rows, ncols) == oracles.bareiss_nullspace(rows, ncols)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_nullity_counts_the_nullspace(seed):
+    rng = random.Random(4500 + seed)
+    ncols = rng.randint(1, 12)
+    rows = low_rank_matrix(rng, rng.randint(0, 15), ncols, rng.randint(0, ncols))
+    if seed % 2:
+        rows = [[Fraction(v, rng.randint(1, 9)) for v in row] for row in rows]
+    expected = len(oracles.bareiss_nullspace(rows, ncols))
+    assert linalg.nullity(rows, ncols) == len(linalg.nullspace(rows, ncols)) == expected
+
+
+def test_nullspace_hands_the_largest_entry_to_every_check(monkeypatch):
+    # the last row is 0 mod the first prime, so the first candidates, four
+    # of them, fail on it and a second check of three follows; both get
+    # the largest |entry| of the rows, FIRST_PRIME
+    rows = [[1, 2, 3, 0, 0], [2, 4, 6, 0, 0], [0, 0, 0, 0, -FIRST_PRIME]]
+    checks = []
+
+    def failing_row(rows, vecs, entry):
+        checks.append((len(vecs), entry))
+        return real(rows, vecs, entry)
+
+    real = linalg._failing_row
+    monkeypatch.setattr(linalg, "_failing_row", failing_row)
+    assert linalg.nullspace(rows, 5) == oracles.bareiss_nullspace(rows, 5)
+    assert checks == [(4, FIRST_PRIME), (3, FIRST_PRIME)]
+
+
 def test_prime_sequence_starts_below_two_to_the_24():
     primes = linalg._primes()
     assert [next(primes), next(primes)] == [FIRST_PRIME, SECOND_PRIME]
@@ -293,8 +321,8 @@ def test_nullspace_catches_a_rank_drop_the_first_prime_cannot_see(monkeypatch):
     hidden = [1, 1, 1, FIRST_PRIME]
     caught = []
 
-    def failing_row(rows, vecs):
-        caught.append(rows[bad] if (bad := real(rows, vecs)) is not None else None)
+    def failing_row(rows, vecs, entry):
+        caught.append(rows[bad] if (bad := real(rows, vecs, entry)) is not None else None)
         return bad
 
     real = linalg._failing_row
@@ -328,7 +356,8 @@ def test_failing_row_matches_the_per_vector_check(data):
     for _ in range(data.draw(st.integers(0, 6), label="rows")):
         support = data.draw(columns, label="support")
         rows.append([data.draw(_ENTRIES) if j in support else 0 for j in range(ncols)])
-    assert linalg._failing_row(rows, vecs) == oracles.failing_row_by_vector(rows, vecs)
+    entry = max((abs(v) for row in rows for v in row), default=0)
+    assert linalg._failing_row(rows, vecs, entry) == oracles.failing_row_by_vector(rows, vecs)
 
 
 @pytest.mark.parametrize("m", [0, 1, 7, 63, 64, 200])
@@ -338,9 +367,9 @@ def test_failing_row_keeps_a_full_slot_from_cancelling_the_next(m):
     # and cancel it, so every width up to m must be refused
     for k in range(m + 1):
         vecs = [[Fraction(2**m), Fraction(0)], [Fraction(-(2**k)), Fraction(0)]]
-        assert linalg._failing_row([[0, 1], [1, 0]], vecs) == 1
+        assert linalg._failing_row([[0, 1], [1, 0]], vecs, 1) == 1
         assert oracles.failing_row_by_vector([[0, 1], [1, 0]], vecs) == 1
-        assert linalg._failing_row([[0, 1]], vecs) is None
+        assert linalg._failing_row([[0, 1]], vecs, 1) is None
 
 
 def test_nullspace_does_not_depend_on_the_row_order():
