@@ -27,11 +27,14 @@ from json.encoder import encode_basestring_ascii
 from . import __version__, groupexp, linalg, moulds, words
 from .poly import (
     Poly,
+    _divided,
+    _is_fractional,
+    _push_constant,
     coeff_to_str,
     decompose_right,
     negate_y,
+    numerators,
     poly_to_json,
-    push_constant,
 )
 from .lie import NotLieError, lyndon_basis, random_lie
 from .dshuffle import (
@@ -43,6 +46,7 @@ from .dshuffle import (
 )
 from .derivations import (
     TangentialDerivation,
+    _divided_derivation,
     ds_to_krv,
     krv_to_ds,
     kv_dimensions,
@@ -263,22 +267,30 @@ def _sample(args, n: int, run, passes) -> tuple[list, dict | None]:
     return passed, witness
 
 
-def _injection(f: Poly, n: int):
-    """The image d = ds_to_krv(f) and its checks: d special, trace constant
-    A defined, push constant of d equal to n*A, inverse round trip."""
-    d = ds_to_krv(f)
+def _injection(f: Poly, n: int, image: bool = False):
+    """The checks of the image d = ds_to_krv(f): d special, trace constant
+    A defined, push constant of d equal to n*A, inverse round trip; and d
+    itself if image is set, else None.
+
+    The map and its checks are linear: they run on the integer numerators
+    P of f = P/D, and d, A and the push constant are divided by D once.
+    """
+    num, den = numerators(f)
+    p, fractional = Poly._of(num), _is_fractional(f)
+    d = ds_to_krv(p)
     a = trace_constant(d)
+    a = None if a is None else a / den
     fx, fy = decompose_right(d.F)
-    pc = push_constant(fy - fx)
-    back = krv_to_ds(d)
+    pc = _push_constant(fy - fx, den, fractional)
+    round_trip = krv_to_ds(d) == p
     special = d.is_special()
-    return d, {
+    return _divided_derivation(d, den, fractional) if image else None, {
         "special": special,
         "trace_constant": a,
         "push_constant": pc,
         "push_equals_n_times_A": pc == (n * a if a is not None else None),
-        "round_trip": back == f,
-        "ok": special and a is not None and pc == n * a and back == f,
+        "round_trip": round_trip,
+        "ok": special and a is not None and pc == n * a and round_trip,
     }
 
 
@@ -310,7 +322,7 @@ def cmd_map(args):
     ws = _parse_weights(args)
 
     def check(f, n):
-        d, rep = _injection(f, n)
+        d, rep = _injection(f, n, image=True)
         entry = {"source": f, "derivation": d}
         entry.update((k, rep[k]) for k in ("trace_constant", "push_constant", "round_trip", "ok"))
         return entry, rep["ok"]
@@ -343,14 +355,19 @@ def cmd_bracket(args):
             f"basis index out of range (dims are {ra.dimension}, {rb.dimension})"
         )
     fa, fb = ra.basis[args.index1], rb.basis[args.index2]
-    br = poisson(fa, fb)
-    member = bool(br) and is_ds(br, strict=args.strict)
+    # the bracket, its membership and the compatibility below are all
+    # (bi)linear: they run on the integer numerators P/D, Q/E of fa and fb,
+    # and only the reported bracket is divided by DE
+    (pa, da), (pb, db) = numerators(fa), numerators(fb)
+    pa, pb = Poly._of(pa), Poly._of(pb)
+    br_num = poisson(pa, pb)
+    br = _divided(br_num, da * db, _is_fractional(fa) or _is_fractional(fb))
+    member = bool(br_num) and is_ds(br_num, strict=args.strict)
     # compatibility: the tangential commutator of the images matches the
     # image of the Poisson bracket
     compatible = None
     if member:
-        da, db = ds_to_krv(fa), ds_to_krv(fb)
-        compatible = da.commutator(db) == ds_to_krv(br, check=False)
+        compatible = ds_to_krv(pa).commutator(ds_to_krv(pb)) == ds_to_krv(br_num, check=False)
     ok = (not bool(br)) or (member and (compatible is not False))
     payload = {
         "bracket": br,
@@ -375,20 +392,23 @@ def cmd_mould(args):
     ws = _parse_weights(args, 3, 3)
 
     def check(f, n):
-        entry = {"u_family": moulds.u_family(f)}
+        # the checks run on the numerators p of f and share their u-family m,
+        # which the report gives over the denominator of f
+        p, m, family = moulds._numerator_family(f)
+        entry = {"u_family": family}
         good = True
         if args.check in ("all", "fixed"):
-            entry["mantar_fixed"] = moulds.mantar_fixed_check(f)
+            entry["mantar_fixed"] = moulds._mantar_fixed(p, m)
             good = all(entry["mantar_fixed"].values())
         if args.check in ("all", "rules"):
-            entry["negation_rule"] = moulds.negation_rule_check(f)
-            entry["translation_rule"] = moulds.translation_rule_check(f)
+            entry["negation_rule"] = moulds.negation_rule_check(p)
+            entry["translation_rule"] = moulds.translation_rule_check(p)
             good = good and entry["negation_rule"] and entry["translation_rule"]
         if args.check in ("all", "ecalle"):
-            entry["ecalle"] = moulds.ecalle_identity_check(f)
+            entry["ecalle"] = moulds._ecalle_identity(p, m)
             good = good and entry["ecalle"]["verdict"]
             if args.strict:
-                entry["ecalle_bridge"] = moulds.ecalle_bridge_check(f)
+                entry["ecalle_bridge"] = moulds._ecalle_bridge(p, m)
                 good = good and all(entry["ecalle_bridge"].values())
         return entry, good
 

@@ -11,11 +11,17 @@ words.  This module computes all of that exactly, provides the
 five-way equivalence report for specialness, the reconstruction of a
 Lie element from one bracket factor, and the weight-preserving
 injection of the double shuffle Lie algebra into krv.
+
+Specialness and the trace condition are linear in (F, G), and push
+constants are linear in F, so vkv_check, pushconst_transport and the
+span checks of kv_dimensions run on integer numerators (see poly);
+_divided_derivation divides a derivation built on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import CrossCheckError, linalg, words
 from .dshuffle import is_ds
@@ -26,7 +32,11 @@ from .poly import (
     Terms,
     X,
     Y,
+    _divided,
+    _is_fractional,
     _map_words,
+    _numerator_poly,
+    _push_constant,
     _reject_empty,
     _section_numerators,
     accumulate,
@@ -38,6 +48,7 @@ from .poly import (
     is_antipalindromic,
     is_push_invariant,
     negate_y,
+    numerators,
     poly_to_json,
     push_constant,
     s_map,
@@ -155,6 +166,27 @@ class TangentialDerivation:
         }
 
 
+def _divided_derivation(
+    d: TangentialDerivation, den: int, fractional: bool
+) -> TangentialDerivation:
+    """d / den for the derivation d of the integer numerators of some f = P/den.
+
+    F, G and the images are divided as poly._divided divides, and the
+    trace constant of d, which is linear in (F, G), is handed over
+    divided by den, so that it is never recomputed on Fractions.
+    """
+    a = trace_constant(d)
+    new = object.__new__(TangentialDerivation)
+    for name, value in (
+        ("F", _divided(d.F, den, fractional)),
+        ("G", _divided(d.G, den, fractional)),
+        ("images", tuple(_divided(h, den, fractional) for h in d.images)),
+        ("_trace", None if a is None else a / den),
+    ):
+        object.__setattr__(new, name, value)
+    return new
+
+
 # -- specialness: construction and the five-way equivalence -------------------
 
 
@@ -177,11 +209,25 @@ def partner_by_elimination(F: Poly) -> Poly | None:
     element has no x^n term and ad x is injective on Lie_n (only
     multiples of x commute with x).  For n = 1 the x-coordinate is set
     to 0, so the partner of x is y and that of y is 0.
+
+    R is [F, y]: the one special_equivalences holds for this F, else a
+    new one.
     """
+    held = _HELD_Y_BRACKET  # one read: the pair cannot change under us
+    return _partner_solving(F, held[1] if held is not None and held[0] is F else bracket(F, Y))
+
+
+# special_equivalences solves [x, G] = [F, y] twice, by elimination and by
+# formula, and calls partner_by_elimination by its module name, which the
+# tracer wraps and tests replace; while that call runs, this is (F, [F, y])
+_HELD_Y_BRACKET: tuple[Poly, Poly] | None = None
+
+
+def _partner_solving(F: Poly, rhs: Poly) -> Poly | None:
+    """partner_by_elimination(F), given rhs = [F, y]."""
     n = F.degree()
     if n is None:
         return Poly.zero()
-    rhs = bracket(F, Y)
     pairs = []
     for w, c in rhs.terms.items():
         m = words.degree(w)
@@ -226,13 +272,19 @@ def special_equivalences(f: Poly) -> dict:
     big_fx, big_fy = decompose_right(big_f)
     fx, fy = decompose_right(f)
 
-    g_solved = partner_by_elimination(big_f)
+    global _HELD_Y_BRACKET
+    rhs = bracket(big_f, Y)
+    _HELD_Y_BRACKET = big_f, rhs
+    try:
+        g_solved = partner_by_elimination(big_f)
+    finally:
+        _HELD_Y_BRACKET = None
     existence = g_solved is not None
 
     # G = s'(F_x) = P/D solves [x, G] = [F, y] when [x, P] = D [F, y]; only
     # then is G built and peeled in the Lyndon basis
     num, den = _section_numerators(big_fx, right=False)
-    formula = bracket(X, Poly._of(num)) == bracket(big_f, Y).scale(den)
+    formula = bracket(X, Poly._of(num)) == rhs.scale(den)
     g_formula = None
     if formula:
         g_formula = Poly._of({w: Fraction(c, den) for w, c in num.items()})
@@ -341,6 +393,7 @@ def vkv_check(F: Poly) -> bool:
     F_y - F_x push-constant (for some A)."""
     if not F or not F.is_homogeneous():
         raise ValueError("vkv_check requires nonzero homogeneous input")
+    F = _numerator_poly(F)  # scale-invariant: on the numerators
     if not is_lie(F):
         raise NotLieError("vkv_check requires a Lie element", F)
     fx, fy = decompose_right(F)
@@ -358,21 +411,24 @@ def pushconst_transport(f: Poly) -> dict:
 
     Precondition: f homogeneous Lie with f_y push-constant; for even n
     the constant must vanish (for odd n no extra condition).
+
+    Both constants are linear in f: they are taken on the integer
+    numerators P of f = P/D and divided by D (poly._push_constant).
     """
     n = f.degree()
     if n is None or not f.is_homogeneous():
         raise ValueError("pushconst_transport requires nonzero homogeneous input")
-    if not is_lie(f):
+    num, den = numerators(f)
+    p, fractional = Poly._of(num), _is_fractional(f)
+    if not is_lie(p):
         raise NotLieError("pushconst_transport requires a Lie element", f)
-    _, fy = decompose_right(f)
-    a = push_constant(fy)
+    a = _push_constant(decompose_right(p)[1], den, fractional)
     if a is None:
         raise ValueError("f_y is not push-constant")
     if n % 2 == 0 and a != 0:
         raise ValueError("even degree forces a vanishing push constant")
-    big_f = subst_linear(f, _MINUS_X_MINUS_Y, Y)
-    bfx, bfy = decompose_right(big_f)
-    got = push_constant(bfy - bfx)
+    bfx, bfy = decompose_right(subst_linear(p, _MINUS_X_MINUS_Y, Y))
+    got = _push_constant(bfy - bfx, den, fractional)
     return {"A": a, "transported": got, "ok": got == a}
 
 
@@ -441,16 +497,26 @@ def kv_dimensions(n: int) -> dict:
     rows_iii, d = _antipalindromy_rows(n)
     splits = [decompose_right(e) for e in lyndon_basis(n).expansions]
 
-    # krv: antipalindromy plus the trace condition, unknowns (coords, A)
+    # krv: antipalindromy plus the trace condition, unknowns (coords, A).
+    # s'(F_x) = P/D with integer numerators P over D = (n-1)!, since each
+    # F_x is integral of degree n - 1; the trace rows are built on P, each
+    # row scaled by D and then divided by its content, which leaves the
+    # kernel unchanged and the entries no larger than those of the
+    # Fraction rows scaled to integers.
     krv_rows = [r + [0] for r in rows_iii]
+    sections = [_section_numerators(ex, right=False) for ex, _ in splits]
+    scale = lcm(1, *(den for _, den in sections))
     traces = []
-    for ex, ey in splits:
-        gx, _ = decompose_right(s_prime_map(ex))
-        traces.append(trace(ey * Y + gx * X))
+    for (_, ey), (num, den) in zip(splits, sections):
+        k = scale // den
+        gx, _ = decompose_right(Poly._of(num if k == 1 else {w: c * k for w, c in num.items()}))
+        traces.append(trace((ey * Y).scale(scale) + gx * X))
     r_cyc = mixed_trace(n)
     classes = sorted(set().union(*(set(t.terms) for t in traces), set(r_cyc.terms)))
     for w in classes:
-        krv_rows.append([t.terms.get(w, 0) for t in traces] + [-r_cyc.terms.get(w, 0)])
+        row = [t.terms.get(w, 0) for t in traces] + [-scale * r_cyc.terms.get(w, 0)]
+        g = gcd(*row)
+        krv_rows.append([v // g for v in row] if g > 1 else row)
     krv_null = linalg.nullspace(krv_rows, d + 1)
 
     # divisor model: antipalindromy plus push-constancy of F_y - F_x
@@ -470,9 +536,12 @@ def kv_dimensions(n: int) -> dict:
     # the last unknown is A (krv) or the push constant (vkv)
     krv_elems = [from_coords(vec[:d], n) for vec in krv_null]
     vkv_elems = [from_coords(vec[:d], n) for vec in vkv_null]
+    # krv_check is scale-invariant: it runs on the derivation of the
+    # numerators of each element (vkv_check takes them itself)
+    vkv_numerators = map(_numerator_poly, vkv_elems)
     same_span = len(krv_null) == len(vkv_null) and all(
-        krv_check(special_derivation(f) or TangentialDerivation(f, Poly.zero()))
-        for f in vkv_elems
+        krv_check(special_derivation(p) or TangentialDerivation(p, Poly.zero()))
+        for p in vkv_numerators
     ) and all(vkv_check(f) for f in krv_elems if f)
 
     return {

@@ -47,6 +47,9 @@ from .poly import (
     Coeff,
     Poly,
     Y,
+    _divided,
+    _is_fractional,
+    _over,
     decompose_right,
     derive,
     numerators,
@@ -453,8 +456,15 @@ def d_f(f: Poly, g: Poly, trunc: int | None = None) -> Poly:
 
 
 def poisson(f: Poly, g: Poly) -> Poly:
-    """Poisson (Ihara) bracket {f, g} = [f, g] + d_f(g) - d_g(f)."""
-    return bracket(f, g) + d_f(f, g) - d_f(g, f)
+    """Poisson (Ihara) bracket {f, g} = [f, g] + d_f(g) - d_g(f).
+
+    The bracket is bilinear: it is taken on the integer numerators of
+    f = P/D and g = Q/E and divided by DE once (poly._divided).
+    """
+    (p, dp), (q, dq) = numerators(f), numerators(g)
+    p, q = Poly._of(p), Poly._of(q)
+    br = bracket(p, q) + d_f(p, q) - d_f(q, p)
+    return _divided(br, dp * dq, _is_fractional(f) or _is_fractional(g))
 
 
 # -- basis computation --------------------------------------------------------
@@ -562,7 +572,7 @@ class BasisResult:
 
 _basis_cache: dict[int, BasisResult] = {}
 
-MAX_WEIGHT = 10
+MAX_WEIGHT = 13
 
 # ds_basis starts from the rows of d + _SAMPLE_EXTRA stuffle pairs, drawn
 # with random.Random(_SAMPLE_SEED); they affect only the speed.
@@ -647,27 +657,35 @@ def signed_push_sums_check(f: Poly) -> dict:
     Orbits are traversed with repetitions (a word of depth r always
     contributes r+1 terms).  Returns the verdict and a witness word on
     failure.
+
+    The law is linear in f, so the sums run on the integer numerators P
+    of f = P/D; A is read off f, and a failing sum is divided by D as
+    poly._over does.
     """
     n = f.degree()
     if n is None or not f.is_homogeneous() or n < 2:
         raise ValueError("signed_push_sums_check requires homogeneous degree >= 2")
-    a = f.coeff((1 << n) | 1)
-    _, fy = decompose_right(f)
-    if fy.coeff(words.y_power(n - 1)):
+    lead = (1 << n) | 1  # x^(n-1) y
+    a = f.coeff(lead)
+    num, den = numerators(f)
+    a_num = num.get(lead, 0)
+    _, fy = decompose_right(Poly._of(num))
+    get = fy.terms.get
+    if get(words.y_power(n - 1), 0):
         return {"verdict": False, "A": a, "witness": "y" * (n - 1)}
     for orbit in words.push_orbits(n - 1):
         w = orbit[0]
         if words.is_power_of_y(w):
             continue
-        r = words.depth(w)
-        total = sum(fy.coeff(v) for v in orbit)
-        expected = a if r % 2 == 0 else -a
-        if total != expected:
+        even = words.depth(w) % 2 == 0
+        total = sum(get(v, 0) for v in orbit)
+        if total != (a_num if even else -a_num):
+            met = any(v in fy.terms for v in orbit)
             return {
                 "verdict": False,
                 "A": a,
                 "witness": words.str_from_code(w),
-                "sum": total,
-                "expected": expected,
+                "sum": _over(total, den, met and _is_fractional(f)),
+                "expected": a if even else -a,
             }
     return {"verdict": True, "A": a, "witness": None}

@@ -22,6 +22,12 @@ Every change of variables here is one CPoly.subst, given one sparse
 linear form {new variable: coefficient} per old variable, except in
 antipal_bridge_check, whose renames and drops of variables are read
 straight off the exponent tuples.
+
+Every identity check here is linear in f and reports only verdicts, so
+each one runs on the integer numerators P of f = P/D (poly.numerators):
+the u-family of P is D times that of f, and every operator above is
+linear.  _numerator_family builds the u-family of P once for the mould
+command, whose checks share it and which reports it over D.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .poly import (
     Terms,
     X,
     Y,
+    _numerator_poly,
     accumulate,
     coeff_to_str,
     decompose_right,
@@ -341,6 +348,30 @@ def u_family(f: Poly) -> Mould:
     return Mould("u", comps, zf.degree)
 
 
+def _numerator_family(f: Poly) -> tuple[Poly, Mould, Mould]:
+    """The integer numerators P of f = P/D, the u-family of P, and u_family(f).
+
+    u_family(f) is the u-family of P over D.  CPoly.subst gives a depth-r
+    component ints when the depth-r part of f has integer values and
+    Fractions otherwise, so each component is divided in that type.
+    """
+    num, den = numerators(f)
+    p = Poly._of(num)
+    m = u_family(p)
+    if den == 1:
+        return p, m, m
+    fractional = {words.depth(w) for w, c in f.terms.items() if c.denominator != 1}
+    comps = {
+        r: c._like(
+            {e: Fraction(v, den) for e, v in c.terms.items()}
+            if r in fractional
+            else {e: v // den for e, v in c.terms.items()}
+        )
+        for r, c in m.components.items()
+    }
+    return p, m, Mould("u", comps, m.degree)
+
+
 # -- the four operators on u-families ------------------------------------------
 
 
@@ -490,9 +521,15 @@ def ad_expansion(f: Poly) -> dict[tuple[int, ...], tuple[Coeff, Poly]]:
 def mantar_fixed_check(f: Poly) -> dict:
     """For Lie f: mantar fixes the u-family, whose coefficients are the
     ad(x)-product expansion coefficients of f."""
+    return _mantar_fixed(_numerator_poly(f))  # scale-invariant: on the numerators
+
+
+def _mantar_fixed(f: Poly, m: Mould | None = None) -> dict:
+    """mantar_fixed_check on f; m, when given, is the u-family of f."""
     if not is_lie(f):
         raise NotLieError("mantar_fixed_check requires a Lie element", f)
-    m = u_family(f)
+    if m is None:
+        m = u_family(f)
     expansion = ad_expansion(f)
     coeffs = {c: b for c, (b, _) in expansion.items()}
     rebuilt = Mould(
@@ -522,6 +559,7 @@ def negation_rule_check(f: Poly) -> bool:
     (-1)^(n-r) under negating all variables."""
     if not f or not f.is_homogeneous():
         raise ValueError("negation_rule_check requires nonzero homogeneous input")
+    f = _numerator_poly(f)  # scale-invariant: on the numerators
     n = f.degree()
     zf = z_family(f)
     for r in zf.depths():
@@ -536,6 +574,7 @@ def negation_rule_check(f: Poly) -> bool:
 def translation_rule_check(f: Poly) -> bool:
     """z-family translation invariance of Lie elements: a common shift
     of all arguments does not change any positive-depth component."""
+    f = _numerator_poly(f)  # scale-invariant: on the numerators
     zf = z_family(f)
     for r in zf.depths():
         if r == 0:
@@ -554,9 +593,15 @@ def ecalle_identity_check(f: Poly) -> dict:
     must be one (ValueError otherwise); the report records the first
     depth at which the identity fails, if any.
     """
+    return _ecalle_identity(_numerator_poly(f))  # scale-invariant: on the numerators
+
+
+def _ecalle_identity(f: Poly, m: Mould | None = None) -> dict:
+    """ecalle_identity_check on f; m, when given, is the u-family of f."""
     if not is_ds(f):
         raise ValueError("ecalle_identity_check requires a double shuffle element")
-    m = u_family(f)
+    if m is None:
+        m = u_family(f)
     lhs = teru(m)
     rhs = push_mould(mantar(teru(mantar(m))))
     depths = sorted(set(lhs.depths()) | set(rhs.depths()))
@@ -577,13 +622,19 @@ def ecalle_bridge_check(f: Poly) -> dict:
       rhs form: (-1)^(n-1) [vimo^r(v_2..v_r,0,v_1)
                 + 1/v_1 (vimo^(r-1)(v_2..v_r,v_1) - vimo^(r-1)(v_2..v_r,0))]
     """
+    return _ecalle_bridge(_numerator_poly(f))  # scale-invariant: on the numerators
+
+
+def _ecalle_bridge(f: Poly, m: Mould | None = None) -> dict:
+    """ecalle_bridge_check on f; m, when given, is the u-family of f."""
     if not f or not f.is_homogeneous():
         raise ValueError("ecalle_bridge_check requires nonzero homogeneous input")
     if not is_lie(f):
         raise NotLieError("ecalle_bridge_check requires a Lie element", f)
     n = f.degree()
     zf = z_family(f)
-    m = u_family(f)
+    if m is None:
+        m = u_family(f)
     lhs_op = swap(teru(m))
     rhs_op = swap(push_mould(mantar(teru(m))))
     sign = 1 if (n - 1) % 2 == 0 else -1
@@ -638,6 +689,7 @@ def antipal_bridge_check(f: Poly) -> dict:
     n = f.degree()
     if n is None or not f.is_homogeneous() or n < 2:
         raise ValueError("antipal_bridge_check requires homogeneous input of degree >= 2")
+    f = _numerator_poly(f)  # scale-invariant: on the numerators
     fx, fy = decompose_right(f)
     h = fx + fy
     zf = {r: p.terms for r, p in z_family(f).components.items()}
@@ -684,6 +736,7 @@ def antipal_sum_check(f: Poly) -> dict:
     the direct predicate together with the per-depth divided-difference
     certificate of the commutative-variable translation.
     """
+    f = _numerator_poly(f)  # scale-invariant: on the numerators
     fx, fy = decompose_right(f)
     h = fx + fy
     direct = True if not h else is_antipalindromic(h)

@@ -14,6 +14,18 @@ images of x and y, degree-truncated products, reversal (anti), push,
 left/right factor decompositions f = x f^x + y f^y = f_x x + f_y y, the
 section maps s and s' that rebuild a Lie element from one factor, and
 the palindromy / push-invariance / push-constancy predicates.
+
+Integer numerators.  Each certificate of the package is a linear
+condition on its input f, so f = P/D and its integer numerators P
+(numerators) get the same verdict, and a value linear in f is the value
+on P divided by D.  The per-element certificates therefore run on P,
+and convert only what they report, once, at the end (_over, _divided):
+a Fraction when f has a Fraction coefficient, else the int itself,
+except that a sum over no term of f is the int 0, as the plain sum of
+the coefficients of f would be.  For f whose coefficients are all ints
+or all Fractions, as every basis element, random element and scaled
+element is, that gives the values, the types and the dict order of the
+same computation on f.
 """
 
 from __future__ import annotations
@@ -305,7 +317,7 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
     if EMPTY in f.terms:
         raise ValueError("subst_linear is not defined on the empty word")
     a, b, c, d = (g.terms.get(w, 0) for g in (x_image, y_image) for w in (words.X_CODE, words.Y_CODE))
-    fractional = any(type(v) is Fraction for v in f.terms.values())
+    fractional = _is_fractional(f)
     cur, den = numerators(f) if fractional else (f.terms, 1)
     if c == 0 and d == 1 and type(a) is type(b) is type(d) is int:
         # y is fixed: a word with y at position i, or of degree at most i,
@@ -349,9 +361,40 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
 
 
 def numerators(f: Poly) -> tuple[dict[int, int], int]:
-    """f as P/D: integer numerators P and the lcm D of the denominators."""
+    """f as P/D: integer numerators P and the lcm D of the denominators.
+
+    P is a fresh dict; when every coefficient is an int it is a copy of f.
+    """
+    if all(type(c) is int for c in f.terms.values()):
+        return dict(f.terms), 1
     den = lcm(1, *(c.denominator for c in f.terms.values()))
     return {w: c.numerator * (den // c.denominator) for w, c in f.terms.items()}, den
+
+
+def _numerator_poly(f: Poly) -> Poly:
+    """The integer numerators P of f = P/D, as a polynomial: f itself when
+    every coefficient is an int."""
+    if all(type(c) is int for c in f.terms.values()):
+        return f
+    return Poly._of(numerators(f)[0])
+
+
+def _is_fractional(f: Terms) -> bool:
+    """Whether f has a Fraction coefficient."""
+    return any(type(c) is Fraction for c in f.terms.values())
+
+
+def _over(c: Coeff, den: int, fractional: bool) -> Coeff:
+    """A value c computed on the numerators P of f = P/den, divided by den:
+    Fraction(c, den) when f has a Fraction coefficient, else c (den is 1)."""
+    return Fraction(c, den) if fractional else c
+
+
+def _divided(p: Terms, den: int, fractional: bool) -> Terms:
+    """p / den, each coefficient divided as by _over."""
+    if not fractional:
+        return p
+    return p._like({k: Fraction(c, den) for k, c in p.terms.items()})
 
 
 def _by_degree(terms: dict[int, Coeff]) -> dict[int, list[tuple[int, Coeff]]]:
@@ -530,22 +573,36 @@ def push_constant(f: Poly) -> Coeff | None:
 
     Sums run over the full push orbit list, repeats included.  Requires
     (f|y^n) = 0.  Returns None when f is not push-constant for any A.
+    The sums run on the integer numerators of f (see _push_constant).
     """
-    n = _require_homogeneous(f, "push_constant")
+    num, den = numerators(f)
+    return _push_constant(Poly._of(num), den, _is_fractional(f))
+
+
+def _push_constant(p: Poly, den: int, fractional: bool) -> Coeff | None:
+    """push_constant(f) from the integer numerators p of f = p/den.
+
+    Push-constancy is scale-invariant and A is linear, so A is the
+    constant of p over den, converted by _over; a first orbit that
+    misses p gives the int 0.
+    """
+    n = _require_homogeneous(p, "push_constant")
     if n is None:
         return 0
-    if f.terms.get(words.y_power(n), 0):
+    get = p.terms.get
+    if get(words.y_power(n), 0):
         return None
     a = None
     for orbit in words.push_orbits(n):
         if words.is_power_of_y(orbit[0]):
             continue
-        total = sum(f.terms.get(v, 0) for v in orbit)
+        total = sum(get(v, 0) for v in orbit)
         if a is None:
             a = total
+            met = any(v in p.terms for v in orbit)
         elif total != a:
             return None
-    return a
+    return a if a is None else _over(a, den, fractional and met)
 
 
 # -- serialization ----------------------------------------------------------

@@ -13,8 +13,8 @@ exponent decomposition, ...) reject it.
 
 The per-code maps exponents_of, x_deletions, anti_code and push_code
 are pure functions of the code and are memoized.  Each cache holds
-fewer than 2^(d+1) entries when no word it sees is longer than d: 2^11
-at MAX_WEIGHT = 10 and 2^17 at groupexp.MAX_TRUNCATION = 16.  Errors are
+fewer than 2^(d+1) entries when no word it sees is longer than d: 2^14
+at MAX_WEIGHT = 13 and 2^17 at groupexp.MAX_TRUNCATION = 16.  Errors are
 not cached, so the empty word raises on every call.
 """
 

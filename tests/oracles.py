@@ -41,6 +41,7 @@ from dskrv.poly import (
     partial_x,
     poly_to_json,
     push,
+    s_prime_map,
     subst_linear,
 )
 
@@ -905,3 +906,288 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     return obj
+
+
+# -- the per-element certificates on Fraction coefficients -----------------------
+# The library runs these on the integer numerators P of f = P/D and divides
+# what it reports by D.  These are their bodies as they were before, on the
+# coefficients of f as they are; tests/test_numerators.py compares values,
+# int/Fraction types and dict order.
+
+
+def fraction_push_constant(f: Poly):
+    """poly.push_constant, summing the coefficients of f."""
+    n = f.degree()
+    if n is None:
+        return 0
+    if f.terms.get(words.y_power(n), 0):
+        return None
+    a = None
+    for orbit in words.push_orbits(n):
+        if words.is_power_of_y(orbit[0]):
+            continue
+        total = sum(f.terms.get(v, 0) for v in orbit)
+        if a is None:
+            a = total
+        elif total != a:
+            return None
+    return a
+
+
+def fraction_mantar_fixed_check(f: Poly) -> dict:
+    if not lie.is_lie(f):
+        raise lie.NotLieError("mantar_fixed_check requires a Lie element", f)
+    m = moulds.u_family(f)
+    expansion = moulds.ad_expansion(f)
+    coeffs = {c: b for c, (b, _) in expansion.items()}
+    rebuilt = moulds.Mould(
+        "u",
+        {
+            r: CPoly(
+                r, {c: (b if sum(c) % 2 == 0 else -b) for c, b in coeffs.items() if len(c) == r}
+            )
+            for r in {len(c) for c in coeffs}
+        },
+        f.degree() if f.is_homogeneous() else None,
+    )
+    return {
+        "mantar_fixes": moulds.mantar(m) == m,
+        "coefficients_match": rebuilt == m,
+        "round_trip": moulds._sum_of_products(expansion.values()) == f,
+    }
+
+
+def fraction_negation_rule_check(f: Poly) -> bool:
+    if not f or not f.is_homogeneous():
+        raise ValueError("negation_rule_check requires nonzero homogeneous input")
+    n = f.degree()
+    zf = z_family(f)
+    for r in zf.depths():
+        p = zf.component(r)
+        neg = p.subst([{k: -1} for k in range(r + 1)], r + 1)
+        if neg != p.scale(1 if (n - r) % 2 == 0 else -1):
+            return False
+    return True
+
+
+def fraction_translation_rule_check(f: Poly) -> bool:
+    zf = z_family(f)
+    for r in zf.depths():
+        if r == 0:
+            continue
+        p = zf.component(r)
+        if p.subst([{}] + [{0: -1, k: 1} for k in range(1, r + 1)], r + 1) != p:
+            return False
+    return True
+
+
+def fraction_ecalle_identity_check(f: Poly) -> dict:
+    if not dshuffle.is_ds(f):
+        raise ValueError("ecalle_identity_check requires a double shuffle element")
+    m = moulds.u_family(f)
+    lhs = moulds.teru(m)
+    rhs = moulds.push_mould(moulds.mantar(moulds.teru(moulds.mantar(m))))
+    depths = sorted(set(lhs.depths()) | set(rhs.depths()))
+    per_depth = {r: lhs.component(r) == rhs.component(r) for r in depths}
+    witness = next((r for r, ok in per_depth.items() if not ok), None)
+    return {"verdict": all(per_depth.values()), "per_depth": per_depth, "witness_depth": witness}
+
+
+def fraction_ecalle_bridge_check(f: Poly) -> dict:
+    if not f or not f.is_homogeneous():
+        raise ValueError("ecalle_bridge_check requires nonzero homogeneous input")
+    if not lie.is_lie(f):
+        raise lie.NotLieError("ecalle_bridge_check requires a Lie element", f)
+    n = f.degree()
+    zf = z_family(f)
+    m = moulds.u_family(f)
+    lhs_op = moulds.swap(moulds.teru(m))
+    rhs_op = moulds.swap(moulds.push_mould(moulds.mantar(moulds.teru(m))))
+    sign = 1 if (n - 1) % 2 == 0 else -1
+    report = {"lhs_match": True, "rhs_match": True, "identity": True}
+    for r in range(2, max(lhs_op.max_depth(), rhs_op.max_depth()) + 1):
+        vr, vprev = zf.component(r), zf.component(r - 1)
+        a = vr.subst([{}] + [{r - k: 1} for k in range(1, r + 1)], r)
+        hi = [{}] + [{r - k: 1} for k in range(1, r - 1)]
+        b1 = vprev.subst(hi + [{0: 1}], r)
+        b2 = vprev.subst(hi + [{1: 1}], r)
+        lhs_form = a + (b1 - b2).div_diff(0, 1)
+        if lhs_form != lhs_op.component(r):
+            report["lhs_match"] = False
+        shifted = [{k + 1: 1} for k in range(r - 1)]
+        c = vr.subst(shifted + [{}, {0: 1}], r)
+        d1 = vprev.subst(shifted + [{0: 1}], r)
+        d2 = vprev.subst(shifted + [{}], r)
+        rhs_form = (c + (d1 - d2).div_var(0)).scale(sign)
+        if rhs_form != rhs_op.component(r):
+            report["rhs_match"] = False
+        if lhs_form != rhs_form:
+            report["identity"] = False
+    return report
+
+
+def fraction_antipal_sum_check(f: Poly) -> dict:
+    fx, fy = decompose_right(f)
+    h = fx + fy
+    direct = True if not h else is_antipalindromic(h)
+    bridge = fraction_antipal_bridge_check(f)
+    return {
+        "verdict": direct,
+        "bridge": bridge,
+        "consistent": bridge["verdict"] == direct and bridge["agrees_with_direct_predicate"],
+    }
+
+
+def fraction_antipal_bridge_check(f: Poly) -> dict:
+    n = f.degree()
+    if n is None or not f.is_homogeneous() or n < 2:
+        raise ValueError("antipal_bridge_check requires homogeneous input of degree >= 2")
+    fx, fy = decompose_right(f)
+    h = fx + fy
+    zf = {r: p.terms for r, p in z_family(f).components.items()}
+    zh = z_family(h)
+    sign = 1 if (n - 1) % 2 == 0 else -1
+    c0 = h.terms.get(words.x_power(n - 1), 0)
+    per_depth = {0: c0 == sign * c0}
+    formula_matches = True
+    for r in range(1, n):
+        vnext = zf.get(r + 1, {}).items()
+        vr = zf.get(r, {}).items()
+        lhs = accumulate(
+            {e[:-1]: c for e, c in vnext if not e[-1]},
+            ((e[:-1] + (e[-1] - 1,), c) for e, c in vr if e[-1]),
+        )
+        rhs = accumulate(
+            {e[-2::-1]: sign * c for e, c in vnext if not e[-1]},
+            (((e[-1] - 1,) + e[-2::-1], c) for e, c in vr if e[-1]),
+            sign,
+        )
+        if lhs != zh.component(r).terms:
+            formula_matches = False
+        per_depth[r] = lhs == rhs
+    verdict = all(per_depth.values())
+    direct = is_antipalindromic(h) if h else True
+    return {
+        "verdict": verdict,
+        "per_depth": per_depth,
+        "formula_matches_direct_family": formula_matches,
+        "agrees_with_direct_predicate": verdict == direct,
+    }
+
+
+def fraction_signed_push_sums_check(f: Poly) -> dict:
+    n = f.degree()
+    if n is None or not f.is_homogeneous() or n < 2:
+        raise ValueError("signed_push_sums_check requires homogeneous degree >= 2")
+    a = f.coeff((1 << n) | 1)
+    _, fy = decompose_right(f)
+    if fy.coeff(words.y_power(n - 1)):
+        return {"verdict": False, "A": a, "witness": "y" * (n - 1)}
+    for orbit in words.push_orbits(n - 1):
+        w = orbit[0]
+        if words.is_power_of_y(w):
+            continue
+        total = sum(fy.coeff(v) for v in orbit)
+        expected = a if words.depth(w) % 2 == 0 else -a
+        if total != expected:
+            return {
+                "verdict": False,
+                "A": a,
+                "witness": words.str_from_code(w),
+                "sum": total,
+                "expected": expected,
+            }
+    return {"verdict": True, "A": a, "witness": None}
+
+
+def fraction_poisson(f: Poly, g: Poly) -> Poly:
+    return lie.bracket(f, g) + dshuffle.d_f(f, g) - dshuffle.d_f(g, f)
+
+
+def fraction_vkv_check(F: Poly) -> bool:
+    if not F or not F.is_homogeneous():
+        raise ValueError("vkv_check requires nonzero homogeneous input")
+    if not lie.is_lie(F):
+        raise lie.NotLieError("vkv_check requires a Lie element", F)
+    fx, fy = decompose_right(F)
+    if fy and not is_antipalindromic(fy):
+        return False
+    return fraction_push_constant(fy - fx) is not None
+
+
+def fraction_pushconst_transport(f: Poly) -> dict:
+    n = f.degree()
+    if n is None or not f.is_homogeneous():
+        raise ValueError("pushconst_transport requires nonzero homogeneous input")
+    if not lie.is_lie(f):
+        raise lie.NotLieError("pushconst_transport requires a Lie element", f)
+    _, fy = decompose_right(f)
+    a = fraction_push_constant(fy)
+    if a is None:
+        raise ValueError("f_y is not push-constant")
+    if n % 2 == 0 and a != 0:
+        raise ValueError("even degree forces a vanishing push constant")
+    big_f = subst_linear(f, -X - Y, Y)
+    bfx, bfy = decompose_right(big_f)
+    got = fraction_push_constant(bfy - bfx)
+    return {"A": a, "transported": got, "ok": got == a}
+
+
+def fraction_injection(f: Poly, n: int):
+    """cli._injection with the image: the map and its checks on f itself."""
+    d = derivations.ds_to_krv(f)
+    a = derivations.trace_constant(d)
+    fx, fy = decompose_right(d.F)
+    pc = fraction_push_constant(fy - fx)
+    back = derivations.krv_to_ds(d)
+    special = d.is_special()
+    return d, {
+        "special": special,
+        "trace_constant": a,
+        "push_constant": pc,
+        "push_equals_n_times_A": pc == (n * a if a is not None else None),
+        "round_trip": back == f,
+        "ok": special and a is not None and pc == n * a and back == f,
+    }
+
+
+def fraction_kv_dimensions(n: int) -> dict:
+    """derivations.kv_dimensions with the trace rows on s'(F_x) as Fractions."""
+    rows_iii, d = derivations._antipalindromy_rows(n)
+    splits = [decompose_right(e) for e in lie.lyndon_basis(n).expansions]
+    krv_rows = [r + [0] for r in rows_iii]
+    traces = []
+    for ex, ey in splits:
+        gx, _ = decompose_right(s_prime_map(ex))
+        traces.append(derivations.trace(ey * Y + gx * X))
+    r_cyc = derivations.mixed_trace(n)
+    classes = sorted(set().union(*(set(t.terms) for t in traces), set(r_cyc.terms)))
+    for w in classes:
+        krv_rows.append([t.terms.get(w, 0) for t in traces] + [-r_cyc.terms.get(w, 0)])
+    krv_null = linalg.nullspace(krv_rows, d + 1)
+    vkv_rows = [r + [0] for r in rows_iii]
+    diffs = [ey - ex for ex, ey in splits]
+    for orbit in words.push_orbits(n - 1):
+        w = orbit[0]
+        if words.is_power_of_y(w):
+            vkv_rows.append([g.terms.get(w, 0) for g in diffs] + [0])
+        else:
+            vkv_rows.append([sum(g.terms.get(v, 0) for v in orbit) for g in diffs] + [-1])
+    vkv_null = linalg.nullspace(vkv_rows, d + 1)
+    krv_elems = [lie.from_coords(vec[:d], n) for vec in krv_null]
+    vkv_elems = [lie.from_coords(vec[:d], n) for vec in vkv_null]
+    same_span = len(krv_null) == len(vkv_null) and all(
+        derivations.krv_check(
+            derivations.special_derivation(f) or derivations.TangentialDerivation(f, Poly.zero())
+        )
+        for f in vkv_elems
+    ) and all(fraction_vkv_check(f) for f in krv_elems if f)
+    return {
+        "weight": n,
+        "dim_special": linalg.nullity(rows_iii, d),
+        "dim_krv": len(krv_null),
+        "dim_vkv": len(vkv_null),
+        "same_span": same_span,
+        "krv_basis": krv_elems,
+        "vkv_basis": vkv_elems,
+    }

@@ -559,6 +559,32 @@ GOLDEN_REPORTS = {
         "json": "176ede4b94d014982adfd23e830884a4eb299562403eb8d98455d7556a0ec367",
         "text": "d678ab46c28b8baf75834ec2527f8fbab9efc4aa697309c949f30b6fe01e814c",
     },
+    # the default ranges of the benchmark's element suites and map, recorded
+    # before the per-element certificates moved to integer numerators
+    "map --weights 3..8": {
+        "json": "c6c16bcc20efecc829c185c2c575e61a58828277a7693737f9c071cfe7f9ab56",
+        "text": "a0772e3097052d7ec98a556f5cc454c1a44116d004a1e7e669f3f9cc0bdc8263",
+    },
+    "verify thm11 --weights 3..8": {
+        "json": "2464a27970c0a2f7ba4263b39c33fc04014b9196e915783baa0dcb642520fde6",
+        "text": "0945f660824278b39b5c62705f083ca93f07ccebd377b6af9840828ec16c4179",
+    },
+    "verify thm33 --weights 3..8": {
+        "json": "1ae94a7d2425b5e2832a7d4924473bbab5b3ea88f773ac0cddd50ad9fad5c65e",
+        "text": "c5c642304dc11dfc5c80e0dbd30cea9ff73d6ff530a46e54d33810b0548e42cb",
+    },
+    "verify thm34 --weights 3..8": {
+        "json": "1e5afce8341a46dce564548f7b4324f79e3021a45b255fdc2b2e5fc05fce05b7",
+        "text": "cbb0b22fc99fe1895d3d4df3fafac589b82216d495e4dce488d8c849cd081a79",
+    },
+    "verify lemma35 --weights 3..8": {
+        "json": "48b594bf99c839694c56763a0a3229eec353eae56627a9c76dd65fa1abde5664",
+        "text": "278eeff5527a9c35c3017c7466371a8a67b06f596871debcc1ce8b97ed6a8066",
+    },
+    "verify thm12 --weights 3..7": {
+        "json": "e8c27502818af8711e43e9f0dce79607210c1657c7d741d93d5b944c1eda6f6b",
+        "text": "8f5c1f2bf03c066bb911f4c1ccbabff8f7855de988908035c20b3ff2331ae56f",
+    },
     # recorded when reports were json.dumps of the data that oracles.jsonable makes
     "basis --weights 3..10": {
         "json": "5f8c611d49863b720f9c7405cde87d680fedd4ffa344730ae0706732ca8b1d2d",

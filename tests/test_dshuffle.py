@@ -271,6 +271,21 @@ def test_weight_bound_is_enforced():
         dshuffle.ds_basis(2)
 
 
+@pytest.mark.parametrize(
+    "n, dim, lead", [(11, 2, ("1", "0")), (12, 2, ("0", "0")), (13, 3, ("1", "0", "0"))]
+)
+def test_weights_eleven_to_thirteen_are_certified(basis_cache, n, dim, lead):
+    assert n <= dshuffle.MAX_WEIGHT
+    res = basis_cache(n)
+    assert res.dimension == dim
+    assert res.certificates["lead_coefficient"] == lead
+    assert res.certificates["elements_pass_is_ds"] is True
+    assert res.certificates["elements_are_lie"] is True
+    for f in res.basis:
+        assert dshuffle.is_ds(f, strict=True)
+        assert lie.is_lie(f)
+
+
 # -- the sampled basis against every constraint row ----------------------------
 
 
