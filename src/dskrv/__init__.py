@@ -17,7 +17,6 @@ class CrossCheckError(AssertionError):
 
 # after CrossCheckError, which words (imported by poly) raises
 from .poly import Poly
-from .words import Word
 
 
-__all__ = ["CrossCheckError", "Poly", "Word", "__version__"]
+__all__ = ["CrossCheckError", "Poly", "__version__"]

@@ -288,7 +288,7 @@ def _injection(f: Poly, n: int, image: bool = False):
         "special": special,
         "trace_constant": a,
         "push_constant": pc,
-        "push_equals_n_times_A": pc == (n * a if a is not None else None),
+        "push_equals_n_times_A": a is not None and pc == n * a,
         "round_trip": round_trip,
         "ok": special and a is not None and pc == n * a and round_trip,
     }

@@ -7,6 +7,9 @@ integer comparison of codes is exactly degree-then-lexicographic order
 with x < y, which is the canonical term order used everywhere in this
 package.
 
+A word is its int code; every function that takes a word also accepts a
+string such as ``"xy"`` (as_code normalizes both).
+
 The empty word (code 1) is allowed only as the multiplicative unit of
 truncated series; the structural operations below (reversal, push,
 exponent decomposition, ...) reject it.
@@ -29,7 +32,7 @@ EMPTY = 1  # code of the empty word
 X_CODE = 2  # the one-letter word x
 Y_CODE = 3  # the one-letter word y
 
-WordLike = Union["Word", str, int]
+WordLike = Union[str, int]
 
 
 def degree(code: int) -> int:
@@ -66,9 +69,7 @@ def str_from_code(code: int) -> str:
 
 
 def as_code(w: WordLike) -> int:
-    """Normalize a word given as Word, string or raw code to its code."""
-    if isinstance(w, Word):
-        return w.code
+    """Normalize a word given as a string or a raw code to its code."""
     if isinstance(w, str):
         return code_from_str(w)
     if isinstance(w, int):
@@ -232,66 +233,3 @@ def cyclic_min(code: int) -> int:
         if rot < best:
             best = rot
     return best | (1 << n)
-
-
-class Word:
-    """Immutable word in x, y; compares in degree-then-lex order.
-
-    >>> Word("xy") < Word("yx") < Word("xxx")
-    True
-    """
-
-    __slots__ = ("code",)
-
-    def __init__(self, w: WordLike):
-        object.__setattr__(self, "code", as_code(w))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __reduce__(self):
-        return Word, (self.code,)
-
-    @property
-    def degree(self) -> int:
-        return degree(self.code)
-
-    @property
-    def depth(self) -> int:
-        return depth(self.code)
-
-    def exponents(self) -> tuple[int, ...]:
-        return exponents_of(self.code)
-
-    def anti(self) -> "Word":
-        return Word(anti_code(self.code))
-
-    def push(self) -> "Word":
-        return Word(push_code(self.code))
-
-    def push_orbit(self) -> list["Word"]:
-        return [Word(c) for c in push_orbit(self.code)]
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(concat_codes(self.code, as_code(other)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-    def __lt__(self, other: "Word") -> bool:
-        return self.code < as_code(other)
-
-    def __le__(self, other: "Word") -> bool:
-        return self.code <= as_code(other)
-
-    def __len__(self) -> int:
-        return degree(self.code)
-
-    def __str__(self) -> str:
-        return str_from_code(self.code)
-
-    def __repr__(self) -> str:
-        return f"Word({str_from_code(self.code)!r})"

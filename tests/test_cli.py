@@ -222,6 +222,18 @@ def test_failing_sample_records_first_seed(monkeypatch, capsys):
     assert part["witness"]["seed"] == 7
 
 
+def test_missing_constants_fail_push_equals_n_times_a(monkeypatch, capsys):
+    # with neither constant defined, None == None must not read as a pass
+    monkeypatch.setattr(cli, "trace_constant", lambda *a: None)
+    monkeypatch.setattr(cli, "_push_constant", lambda *a: None)
+    code, rep = run_json(capsys, "verify", "thm11", "--weights", "5")
+    assert code == 1
+    assert rep["ok"] is False
+    [element] = rep["payload"]["5"]["elements"]
+    assert element["trace_constant"] is None and element["push_constant"] is None
+    assert element["push_equals_n_times_A"] is False
+
+
 def test_map_failed_round_trip_text(monkeypatch, capsys):
     from dskrv.poly import Poly
 

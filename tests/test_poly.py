@@ -257,9 +257,10 @@ def test_accumulate_matches_the_ring_fold(data):
 _X, _Y = Poly.word("x"), Poly.word("y")
 # (x image, y image): the substitution of the injection, the identity, the
 # swap, a shear, a scaling by a Fraction and an int, a map with Fraction
-# entries only, two zero images, and an int map that fixes y.  On an input whose coefficients are all
-# int or all Fraction, each of these gives every output coefficient one type
-# whatever the order of the sums.
+# entries only, two zero images, an int map that fixes y, and three maps with
+# a zero entry next to a Fraction entry.  On an input whose coefficients are
+# all int or all Fraction, each of these gives every output coefficient one
+# type whatever the order of the sums.
 _SUBSTITUTIONS = (
     (-_X - _Y, _Y),
     (_X, _Y),
@@ -270,6 +271,9 @@ _SUBSTITUTIONS = (
     (Poly.zero(), _Y),
     (_X, Poly.zero()),
     (_X.scale(2) - _Y.scale(3), _Y),
+    (_Y.scale(Fraction(1, 2)), _X),
+    (_Y.scale(Fraction(1, 2)), _X + _Y),
+    (_X + _Y.scale(Fraction(1, 2)), _X.scale(3)),
 )
 _KIND_COEFFS = {
     "int": st.integers(-3, 3).filter(bool),
@@ -292,12 +296,22 @@ def test_subst_linear_matches_the_word_by_word_expansion(data):
     else:
         codes = _codes(1, 6)
     f = Poly(data.draw(st.dictionaries(codes, _KIND_COEFFS[kind], min_size=1, max_size=8)))
+    _assert_substitutions_match_the_expansion(f, kind == "mixed")
+
+
+def test_subst_linear_keeps_int_shares_beside_a_cancelled_fraction_sum():
+    # under (y/2, x + y) the Fraction shares of an intermediate word cancel;
+    # a pass that kept the Fraction(0) would turn int outputs into Fractions
+    _assert_substitutions_match_the_expansion(Poly({32: 2, 40: -1, 63: 1}), False)
+
+
+def _assert_substitutions_match_the_expansion(f: Poly, mixed: bool) -> None:
     for images in _SUBSTITUTIONS:
         got = poly.subst_linear(f, *images)
         want = oracles.expand_substitution(f, *images)
         assert got == want
         assert list(got.terms) == sorted(got.terms)
-        if Fraction in map(type, f.terms.values()) and kind == "mixed":
+        if Fraction in map(type, f.terms.values()) and mixed:
             # one Fraction coefficient of f makes every output a Fraction
             assert all(type(c) is Fraction for c in got.terms.values())
         else:

@@ -22,7 +22,6 @@ from dskrv import derivations, dshuffle, groupexp, moulds
 from dskrv.derivations import CyclicPoly
 from dskrv.moulds import CPoly
 from dskrv.poly import Poly, Terms
-from dskrv.words import Word
 
 _coeffs = st.one_of(
     st.integers(-3, 3).filter(bool),
@@ -148,7 +147,6 @@ _VALUES = {
     "Poly": lambda f3: f3 + Poly.word("xy", Fraction(1, 2)) + Poly.word("y", 3),
     "CPoly": lambda f3: CPoly(2, {(1, 0): 1, (0, 2): Fraction(-1, 3)}),
     "CyclicPoly": lambda f3: derivations.trace(f3 + Poly.word("xxy", 2)),
-    "Word": lambda f3: Word("xyy"),
     "Mould": lambda f3: moulds.u_family(f3),
     "TruncSeries": lambda f3: groupexp.exp_circle(f3, 5),
     "BasisResult": lambda f3: dshuffle.ds_basis(3),

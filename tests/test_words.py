@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from dskrv import words
-from dskrv.words import Word
 
 
 def test_module_doctests():
@@ -47,7 +46,6 @@ def test_code_order_is_degree_then_lex():
     # shorter words sort first, then lexicographically with x < y
     codes = [words.code_from_str(s) for s in ["x", "y", "xx", "xy", "yx", "yy", "xxx"]]
     assert codes == sorted(codes)
-    assert Word("xy") < Word("yx") < Word("xxx")
 
 
 def test_concat():
@@ -141,10 +139,12 @@ def test_memoized_word_maps_cache_no_error(op):
             op(words.EMPTY)
 
 
-def test_word_wrapper():
-    w = Word("xy")
-    assert Word(w) == w
-    assert Word(w.code) == w
-    assert str(w) == "xy"
-    with pytest.raises(AttributeError):
-        w.code = 5
+def test_as_code_takes_a_string_or_a_code():
+    assert words.as_code("xy") == words.code_from_str("xy") == 5
+    assert words.as_code(6) == 6
+    for bad in (0, -3, "xz"):
+        with pytest.raises(ValueError):
+            words.as_code(bad)
+    for bad in (1.5, None, (0, 1)):
+        with pytest.raises(TypeError):
+            words.as_code(bad)
