@@ -392,23 +392,23 @@ def cmd_mould(args):
     ws = _parse_weights(args, 3, 3)
 
     def check(f, n):
-        # the checks run on the numerators p of f and share their u-family m,
-        # which the report gives over the denominator of f
+        # the checks run on the numerators p of f and are passed their u-family
+        # m, which the report gives over the denominator of f
         p, m, family = moulds._numerator_family(f)
         entry = {"u_family": family}
         good = True
         if args.check in ("all", "fixed"):
-            entry["mantar_fixed"] = moulds._mantar_fixed(p, m)
+            entry["mantar_fixed"] = moulds.mantar_fixed_check(p, m)
             good = all(entry["mantar_fixed"].values())
         if args.check in ("all", "rules"):
             entry["negation_rule"] = moulds.negation_rule_check(p)
             entry["translation_rule"] = moulds.translation_rule_check(p)
             good = good and entry["negation_rule"] and entry["translation_rule"]
         if args.check in ("all", "ecalle"):
-            entry["ecalle"] = moulds._ecalle_identity(p, m)
+            entry["ecalle"] = moulds.ecalle_identity_check(p, m)
             good = good and entry["ecalle"]["verdict"]
             if args.strict:
-                entry["ecalle_bridge"] = moulds._ecalle_bridge(p, m)
+                entry["ecalle_bridge"] = moulds.ecalle_bridge_check(p, m)
                 good = good and all(entry["ecalle_bridge"].values())
         return entry, good
 

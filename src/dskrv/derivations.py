@@ -16,6 +16,8 @@ Specialness and the trace condition are linear in (F, G), and push
 constants are linear in F, so vkv_check, pushconst_transport and the
 span checks of kv_dimensions run on integer numerators (see poly);
 _divided_derivation divides a derivation built on them.
+special_equivalences builds [F, y] once and passes it to
+partner_by_elimination.
 """
 
 from __future__ import annotations
@@ -171,19 +173,15 @@ def _divided_derivation(
 ) -> TangentialDerivation:
     """d / den for the derivation d of the integer numerators of some f = P/den.
 
-    F, G and the images are divided as poly._divided divides, and the
-    trace constant of d, which is linear in (F, G), is handed over
-    divided by den, so that it is never recomputed on Fractions.
+    F and G are divided as poly._divided divides, and the trace constant
+    of d, which is linear in (F, G), is handed over divided by den, so
+    that it is never recomputed on Fractions.
     """
     a = trace_constant(d)
-    new = object.__new__(TangentialDerivation)
-    for name, value in (
-        ("F", _divided(d.F, den, fractional)),
-        ("G", _divided(d.G, den, fractional)),
-        ("images", tuple(_divided(h, den, fractional) for h in d.images)),
-        ("_trace", None if a is None else a / den),
-    ):
-        object.__setattr__(new, name, value)
+    new = TangentialDerivation(
+        _divided(d.F, den, fractional), _divided(d.G, den, fractional), check=False
+    )
+    object.__setattr__(new, "_trace", None if a is None else a / den)
     return new
 
 
@@ -196,7 +194,7 @@ def solve_partner(F: Poly) -> Poly:
     return s_prime_map(fx)
 
 
-def partner_by_elimination(F: Poly) -> Poly | None:
+def partner_by_elimination(F: Poly, rhs: Poly | None = None) -> Poly | None:
     """Solve [x, G] = -[y, F] for Lie G directly, or None.
 
     Honest existence check by exact back-substitution.  With n the
@@ -210,24 +208,13 @@ def partner_by_elimination(F: Poly) -> Poly | None:
     multiples of x commute with x).  For n = 1 the x-coordinate is set
     to 0, so the partner of x is y and that of y is 0.
 
-    R is [F, y]: the one special_equivalences holds for this F, else a
-    new one.
+    rhs, when given, is R = [F, y]; otherwise it is built from F.
     """
-    held = _HELD_Y_BRACKET  # one read: the pair cannot change under us
-    return _partner_solving(F, held[1] if held is not None and held[0] is F else bracket(F, Y))
-
-
-# special_equivalences solves [x, G] = [F, y] twice, by elimination and by
-# formula, and calls partner_by_elimination by its module name, which the
-# tracer wraps and tests replace; while that call runs, this is (F, [F, y])
-_HELD_Y_BRACKET: tuple[Poly, Poly] | None = None
-
-
-def _partner_solving(F: Poly, rhs: Poly) -> Poly | None:
-    """partner_by_elimination(F), given rhs = [F, y]."""
     n = F.degree()
     if n is None:
         return Poly.zero()
+    if rhs is None:
+        rhs = bracket(F, Y)
     pairs = []
     for w, c in rhs.terms.items():
         m = words.degree(w)
@@ -272,13 +259,8 @@ def special_equivalences(f: Poly) -> dict:
     big_fx, big_fy = decompose_right(big_f)
     fx, fy = decompose_right(f)
 
-    global _HELD_Y_BRACKET
     rhs = bracket(big_f, Y)
-    _HELD_Y_BRACKET = big_f, rhs
-    try:
-        g_solved = partner_by_elimination(big_f)
-    finally:
-        _HELD_Y_BRACKET = None
+    g_solved = partner_by_elimination(big_f, rhs)
     existence = g_solved is not None
 
     # G = s'(F_x) = P/D solves [x, G] = [F, y] when [x, P] = D [F, y]; only
@@ -363,24 +345,22 @@ def trace_constant(d: TangentialDerivation) -> Fraction | None:
     Returns None when the trace condition fails.  Degree-1 derivations
     satisfy it trivially with A = 0.  Computed once per derivation.
     """
-    if d._trace is _UNSET:
-        object.__setattr__(d, "_trace", _trace_constant(d))
-    return d._trace
-
-
-def _trace_constant(d: TangentialDerivation) -> Fraction | None:
+    if d._trace is not _UNSET:
+        return d._trace
     n = d.degree
     if n is None or n == 1:
-        return Fraction(0)
-    _, fy = decompose_right(d.F)
-    gx, _ = decompose_right(d.G)
-    t = trace(fy * Y + gx * X)
-    r = mixed_trace(n)
-    key = min(r.terms)
-    a = Fraction(t.terms.get(key, 0), 1) / r.terms[key]
-    if t == r.scale(a):
-        return a
-    return None
+        a = Fraction(0)
+    else:
+        _, fy = decompose_right(d.F)
+        gx, _ = decompose_right(d.G)
+        t = trace(fy * Y + gx * X)
+        r = mixed_trace(n)
+        key = min(r.terms)
+        a = Fraction(t.terms.get(key, 0), 1) / r.terms[key]
+        if t != r.scale(a):
+            a = None
+    object.__setattr__(d, "_trace", a)
+    return a
 
 
 def krv_check(d: TangentialDerivation) -> bool:

@@ -27,7 +27,7 @@ Every identity check here is linear in f and reports only verdicts, so
 each one runs on the integer numerators P of f = P/D (poly.numerators):
 the u-family of P is D times that of f, and every operator above is
 linear.  _numerator_family builds the u-family of P once for the mould
-command, whose checks share it and which reports it over D.
+command, which passes it to its checks as m and reports it over D.
 """
 
 from __future__ import annotations
@@ -518,14 +518,13 @@ def ad_expansion(f: Poly) -> dict[tuple[int, ...], tuple[Coeff, Poly]]:
 # -- identity checks ------------------------------------------------------------
 
 
-def mantar_fixed_check(f: Poly) -> dict:
+def mantar_fixed_check(f: Poly, m: Mould | None = None) -> dict:
     """For Lie f: mantar fixes the u-family, whose coefficients are the
-    ad(x)-product expansion coefficients of f."""
-    return _mantar_fixed(_numerator_poly(f))  # scale-invariant: on the numerators
+    ad(x)-product expansion coefficients of f.
 
-
-def _mantar_fixed(f: Poly, m: Mould | None = None) -> dict:
-    """mantar_fixed_check on f; m, when given, is the u-family of f."""
+    m, when given, is the u-family of the integer numerators of f.
+    """
+    f = _numerator_poly(f)  # scale-invariant: on the numerators
     if not is_lie(f):
         raise NotLieError("mantar_fixed_check requires a Lie element", f)
     if m is None:
@@ -586,18 +585,15 @@ def translation_rule_check(f: Poly) -> bool:
     return True
 
 
-def ecalle_identity_check(f: Poly) -> dict:
+def ecalle_identity_check(f: Poly, m: Mould | None = None) -> dict:
     """The push/teru identity teru(ma) = push(mantar(teru(mantar(ma)))).
 
     Holds for every double shuffle element in all depths 1..n, and f
     must be one (ValueError otherwise); the report records the first
-    depth at which the identity fails, if any.
+    depth at which the identity fails, if any.  m, when given, is the
+    u-family of the integer numerators of f.
     """
-    return _ecalle_identity(_numerator_poly(f))  # scale-invariant: on the numerators
-
-
-def _ecalle_identity(f: Poly, m: Mould | None = None) -> dict:
-    """ecalle_identity_check on f; m, when given, is the u-family of f."""
+    f = _numerator_poly(f)  # scale-invariant: on the numerators
     if not is_ds(f):
         raise ValueError("ecalle_identity_check requires a double shuffle element")
     if m is None:
@@ -610,10 +606,11 @@ def _ecalle_identity(f: Poly, m: Mould | None = None) -> dict:
     return {"verdict": all(per_depth.values()), "per_depth": per_depth, "witness_depth": witness}
 
 
-def ecalle_bridge_check(f: Poly) -> dict:
+def ecalle_bridge_check(f: Poly, m: Mould | None = None) -> dict:
     """Cross-checks the operator calculus against the divided-difference
     forms of swap(teru(ma)) and swap(push(mantar(teru(ma)))) computed
     directly from the z-family (Lie input required for the latter).
+    m, when given, is the u-family of the integer numerators of f.
 
     For depths 2..max:
       lhs form: vimo^r(0,v_r..v_1)
@@ -622,11 +619,7 @@ def ecalle_bridge_check(f: Poly) -> dict:
       rhs form: (-1)^(n-1) [vimo^r(v_2..v_r,0,v_1)
                 + 1/v_1 (vimo^(r-1)(v_2..v_r,v_1) - vimo^(r-1)(v_2..v_r,0))]
     """
-    return _ecalle_bridge(_numerator_poly(f))  # scale-invariant: on the numerators
-
-
-def _ecalle_bridge(f: Poly, m: Mould | None = None) -> dict:
-    """ecalle_bridge_check on f; m, when given, is the u-family of f."""
+    f = _numerator_poly(f)  # scale-invariant: on the numerators
     if not f or not f.is_homogeneous():
         raise ValueError("ecalle_bridge_check requires nonzero homogeneous input")
     if not is_lie(f):

@@ -36,7 +36,9 @@ def special_example(f3):
 def test_special_equivalences_partner_disagreement_raises(monkeypatch, f3):
     f = special_example(f3)
     assert derivations.special_equivalences(f)["existence"]
-    monkeypatch.setattr(derivations, "partner_by_elimination", lambda F: Poly.zero())
+    monkeypatch.setattr(
+        derivations, "partner_by_elimination", lambda F, rhs=None: Poly.zero()
+    )
     with pytest.raises(CrossCheckError):
         derivations.special_equivalences(f)
 
@@ -59,7 +61,7 @@ X, Y = Poly.word("x"), Poly.word("y")
 special = subst_linear(derivations.ds_to_krv(f3).F, -X - Y, Y)
 dshuffle.starred_part = lambda f: Poly.word("yyy")
 linalg._primes = lambda: iter([101])
-derivations.partner_by_elimination = lambda F: Poly.zero()
+derivations.partner_by_elimination = lambda F, rhs=None: Poly.zero()
 
 
 def open_push_orbit():
@@ -98,17 +100,26 @@ def test_cross_checks_survive_optimized_mode():
     assert out.stdout.split() == ["raised"] * 4
 
 
-def test_library_has_no_bare_asserts():
-    # python -O strips assert statements; a library check must raise
-    files = sorted((Path(__file__).resolve().parents[1] / "src" / "dskrv").glob("*.py"))
+def _library_nodes(*kinds) -> list[str]:
+    """Where the library's syntax trees hold a node of one of these kinds."""
+    files = sorted((Path(__file__).resolve().parents[1] / "src" / "dskrv").rglob("*.py"))
     assert files
-    found = [
+    return [
         f"{path.name}:{node.lineno}"
         for path in files
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, kinds)
     ]
-    assert found == []
+
+
+def test_library_has_no_bare_asserts():
+    # python -O strips assert statements; a library check must raise
+    assert _library_nodes(ast.Assert) == []
+
+
+def test_library_has_no_global_or_nonlocal():
+    # shared values travel as arguments, not through rebound names
+    assert _library_nodes(ast.Global, ast.Nonlocal) == []
 
 
 def _unused_imports(path: Path) -> list[str]:

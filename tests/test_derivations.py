@@ -109,6 +109,8 @@ def _typed(p):
 def _assert_partner_matches_the_solve(F):
     got = derivations.partner_by_elimination(F)
     assert _typed(got) == _typed(oracles.partner_by_solve(F))
+    # given R = [F, y], it solves the same equation
+    assert _typed(derivations.partner_by_elimination(F, lie.bracket(F, Y))) == _typed(got)
     return got
 
 
