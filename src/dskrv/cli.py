@@ -28,13 +28,12 @@ from . import __version__, groupexp, linalg, moulds, words
 from .poly import (
     Poly,
     _divided,
-    _is_fractional,
-    _push_constant,
     coeff_to_str,
     decompose_right,
+    integral,
     negate_y,
-    numerators,
     poly_to_json,
+    push_constant,
 )
 from .lie import NotLieError, lyndon_basis, random_lie
 from .dshuffle import (
@@ -273,18 +272,18 @@ def _injection(f: Poly, n: int, image: bool = False):
     itself if image is set, else None.
 
     The map and its checks are linear: they run on the integer numerators
-    P of f = P/D, and d, A and the push constant are divided by D once.
+    P of f, where (P, u) = integral(f), and d, A and the push constant are
+    multiplied by u once.
     """
-    num, den = numerators(f)
-    p, fractional = Poly._of(num), _is_fractional(f)
+    p, u = integral(f)
     d = ds_to_krv(p)
     a = trace_constant(d)
-    a = None if a is None else a / den
+    a = None if a is None else u * a
     fx, fy = decompose_right(d.F)
-    pc = _push_constant(fy - fx, den, fractional)
+    pc = push_constant(fy - fx, u)
     round_trip = krv_to_ds(d) == p
     special = d.is_special()
-    return _divided_derivation(d, den, fractional) if image else None, {
+    return _divided_derivation(d, u) if image else None, {
         "special": special,
         "trace_constant": a,
         "push_constant": pc,
@@ -328,10 +327,11 @@ def cmd_map(args):
         return entry, rep["ok"]
 
     def line(e):
-        return (
-            f"A={coeff_to_str(e['trace_constant'])} push={coeff_to_str(e['push_constant'])} "
-            f"roundtrip={'yes' if e['round_trip'] else 'NO'}"
+        a, pc = (
+            "none" if c is None else coeff_to_str(c)
+            for c in (e["trace_constant"], e["push_constant"])
         )
+        return f"A={a} push={pc} roundtrip={'yes' if e['round_trip'] else 'NO'}"
 
     return {"weights": ws}, *_element_lists(ws, check, line)
 
@@ -356,12 +356,11 @@ def cmd_bracket(args):
         )
     fa, fb = ra.basis[args.index1], rb.basis[args.index2]
     # the bracket, its membership and the compatibility below are all
-    # (bi)linear: they run on the integer numerators P/D, Q/E of fa and fb,
-    # and only the reported bracket is divided by DE
-    (pa, da), (pb, db) = numerators(fa), numerators(fb)
-    pa, pb = Poly._of(pa), Poly._of(pb)
+    # (bi)linear: they run on the integer numerators of fa and fb, and only
+    # the reported bracket is multiplied by their units
+    (pa, ua), (pb, ub) = integral(fa), integral(fb)
     br_num = poisson(pa, pb)
-    br = _divided(br_num, da * db, _is_fractional(fa) or _is_fractional(fb))
+    br = _divided(br_num, ua * ub)
     member = bool(br_num) and is_ds(br_num, strict=args.strict)
     # compatibility: the tangential commutator of the images matches the
     # image of the Poisson bracket

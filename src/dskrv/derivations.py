@@ -14,8 +14,9 @@ injection of the double shuffle Lie algebra into krv.
 
 Specialness and the trace condition are linear in (F, G), and push
 constants are linear in F, so vkv_check, pushconst_transport and the
-span checks of kv_dimensions run on integer numerators (see poly);
-_divided_derivation divides a derivation built on them.
+span checks of kv_dimensions run on the integer numerators P of their
+input, where (P, u) = poly.integral(f); _divided_derivation multiplies
+a derivation built on P by u.
 special_equivalences builds [F, y] once and passes it to
 partner_by_elimination.
 """
@@ -35,10 +36,7 @@ from .poly import (
     X,
     Y,
     _divided,
-    _is_fractional,
     _map_words,
-    _numerator_poly,
-    _push_constant,
     _reject_empty,
     _section_numerators,
     accumulate,
@@ -47,10 +45,10 @@ from .poly import (
     decompose_left,
     decompose_right,
     derive,
+    integral,
     is_antipalindromic,
     is_push_invariant,
     negate_y,
-    numerators,
     poly_to_json,
     push_constant,
     s_map,
@@ -168,20 +166,17 @@ class TangentialDerivation:
         }
 
 
-def _divided_derivation(
-    d: TangentialDerivation, den: int, fractional: bool
-) -> TangentialDerivation:
-    """d / den for the derivation d of the integer numerators of some f = P/den.
+def _divided_derivation(d: TangentialDerivation, u: Coeff) -> TangentialDerivation:
+    """d u for the derivation d of the integer numerators P of some f,
+    where (P, u) = poly.integral(f).
 
-    F and G are divided as poly._divided divides, and the trace constant
-    of d, which is linear in (F, G), is handed over divided by den, so
+    F and G are multiplied as poly._divided does it, and the trace
+    constant of d, which is linear in (F, G), is handed over times u, so
     that it is never recomputed on Fractions.
     """
     a = trace_constant(d)
-    new = TangentialDerivation(
-        _divided(d.F, den, fractional), _divided(d.G, den, fractional), check=False
-    )
-    object.__setattr__(new, "_trace", None if a is None else a / den)
+    new = TangentialDerivation(_divided(d.F, u), _divided(d.G, u), check=False)
+    object.__setattr__(new, "_trace", None if a is None else u * a)
     return new
 
 
@@ -373,7 +368,7 @@ def vkv_check(F: Poly) -> bool:
     F_y - F_x push-constant (for some A)."""
     if not F or not F.is_homogeneous():
         raise ValueError("vkv_check requires nonzero homogeneous input")
-    F = _numerator_poly(F)  # scale-invariant: on the numerators
+    F = integral(F)[0]  # scale-invariant: on the numerators
     if not is_lie(F):
         raise NotLieError("vkv_check requires a Lie element", F)
     fx, fy = decompose_right(F)
@@ -393,22 +388,21 @@ def pushconst_transport(f: Poly) -> dict:
     the constant must vanish (for odd n no extra condition).
 
     Both constants are linear in f: they are taken on the integer
-    numerators P of f = P/D and divided by D (poly._push_constant).
+    numerators P of f and multiplied by u, where (P, u) = poly.integral(f).
     """
     n = f.degree()
     if n is None or not f.is_homogeneous():
         raise ValueError("pushconst_transport requires nonzero homogeneous input")
-    num, den = numerators(f)
-    p, fractional = Poly._of(num), _is_fractional(f)
+    p, u = integral(f)
     if not is_lie(p):
         raise NotLieError("pushconst_transport requires a Lie element", f)
-    a = _push_constant(decompose_right(p)[1], den, fractional)
+    a = push_constant(decompose_right(p)[1], u)
     if a is None:
         raise ValueError("f_y is not push-constant")
     if n % 2 == 0 and a != 0:
         raise ValueError("even degree forces a vanishing push constant")
     bfx, bfy = decompose_right(subst_linear(p, _MINUS_X_MINUS_Y, Y))
-    got = _push_constant(bfy - bfx, den, fractional)
+    got = push_constant(bfy - bfx, u)
     return {"A": a, "transported": got, "ok": got == a}
 
 
@@ -518,10 +512,9 @@ def kv_dimensions(n: int) -> dict:
     vkv_elems = [from_coords(vec[:d], n) for vec in vkv_null]
     # krv_check is scale-invariant: it runs on the derivation of the
     # numerators of each element (vkv_check takes them itself)
-    vkv_numerators = map(_numerator_poly, vkv_elems)
     same_span = len(krv_null) == len(vkv_null) and all(
         krv_check(special_derivation(p) or TangentialDerivation(p, Poly.zero()))
-        for p in vkv_numerators
+        for p, _ in map(integral, vkv_elems)
     ) and all(vkv_check(f) for f in krv_elems if f)
 
     return {

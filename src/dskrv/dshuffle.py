@@ -47,11 +47,9 @@ from .poly import (
     Coeff,
     Poly,
     Y,
-    _divided,
-    _is_fractional,
-    _over,
     decompose_right,
     derive,
+    integral,
     numerators,
     pi_y,
     poly_to_json,
@@ -456,15 +454,8 @@ def d_f(f: Poly, g: Poly, trunc: int | None = None) -> Poly:
 
 
 def poisson(f: Poly, g: Poly) -> Poly:
-    """Poisson (Ihara) bracket {f, g} = [f, g] + d_f(g) - d_g(f).
-
-    The bracket is bilinear: it is taken on the integer numerators of
-    f = P/D and g = Q/E and divided by DE once (poly._divided).
-    """
-    (p, dp), (q, dq) = numerators(f), numerators(g)
-    p, q = Poly._of(p), Poly._of(q)
-    br = bracket(p, q) + d_f(p, q) - d_f(q, p)
-    return _divided(br, dp * dq, _is_fractional(f) or _is_fractional(g))
+    """Poisson (Ihara) bracket {f, g} = [f, g] + d_f(g) - d_g(f)."""
+    return bracket(f, g) + d_f(f, g) - d_f(g, f)
 
 
 # -- basis computation --------------------------------------------------------
@@ -659,17 +650,17 @@ def signed_push_sums_check(f: Poly) -> dict:
     failure.
 
     The law is linear in f, so the sums run on the integer numerators P
-    of f = P/D; A is read off f, and a failing sum is divided by D as
-    poly._over does.
+    of f, where (P, u) = poly.integral(f); A is read off f, and a failing
+    sum over a word of P is multiplied by u.
     """
     n = f.degree()
     if n is None or not f.is_homogeneous() or n < 2:
         raise ValueError("signed_push_sums_check requires homogeneous degree >= 2")
     lead = (1 << n) | 1  # x^(n-1) y
     a = f.coeff(lead)
-    num, den = numerators(f)
-    a_num = num.get(lead, 0)
-    _, fy = decompose_right(Poly._of(num))
+    p, u = integral(f)
+    a_num = p.terms.get(lead, 0)
+    _, fy = decompose_right(p)
     get = fy.terms.get
     if get(words.y_power(n - 1), 0):
         return {"verdict": False, "A": a, "witness": "y" * (n - 1)}
@@ -685,7 +676,7 @@ def signed_push_sums_check(f: Poly) -> dict:
                 "verdict": False,
                 "A": a,
                 "witness": words.str_from_code(w),
-                "sum": _over(total, den, met and _is_fractional(f)),
+                "sum": u * total if met else total,
                 "expected": a if even else -a,
             }
     return {"verdict": True, "A": a, "witness": None}

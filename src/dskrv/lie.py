@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import words
-from .poly import Coeff, Poly, accumulate, concat_pairs, numerators
+from .poly import Coeff, Poly, accumulate, concat_pairs, integral
 
 
 class NotLieError(ValueError):
@@ -115,10 +115,8 @@ def is_lie(f: Poly) -> bool:
     for n in f.degrees():
         if n == 0:
             return False
-        part = f.homogeneous_part(n)
-        if any(type(c) is not int for c in part.terms.values()):
-            # on integer numerators: scaling does not change membership
-            part = Poly._of(numerators(part)[0])
+        # on integer numerators: scaling does not change membership
+        part = integral(f.homogeneous_part(n))[0]
         try:
             to_coords(part, n)
         except NotLieError:

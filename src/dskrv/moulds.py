@@ -24,7 +24,7 @@ antipal_bridge_check, whose renames and drops of variables are read
 straight off the exponent tuples.
 
 Every identity check here is linear in f and reports only verdicts, so
-each one runs on the integer numerators P of f = P/D (poly.numerators):
+each one runs on the integer numerators P of f = P/D (poly.integral):
 the u-family of P is D times that of f, and every operator above is
 linear.  _numerator_family builds the u-family of P once for the mould
 command, which passes it to its checks as m and reports it over D.
@@ -45,10 +45,10 @@ from .poly import (
     Terms,
     X,
     Y,
-    _numerator_poly,
     accumulate,
     coeff_to_str,
     decompose_right,
+    integral,
     is_antipalindromic,
     numerators,
 )
@@ -355,9 +355,9 @@ def _numerator_family(f: Poly) -> tuple[Poly, Mould, Mould]:
     component ints when the depth-r part of f has integer values and
     Fractions otherwise, so each component is divided in that type.
     """
-    num, den = numerators(f)
-    p = Poly._of(num)
+    p, u = integral(f)
     m = u_family(p)
+    den = u.denominator
     if den == 1:
         return p, m, m
     fractional = {words.depth(w) for w, c in f.terms.items() if c.denominator != 1}
@@ -524,7 +524,7 @@ def mantar_fixed_check(f: Poly, m: Mould | None = None) -> dict:
 
     m, when given, is the u-family of the integer numerators of f.
     """
-    f = _numerator_poly(f)  # scale-invariant: on the numerators
+    f = integral(f)[0]  # scale-invariant: on the numerators
     if not is_lie(f):
         raise NotLieError("mantar_fixed_check requires a Lie element", f)
     if m is None:
@@ -558,7 +558,7 @@ def negation_rule_check(f: Poly) -> bool:
     (-1)^(n-r) under negating all variables."""
     if not f or not f.is_homogeneous():
         raise ValueError("negation_rule_check requires nonzero homogeneous input")
-    f = _numerator_poly(f)  # scale-invariant: on the numerators
+    f = integral(f)[0]  # scale-invariant: on the numerators
     n = f.degree()
     zf = z_family(f)
     for r in zf.depths():
@@ -573,7 +573,7 @@ def negation_rule_check(f: Poly) -> bool:
 def translation_rule_check(f: Poly) -> bool:
     """z-family translation invariance of Lie elements: a common shift
     of all arguments does not change any positive-depth component."""
-    f = _numerator_poly(f)  # scale-invariant: on the numerators
+    f = integral(f)[0]  # scale-invariant: on the numerators
     zf = z_family(f)
     for r in zf.depths():
         if r == 0:
@@ -593,7 +593,7 @@ def ecalle_identity_check(f: Poly, m: Mould | None = None) -> dict:
     depth at which the identity fails, if any.  m, when given, is the
     u-family of the integer numerators of f.
     """
-    f = _numerator_poly(f)  # scale-invariant: on the numerators
+    f = integral(f)[0]  # scale-invariant: on the numerators
     if not is_ds(f):
         raise ValueError("ecalle_identity_check requires a double shuffle element")
     if m is None:
@@ -619,7 +619,7 @@ def ecalle_bridge_check(f: Poly, m: Mould | None = None) -> dict:
       rhs form: (-1)^(n-1) [vimo^r(v_2..v_r,0,v_1)
                 + 1/v_1 (vimo^(r-1)(v_2..v_r,v_1) - vimo^(r-1)(v_2..v_r,0))]
     """
-    f = _numerator_poly(f)  # scale-invariant: on the numerators
+    f = integral(f)[0]  # scale-invariant: on the numerators
     if not f or not f.is_homogeneous():
         raise ValueError("ecalle_bridge_check requires nonzero homogeneous input")
     if not is_lie(f):
@@ -682,7 +682,7 @@ def antipal_bridge_check(f: Poly) -> dict:
     n = f.degree()
     if n is None or not f.is_homogeneous() or n < 2:
         raise ValueError("antipal_bridge_check requires homogeneous input of degree >= 2")
-    f = _numerator_poly(f)  # scale-invariant: on the numerators
+    f = integral(f)[0]  # scale-invariant: on the numerators
     fx, fy = decompose_right(f)
     h = fx + fy
     zf = {r: p.terms for r, p in z_family(f).components.items()}
@@ -729,7 +729,7 @@ def antipal_sum_check(f: Poly) -> dict:
     the direct predicate together with the per-depth divided-difference
     certificate of the commutative-variable translation.
     """
-    f = _numerator_poly(f)  # scale-invariant: on the numerators
+    f = integral(f)[0]  # scale-invariant: on the numerators
     fx, fy = decompose_right(f)
     h = fx + fy
     direct = True if not h else is_antipalindromic(h)

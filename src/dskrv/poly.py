@@ -16,16 +16,17 @@ section maps s and s' that rebuild a Lie element from one factor, and
 the palindromy / push-invariance / push-constancy predicates.
 
 Integer numerators.  Each certificate of the package is a linear
-condition on its input f, so f = P/D and its integer numerators P
-(numerators) get the same verdict, and a value linear in f is the value
-on P divided by D.  The per-element certificates therefore run on P,
-and convert only what they report, once, at the end (_over, _divided):
-a Fraction when f has a Fraction coefficient, else the int itself,
-except that a sum over no term of f is the int 0, as the plain sum of
-the coefficients of f would be.  For f whose coefficients are all ints
-or all Fractions, as every basis element, random element and scaled
-element is, that gives the values, the types and the dict order of the
-same computation on f.
+condition on its input f, so f = P/D and its integer numerators P get
+the same verdict, and a value linear in f is its value on P times the
+unit u = 1/D.  integral(f) gives (P, u), u the int 1 when f has only
+int coefficients and Fraction(1, D) otherwise.  The per-element
+certificates therefore run on P and multiply only what they report by
+u, once, at the end (_divided): a Fraction when f has a Fraction
+coefficient, else the int itself, except that a sum over no term of f
+is the int 0, as the plain sum of the coefficients of f would be.  For
+f whose coefficients are all ints or all Fractions, as every basis
+element, random element and scaled element is, that gives the values,
+the types and the dict order of the same computation on f.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
     reachable from f are held, keyed by their plain word codes.
 
     When f has a Fraction coefficient, the butterfly runs on the integer
-    numerators P of f = P/D and every output coefficient is
+    numerators P of f = P/D (integral) and every output coefficient is
     Fraction(p, D); otherwise it runs on the coefficients of f and each
     output coefficient is the plain sum of its shares.  Image entries
     are used as given, so a Fraction entry makes the shares on its path
@@ -317,8 +318,8 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
     if EMPTY in f.terms:
         raise ValueError("subst_linear is not defined on the empty word")
     a, b, c, d = (g.terms.get(w, 0) for g in (x_image, y_image) for w in (words.X_CODE, words.Y_CODE))
-    fractional = _is_fractional(f)
-    cur, den = numerators(f) if fractional else (f.terms, 1)
+    f, u = integral(f)
+    cur = f.terms
     if c == 0 and d == 1 and type(a) is type(b) is type(d) is int:
         # y is fixed: a word with y at position i, or of degree at most i,
         # keeps its share, so each pass updates the words with x there in
@@ -357,7 +358,8 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
             cur = nxt
         done.update(cur)
     pairs = sorted((w, p) for w, p in done.items() if p)
-    return Poly._of({w: Fraction(p, den) for w, p in pairs} if fractional else dict(pairs))
+    den = u.denominator
+    return Poly._of(dict(pairs) if type(u) is int else {w: Fraction(p, den) for w, p in pairs})
 
 
 def numerators(f: Poly) -> tuple[dict[int, int], int]:
@@ -371,29 +373,24 @@ def numerators(f: Poly) -> tuple[dict[int, int], int]:
     return {w: c.numerator * (den // c.denominator) for w, c in f.terms.items()}, den
 
 
-def _numerator_poly(f: Poly) -> Poly:
-    """The integer numerators P of f = P/D, as a polynomial: f itself when
-    every coefficient is an int."""
+def integral(f: Terms) -> tuple[Terms, Coeff]:
+    """(P, u) with f = P u: the integer numerators P of f, a Terms of its kind,
+    and u = Fraction(1, D), D the lcm of the denominators; (f, 1) when every
+    coefficient is an int.  Test type(u) is int, never u != 1: Fractions of
+    denominator 1 give u = Fraction(1), and values in Fractions."""
     if all(type(c) is int for c in f.terms.values()):
-        return f
-    return Poly._of(numerators(f)[0])
+        return f, 1
+    num, den = numerators(f)
+    return f._like(num), Fraction(1, den)
 
 
-def _is_fractional(f: Terms) -> bool:
-    """Whether f has a Fraction coefficient."""
-    return any(type(c) is Fraction for c in f.terms.values())
-
-
-def _over(c: Coeff, den: int, fractional: bool) -> Coeff:
-    """A value c computed on the numerators P of f = P/den, divided by den:
-    Fraction(c, den) when f has a Fraction coefficient, else c (den is 1)."""
-    return Fraction(c, den) if fractional else c
-
-
-def _divided(p: Terms, den: int, fractional: bool) -> Terms:
-    """p / den, each coefficient divided as by _over."""
-    if not fractional:
+def _divided(p: Terms, u: Coeff) -> Terms:
+    """p u for p computed on the integer numerators of some f, where
+    (P, u) = integral(f): p itself when u is the int 1, else each
+    coefficient as Fraction(c, D), which costs less than c * u."""
+    if type(u) is int:
         return p
+    den = u.denominator
     return p._like({k: Fraction(c, den) for k, c in p.terms.items()})
 
 
@@ -568,28 +565,23 @@ def is_push_invariant(f: Poly) -> bool:
     return _mirrored(f, "push", words.push_code, 1)
 
 
-def push_constant(f: Poly) -> Coeff | None:
+def push_constant(f: Poly, u: Coeff | None = None) -> Coeff | None:
     """The constant A with sum over Push(w) of (f|v) = A for all w != y^n.
 
     Sums run over the full push orbit list, repeats included.  Requires
     (f|y^n) = 0.  Returns None when f is not push-constant for any A.
-    The sums run on the integer numerators of f (see _push_constant).
+
+    Push-constancy is scale-invariant and A is linear, so the sums run
+    on the integer numerators P of f, and A is the constant of P times
+    u, where (P, u) = integral(f).  With u given, f is already such a P.
+    A first orbit that misses P gives the int 0.
     """
-    num, den = numerators(f)
-    return _push_constant(Poly._of(num), den, _is_fractional(f))
-
-
-def _push_constant(p: Poly, den: int, fractional: bool) -> Coeff | None:
-    """push_constant(f) from the integer numerators p of f = p/den.
-
-    Push-constancy is scale-invariant and A is linear, so A is the
-    constant of p over den, converted by _over; a first orbit that
-    misses p gives the int 0.
-    """
-    n = _require_homogeneous(p, "push_constant")
+    if u is None:
+        f, u = integral(f)
+    n = _require_homogeneous(f, "push_constant")
     if n is None:
         return 0
-    get = p.terms.get
+    get = f.terms.get
     if get(words.y_power(n), 0):
         return None
     a = None
@@ -599,10 +591,10 @@ def _push_constant(p: Poly, den: int, fractional: bool) -> Coeff | None:
         total = sum(get(v, 0) for v in orbit)
         if a is None:
             a = total
-            met = any(v in p.terms for v in orbit)
+            met = any(v in f.terms for v in orbit)
         elif total != a:
             return None
-    return a if a is None else _over(a, den, fractional and met)
+    return a if a is None or not met else u * a
 
 
 # -- serialization ----------------------------------------------------------

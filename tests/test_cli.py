@@ -225,13 +225,25 @@ def test_failing_sample_records_first_seed(monkeypatch, capsys):
 def test_missing_constants_fail_push_equals_n_times_a(monkeypatch, capsys):
     # with neither constant defined, None == None must not read as a pass
     monkeypatch.setattr(cli, "trace_constant", lambda *a: None)
-    monkeypatch.setattr(cli, "_push_constant", lambda *a: None)
+    monkeypatch.setattr(cli, "push_constant", lambda *a: None)
     code, rep = run_json(capsys, "verify", "thm11", "--weights", "5")
     assert code == 1
     assert rep["ok"] is False
     [element] = rep["payload"]["5"]["elements"]
     assert element["trace_constant"] is None and element["push_constant"] is None
     assert element["push_equals_n_times_A"] is False
+
+
+@pytest.mark.parametrize("missing", [("push_constant",), ("push_constant", "trace_constant")])
+def test_map_text_reports_missing_constants_as_a_failure(monkeypatch, capsys, missing):
+    # a constant that does not exist prints as a word, not as an internal error
+    for name in missing:
+        monkeypatch.setattr(cli, name, lambda *a: None)
+    code, out = run(capsys, "map", "--weights", "5", "--format", "text")
+    assert code == 1
+    assert "push=none" in out
+    assert ("A=none" in out) == ("trace_constant" in missing)
+    assert "verdict: FAIL" in out
 
 
 def test_map_failed_round_trip_text(monkeypatch, capsys):

@@ -98,6 +98,7 @@ def assert_element_checks_match(f: Poly) -> None:
     fx, fy = poly.decompose_right(f)
     for g in (fy, fy - fx, poly.subst_linear(f, -oracles.X - oracles.Y, oracles.Y)):
         assert_same_outcome(poly.push_constant, oracles.fraction_push_constant, g)
+        assert_same(poly.push_constant(*poly.integral(g)), oracles.fraction_push_constant(g))
     if f.degree() >= 2 and lie.is_lie(f):
         assert_same_outcome(derivations.vkv_check, oracles.fraction_vkv_check, f)
     n = f.degree()
@@ -226,6 +227,7 @@ def test_sums_over_orbits_that_miss_f_keep_the_int_zero(c):
     assert dshuffle.signed_push_sums_check(f)["sum"] == 0
     for g in (f, Poly({poly.words.code_from_str("yxx"): c, poly.words.code_from_str("xyx"): c})):
         assert_same_outcome(poly.push_constant, oracles.fraction_push_constant, g)
+        assert_same(poly.push_constant(*poly.integral(g)), oracles.fraction_push_constant(g))
 
 
 @pytest.mark.parametrize("check", [check for check, _ in MOULD_CHECKS])

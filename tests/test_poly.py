@@ -155,6 +155,47 @@ def test_subst_linear_takes_numerators_only_of_a_fraction_input(monkeypatch):
     assert type(got.terms[words.code_from_str("yy")]) is Fraction
 
 
+def test_integral_of_an_all_int_polynomial_is_itself_with_the_int_unit():
+    f = P(("xy", 2), ("yx", -1))
+    p, u = poly.integral(f)
+    assert p is f
+    assert u == 1 and type(u) is int
+    zero = Poly.zero()
+    p, u = poly.integral(zero)
+    assert p is zero and type(u) is int and u == 1
+
+
+def test_integral_of_integral_fractions_has_a_fraction_unit():
+    # Fraction(3) has denominator 1, yet the unit is the Fraction 1, so a
+    # value times u is a Fraction, as the computation on f gives
+    p, u = poly.integral(P(("xy", Fraction(3))))
+    assert typed(p.terms) == [(words.code_from_str("xy"), int, 3)]
+    assert u == 1 and type(u) is Fraction
+
+
+def test_integral_of_a_mixed_polynomial_scales_by_the_lcm():
+    f = P(("xy", Fraction(1, 2)), ("yx", 3), ("xx", Fraction(-2, 3)))
+    p, u = poly.integral(f)
+    assert type(p) is Poly
+    assert typed(p.terms) == typed({w: int(c * 6) for w, c in f.terms.items()})
+    assert u == Fraction(1, 6) and type(u) is Fraction
+    assert p.scale(u) == f
+
+
+def test_integral_keeps_the_kind_of_its_input():
+    from dskrv.derivations import CyclicPoly
+    from dskrv.moulds import CPoly
+
+    c = CPoly(3, {(1, 0, 2): Fraction(1, 4), (0, 1, 0): 2})
+    p, u = poly.integral(c)
+    assert type(p) is CPoly and p.arity == 3
+    assert p.terms == {(1, 0, 2): 1, (0, 1, 0): 8} and u == Fraction(1, 4)
+    cyc = CyclicPoly({words.code_from_str("xy"): Fraction(2, 3)})
+    p, u = poly.integral(cyc)
+    assert type(p) is CyclicPoly
+    assert p.terms == {words.code_from_str("xy"): 2} and u == Fraction(1, 3)
+
+
 def test_right_and_left_decomposition():
     f = P(("xxy", 1), ("xyx", -2), ("yxx", 1))
     fx, fy = poly.decompose_right(f)
