@@ -150,7 +150,8 @@ def _render_text(report: dict, lines: list[str]) -> str:
         f"version: {report['version']}",
         f"parameters: {_json(report['parameters'], None)}",
     ]
-    tail = [f"verdict: {'pass' if report['ok'] else 'FAIL'}"]
+    tail = [f"timings: {_json(report['timings'], None)}"] if "timings" in report else []
+    tail.append(f"verdict: {'pass' if report['ok'] else 'FAIL'}")
     return "\n".join(head + lines + tail) + "\n"
 
 

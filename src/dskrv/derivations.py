@@ -264,7 +264,7 @@ def special_equivalences(f: Poly) -> dict:
     formula = bracket(X, Poly._of(num)) == rhs.scale(den)
     g_formula = None
     if formula:
-        g_formula = Poly._of({w: Fraction(c, den) for w, c in num.items()})
+        g_formula = _divided(Poly._of(num), Fraction(1, den))
         formula = is_lie(g_formula)
 
     report = {

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import words
-from .poly import Coeff, Poly, accumulate, concat_pairs, integral
+from .poly import Coeff, Poly, _divided, accumulate, concat_pairs, integral
 
 
 class NotLieError(ValueError):
@@ -221,23 +221,22 @@ def from_coords(coords: list[Coeff], n: int) -> Poly:
     position of that sum taken term by term with accumulate.  When every
     coordinate is a Fraction, as in a nullspace vector, the sum runs on
     the integer numerators over the lcm D of the denominators, and each
-    coefficient is divided by D once at the end.
+    coefficient is divided by D once at the end (poly._divided).
     """
     basis = lyndon_basis(n)
     if len(coords) != basis.dimension:
         raise ValueError(
             f"expected {basis.dimension} coordinates for degree {n}, got {len(coords)}"
         )
-    fractions = all(type(c) is Fraction for c in coords)
-    if fractions:
+    u = 1
+    if all(type(c) is Fraction for c in coords):
         den = lcm(1, *(c.denominator for c in coords))
         coords = [c.numerator * (den // c.denominator) for c in coords]
+        u = Fraction(1, den)
     terms: dict[int, Coeff] = {}
     for c, expansion in zip(coords, basis.expansions):
         accumulate(terms, expansion.terms.items(), c)
-    if fractions:
-        terms = {w: Fraction(v, den) for w, v in terms.items()}
-    return Poly._of(terms)
+    return _divided(Poly._of(terms), u)
 
 
 def random_lie(n: int, seed: int) -> Poly:

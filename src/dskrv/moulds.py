@@ -24,15 +24,16 @@ antipal_bridge_check, whose renames and drops of variables are read
 straight off the exponent tuples.
 
 Every identity check here is linear in f and reports only verdicts, so
-each one runs on the integer numerators P of f = P/D (poly.integral):
-the u-family of P is D times that of f, and every operator above is
+each one runs on the integer numerators P of f = P u (poly.integral):
+the u-family of P is that of f over u, and every operator above is
 linear.  _numerator_family builds the u-family of P once for the mould
-command, which passes it to its checks as m and reports it over D.
+command, which passes it to its checks as m and reports it times u
+through poly._divided, the one way back from numerators.  CPoly.subst
+computes on the coefficients it is given, so ints in give ints out.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import comb
 from operator import add, mul
@@ -45,12 +46,12 @@ from .poly import (
     Terms,
     X,
     Y,
+    _divided,
     accumulate,
     coeff_to_str,
     decompose_right,
     integral,
     is_antipalindromic,
-    numerators,
 )
 from .dshuffle import compositions, is_ds
 
@@ -131,19 +132,15 @@ class CPoly(Terms):
         A form maps new variables (indices below new_arity) to nonzero
         coefficients; the empty form {} sends the variable to 0.
 
-        The work is done on the integer numerators P of self = P/D, D
-        the lcm of its denominators.  One pass over P maps the exponents
-        of every old variable whose form has at most one entry: the term
-        is dropped when the form is {}, and otherwise the variable is
-        renamed to its new variable and the term multiplied by a^e.
-        Every other old variable (a form with several entries, or one
-        entry on a new variable that an earlier old variable has taken)
-        then takes one pass over the whole dict, which expands
-        (sum_j a_j v_j)^e by the multinomial theorem, once per exponent.
-
-        Each output coefficient is P_k / D: P_k itself when D = 1, an int
-        when the form coefficients are ints, and Fraction(P_k, D) when D > 1.
-        Fraction form coefficients are carried through, so values are exact.
+        One pass over the terms maps the exponents of every old variable
+        whose form has at most one entry: the term is dropped when the
+        form is {}, and otherwise the variable is renamed to its new
+        variable and the term multiplied by a^e.  Every other old variable
+        (a form with several entries, or one entry on a new variable that
+        an earlier old variable has taken) then takes one pass over the
+        whole dict, which expands (sum_j a_j v_j)^e by the multinomial
+        theorem, once per exponent.  Each output coefficient is the plain
+        sum of its shares: ints in give ints out.
         """
         if len(images) != self.arity:
             raise ValueError(f"expected {self.arity} linear forms, got {len(images)}")
@@ -173,9 +170,8 @@ class CPoly(Terms):
         # expands the last slot; in order, the short forms of the prefix sums
         # z_i -> u_1 + ... + u_i go first, which keeps the dict small
         pick += [i for i, _ in reversed(expanded)]
-        nums, den = numerators(self)
         terms: dict[tuple[int, ...], Coeff] = {}
-        for exps, p in nums.items():
+        for exps, p in self.terms.items():
             if dropped and any(map(exps.__getitem__, dropped)):
                 continue
             for i, a in powered:
@@ -196,9 +192,7 @@ class CPoly(Terms):
                     k = tuple(map(add, base, delta))
                     grown[k] = grown.get(k, 0) + c * p
             terms = grown
-        return CPoly._of(
-            {k: p if den == 1 else Fraction(p, den) for k, p in terms.items() if p}, new_arity
-        )
+        return CPoly._of({k: p for k, p in terms.items() if p}, new_arity)
 
     def div_var(self, k: int) -> "CPoly":
         """Exact division by variable k; raises InexactDivision on remainder."""
@@ -349,27 +343,11 @@ def u_family(f: Poly) -> Mould:
 
 
 def _numerator_family(f: Poly) -> tuple[Poly, Mould, Mould]:
-    """The integer numerators P of f = P/D, the u-family of P, and u_family(f).
-
-    u_family(f) is the u-family of P over D.  CPoly.subst gives a depth-r
-    component ints when the depth-r part of f has integer values and
-    Fractions otherwise, so each component is divided in that type.
-    """
+    """The integer numerators P of f = P u, the u-family of P, and u_family(f),
+    which is the u-family of P times u (poly._divided)."""
     p, u = integral(f)
     m = u_family(p)
-    den = u.denominator
-    if den == 1:
-        return p, m, m
-    fractional = {words.depth(w) for w, c in f.terms.items() if c.denominator != 1}
-    comps = {
-        r: c._like(
-            {e: Fraction(v, den) for e, v in c.terms.items()}
-            if r in fractional
-            else {e: v // den for e, v in c.terms.items()}
-        )
-        for r, c in m.components.items()
-    }
-    return p, m, Mould("u", comps, m.degree)
+    return p, m, Mould("u", {r: _divided(c, u) for r, c in m.components.items()}, m.degree)
 
 
 # -- the four operators on u-families ------------------------------------------

@@ -305,12 +305,11 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
     there and d*p to itself, and shorter words pass through.  Only words
     reachable from f are held, keyed by their plain word codes.
 
-    When f has a Fraction coefficient, the butterfly runs on the integer
-    numerators P of f = P/D (integral) and every output coefficient is
-    Fraction(p, D); otherwise it runs on the coefficients of f and each
-    output coefficient is the plain sum of its shares.  Image entries
-    are used as given, so a Fraction entry makes the shares on its path
-    Fractions.  Terms come in ascending code order.
+    The butterfly runs on the integer numerators P of f = P u (integral),
+    each output coefficient the plain sum of its shares, and _divided
+    multiplies the result by u.  Image entries are used as given, so a
+    Fraction entry makes the shares on its path Fractions.  Terms come in
+    ascending code order.
     """
     for g in (x_image, y_image):
         if g and (not g.is_homogeneous() or g.degree() != 1):
@@ -357,9 +356,7 @@ def subst_linear(f: Poly, x_image: Poly, y_image: Poly) -> Poly:
                         nxt[k] = get(k, 0) + b * p
             cur = nxt
         done.update(cur)
-    pairs = sorted((w, p) for w, p in done.items() if p)
-    den = u.denominator
-    return Poly._of(dict(pairs) if type(u) is int else {w: Fraction(p, den) for w, p in pairs})
+    return _divided(Poly._of(dict(sorted((w, p) for w, p in done.items() if p))), u)
 
 
 def numerators(f: Poly) -> tuple[dict[int, int], int]:
@@ -502,7 +499,7 @@ def _section_numerators(h: Poly, right: bool) -> tuple[dict[int, int], int]:
 def _section_map(h: Poly, right: bool) -> Poly:
     """sum_i (-1)^i/i! (d/dx)^i(h) y x^i if right, else sum_i (-1)^i/i! x^i y (d/dx)^i(h)."""
     num, den = _section_numerators(h, right)
-    return Poly._of({w: Fraction(c, den) for w, c in num.items()})
+    return _divided(Poly._of(num), Fraction(1, den))
 
 
 def s_map(h: Poly) -> Poly:

@@ -182,6 +182,14 @@ def test_timings_flag_is_opt_in(capsys):
     assert cli._json(rep) + "\n" == out
 
 
+def test_text_report_prints_timings_only_when_asked(capsys):
+    _, out = run(capsys, "basis", "--weight", "3", "--format", "text", "--timings")
+    timing, verdict = out.splitlines()[-2:]
+    assert timing.startswith('timings: {"total": ') and verdict == "verdict: pass"
+    _, out = run(capsys, "basis", "--weight", "3", "--format", "text")
+    assert "timings" not in out
+
+
 def test_failing_check_exits_one(monkeypatch, capsys):
     def broken(args, n):
         return {"verdict": False}, False

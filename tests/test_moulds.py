@@ -130,31 +130,37 @@ def test_cpoly_subst_matches_the_factor_by_factor_expansion(data, arity, new_ari
         return
     q = p.subst(forms, new_arity)
     assert q.arity == new_arity and q.terms == expected.terms
-    # each coefficient is P_k / D, D the lcm of the denominators of p
+    # each coefficient is the plain sum of its shares: ints in give ints
+    # out, and Fraction coefficients give Fractions
     types = {type(c) for c in q.terms.values()}
-    if poly.numerators(p)[1] > 1:
+    if all(type(c) is Fraction for c in p.terms.values()):
         assert types <= {Fraction}
-    elif all(type(a) is int for f in forms for a in f.values()):
+    elif all(type(a) is int for f in [p.terms, *forms] for a in f.values()):
         assert types <= {int}
 
 
-def test_cpoly_subst_returns_integral_coefficients_as_ints():
-    # D = 1: the integral Fraction(2) comes back as the int numerator 2
+def test_cpoly_subst_sums_an_integral_fraction_as_a_fraction():
+    # the plain sum of the shares: the integral Fraction(2) stays a
+    # Fraction, and so does every coefficient it has a share in
     p = CPoly(2, {(1, 0): Fraction(2), (0, 1): 1})
     q = p.subst([{0: 1, 1: 1}, {1: 1}], 2)
+    assert q.terms == {(1, 0): 2, (0, 1): 3}
+    assert {type(c) for c in q.terms.values()} == {Fraction}
+    q = CPoly(2, {(1, 0): 2, (0, 1): 1}).subst([{0: 1, 1: 1}, {1: 1}], 2)
     assert q.terms == {(1, 0): 2, (0, 1): 3}
     assert {type(c) for c in q.terms.values()} == {int}
 
 
-def _count_numerators(mp: pytest.MonkeyPatch) -> list:
-    """Record each call subst makes to numerators, which opens its one plan."""
+def _count_substs(mp: pytest.MonkeyPatch) -> list:
+    """Record each call of CPoly.subst."""
     calls: list = []
+    subst = CPoly.subst
 
-    def counted(f):
-        calls.append(f)
-        return poly.numerators(f)
+    def counted(self, images, new_arity):
+        calls.append(self)
+        return subst(self, images, new_arity)
 
-    mp.setattr(moulds, "numerators", counted)
+    mp.setattr(CPoly, "subst", counted)
     return calls
 
 
@@ -178,34 +184,46 @@ def test_cpoly_subst_renames_match_the_expansion(data, arity, new_arity, ints):
     p = CPoly(arity, data.draw(st.dictionaries(exps, coeff, max_size=6)))
     forms = data.draw(_rename_forms(arity, new_arity))
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_numerators(mp)
+        calls = _count_substs(mp)
         q = p.subst(forms, new_arity)
     assert len(calls) == 1
     expected = oracles.expand_cpoly_subst(p, forms, new_arity)
     assert q.arity == new_arity
     assert list(q.terms.items()) == list(expected.terms.items())
-    kind = Fraction if poly.numerators(p)[1] > 1 else int
-    assert all(type(c) is kind for c in q.terms.values())
+    # a rename gives each kept term one share, and a form entry equal to 1
+    # renames without multiplying, so each coefficient keeps its type
+    kept = [c for e, c in p.terms.items() if all(e[i] == 0 for i, f in enumerate(forms) if not f)]
+    assert [type(c) for c in q.terms.values()] == [type(c) for c in kept]
 
 
 @pytest.mark.parametrize(
-    "terms, forms, new_arity",
+    "terms, forms, new_arity, kinds",
     [
-        ({(1, 2): 3, (2, 0): -1}, [{0: 1}, {0: 1}], 1),
-        ({(1, 2): 3, (2, 0): -1}, [{0: -1}, {1: 1}], 2),
-        ({(1, 2): 3, (2, 0): -1}, [{1: 2}, {0: 1}], 2),
-        # D = 1: the integral Fraction(2) comes back as the int 2
-        ({(1, 0): Fraction(2), (0, 1): 1}, [{1: 1}, {0: 1}], 2),
+        ({(1, 2): 3, (2, 0): -1}, [{0: 1}, {0: 1}], 1, {int}),
+        ({(1, 2): 3, (2, 0): -1}, [{0: -1}, {1: 1}], 2, {int}),
+        ({(1, 2): 3, (2, 0): -1}, [{1: 2}, {0: 1}], 2, {int}),
+        # the integral Fraction(2) stays a Fraction, the int 1 an int
+        ({(1, 0): Fraction(2), (0, 1): 1}, [{1: 1}, {0: 1}], 2, {Fraction, int}),
+        # int coefficients meet a Fraction form entry in every term
+        ({(1, 2): 3, (2, 0): -1}, [{1: Fraction(1, 2)}, {0: 1}], 2, {Fraction}),
     ],
-    ids=["two-old-on-one-new", "coefficient-minus-one", "coefficient-two", "integral-fraction"],
+    ids=[
+        "two-old-on-one-new",
+        "coefficient-minus-one",
+        "coefficient-two",
+        "integral-fraction",
+        "fraction-form-entry",
+    ],
 )
-def test_cpoly_subst_near_misses_take_the_general_path(monkeypatch, terms, forms, new_arity):
+def test_cpoly_subst_near_misses_take_the_general_path(
+    monkeypatch, terms, forms, new_arity, kinds
+):
     p = CPoly(2, terms)
-    calls = _count_numerators(monkeypatch)
+    calls = _count_substs(monkeypatch)
     q = p.subst(forms, new_arity)
     assert len(calls) == 1
     assert q.terms == oracles.expand_cpoly_subst(p, forms, new_arity).terms
-    assert {type(c) for c in q.terms.values()} == {int}
+    assert {type(c) for c in q.terms.values()} == kinds
 
 
 def test_cpoly_exact_division_by_variable():
@@ -480,7 +498,7 @@ def test_antipal_bridge_check_makes_no_substitution(monkeypatch):
     # the bridge check reads its renames and drops straight off the
     # exponent tuples; the prefix sums of u_family go through subst
     f = lie.random_lie(6, 0)
-    calls = _count_numerators(monkeypatch)
+    calls = _count_substs(monkeypatch)
     moulds.antipal_bridge_check(f)
     assert len(calls) == 0
     moulds.u_family(f)
