@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from . import __version__, groupexp, linalg, moulds, words
+from . import __version__, groupexp, linalg, moulds
 from .poly import (
     Poly,
     _divided,
@@ -44,7 +44,6 @@ from .dshuffle import (
     signed_push_sums_check,
 )
 from .derivations import (
-    TangentialDerivation,
     _divided_derivation,
     ds_to_krv,
     krv_to_ds,
@@ -71,9 +70,10 @@ class UsageError(Exception):
 def _json(obj, pad: str | None = "") -> str:
     """The JSON text of a report value; pad is the indent of its line.
 
-    Fractions are written as "n/d" strings, Polys by poly_to_json, and
-    derivations, moulds and series by their to_json.  Any other type that
-    JSON cannot hold raises TypeError.
+    Fractions are written as "n/d" strings, Polys by poly_to_json, and any
+    other object that has a to_json, such as a derivation, a mould or a
+    series, by its to_json.  Any other type that JSON cannot hold raises
+    TypeError.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -89,10 +89,6 @@ def _json(obj, pad: str | None = "") -> str:
         return float.__repr__(obj)
     if isinstance(obj, Fraction):
         return encode_basestring_ascii(coeff_to_str(obj))
-    if isinstance(obj, Poly):
-        obj = poly_to_json(obj)
-    elif isinstance(obj, (TangentialDerivation, moulds.Mould, groupexp.TruncSeries)):
-        obj = obj.to_json()
     inner = None if pad is None else pad + "  "
     # a string value, the most common, is written without a call
     if isinstance(obj, dict):
@@ -107,6 +103,10 @@ def _json(obj, pad: str | None = "") -> str:
     elif isinstance(obj, (list, tuple)):
         parts = [encode_basestring_ascii(v) if type(v) is str else _json(v, inner) for v in obj]
         ends = "[]"
+    elif isinstance(obj, Poly):
+        return _json(poly_to_json(obj), pad)
+    elif hasattr(obj, "to_json"):
+        return _json(obj.to_json(), pad)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not parts:
@@ -114,34 +114,6 @@ def _json(obj, pad: str | None = "") -> str:
     if pad is None:
         return ends[0] + ", ".join(parts) + ends[1]
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{ends[1]}"
-
-
-def poly_text(f: Poly) -> str:
-    """Exponent notation, e.g. x^2y - 2 xyx + y x^2."""
-    if not f:
-        return "0"
-    parts = []
-    for w, c in f.items():
-        factors = []
-        exps = words.exponents_of(w)
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append("x")
-            elif e > 1:
-                factors.append(f"x^{e}")
-            if i < len(exps) - 1:
-                factors.append("y")
-        body = " ".join(factors) if factors else "1"
-        cs = coeff_to_str(c)
-        if cs == "1":
-            term = body
-        elif cs == "-1":
-            term = f"- {body}"
-        else:
-            term = f"{cs} {body}"
-        parts.append(term)
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
 
 
 def _render_text(report: dict, lines: list[str]) -> str:
@@ -311,7 +283,7 @@ def cmd_basis(args):
         for n in ws:
             res = ds_basis(n)
             out.append(f"weight {n}: dimension {res.dimension}")
-            out.extend(f"  {poly_text(f)}" for f in res.basis)
+            out.extend(f"  {f}" for f in res.basis)
         return out
 
     ok, payload = _per_weight(ws, record)
@@ -379,7 +351,7 @@ def cmd_bracket(args):
     def lines():
         return [
             f"bracket weight {na + nb}: member={member} compatible={compatible}",
-            f"  {poly_text(br)}",
+            f"  {br}",
         ]
 
     parameters = {"w1": na, "w2": nb, "index1": args.index1, "index2": args.index2}

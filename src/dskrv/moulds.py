@@ -135,12 +135,13 @@ class CPoly(Terms):
         One pass over the terms maps the exponents of every old variable
         whose form has at most one entry: the term is dropped when the
         form is {}, and otherwise the variable is renamed to its new
-        variable and the term multiplied by a^e.  Every other old variable
-        (a form with several entries, or one entry on a new variable that
-        an earlier old variable has taken) then takes one pass over the
-        whole dict, which expands (sum_j a_j v_j)^e by the multinomial
-        theorem, once per exponent.  Each output coefficient is the plain
-        sum of its shares: ints in give ints out.
+        variable and, for e > 0, the term multiplied by a^e unless a is
+        the int 1.  Every other old variable (a form with several entries,
+        or one entry on a new variable that an earlier old variable has
+        taken) then takes one pass over the whole dict, which expands
+        (sum_j a_j v_j)^e by the multinomial theorem, once per exponent.
+        Each output coefficient is the plain sum of its shares: ints in
+        give ints out.
         """
         if len(images) != self.arity:
             raise ValueError(f"expected {self.arity} linear forms, got {len(images)}")
@@ -161,7 +162,7 @@ class CPoly(Terms):
             elif len(entries) == 1 and pick[entries[0][0]] == pad:
                 j, a = entries[0]
                 pick[j] = i
-                if a != 1:
+                if a != 1 or type(a) is not int:
                     powered.append((i, a))
             else:
                 expanded.append((i, entries))
@@ -175,7 +176,8 @@ class CPoly(Terms):
             if dropped and any(map(exps.__getitem__, dropped)):
                 continue
             for i, a in powered:
-                p *= a ** exps[i]
+                if exps[i]:  # a variable that does not occur adds no factor
+                    p *= a ** exps[i]
             key = tuple(map((*exps, 0).__getitem__, pick))
             terms[key] = terms.get(key, 0) + p
         for m, (_, entries) in enumerate(expanded, 1):

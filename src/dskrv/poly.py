@@ -13,7 +13,9 @@ linear substitution, the derivation d/dx, derivations given by the
 images of x and y, degree-truncated products, reversal (anti), push,
 left/right factor decompositions f = x f^x + y f^y = f_x x + f_y y, the
 section maps s and s' that rebuild a Lie element from one factor, and
-the palindromy / push-invariance / push-constancy predicates.
+the palindromy / push-invariance / push-constancy predicates.  str(f) is
+the package's one text form of a polynomial, the exponent notation
+x^2 y - 2 x y x + y x^2 that text reports print.
 
 Integer numerators.  Each certificate of the package is a linear
 condition on its input f, so f = P/D and its integer numerators P get
@@ -200,24 +202,21 @@ class Poly(Terms):
         return NotImplemented
 
     def __str__(self) -> str:
+        """Exponent notation, e.g. x^2 y - 2 x y x + 1/3 y x^2; the empty word
+        is its coefficient alone, and the zero polynomial is 0."""
         if not self.terms:
             return "0"
         parts = []
         for w, c in self.items():
-            name = "1" if w == EMPTY else words.str_from_code(w)
-            if c == 1:
-                term = name
-            elif c == -1:
-                term = f"-{name}"
-            else:
-                term = f"{c}*{name}"
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
-        return " ".join(parts)
+            cs = coeff_to_str(c)
+            if w == EMPTY:
+                parts.append(cs)
+                continue
+            # the x-runs of x^a0 y x^a1 ... y x^ar, joined by y
+            runs = ("" if e == 0 else "x" if e == 1 else f"x^{e}" for e in words.exponents_of(w))
+            body = " ".join(" y ".join(runs).split())
+            parts.append(body if cs == "1" else f"- {body}" if cs == "-1" else f"{cs} {body}")
+        return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
         return f"<Poly {self}>"

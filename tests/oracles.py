@@ -634,21 +634,24 @@ def special_subspace(n: int) -> list[Poly]:
 def bareiss_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
     """Canonical rational nullspace basis from fraction-free elimination.
 
-    Each free column of the integer echelon form gives one vector, with
-    its pivot coordinates filled by exact back-substitution; the basis
-    is returned in reduced row echelon form.
+    The columns are eliminated last to first.  A column is then free
+    exactly when some kernel vector has its first nonzero entry there, and
+    the vector of a free column, with its pivot coordinates filled by
+    exact back-substitution, is nonzero only there and on later pivot
+    columns.  Read back in column order, these vectors are the reduced
+    row echelon form of the kernel, with no reduction step of their own.
     """
-    ech, pivots = linalg.row_echelon(rows, ncols)
+    ech, pivots = linalg.row_echelon([r[::-1] for r in rows], ncols)
     pivot_set = set(pivots)
     basis = []
-    for fc in range(ncols):
+    for fc in reversed(range(ncols)):
         if fc in pivot_set:
             continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         _back_substitute(ech, pivots, v)
-        basis.append(v)
-    return linalg.rref(basis, ncols)
+        basis.append(v[::-1])
+    return basis
 
 
 def failing_row_by_vector(rows: list[list[int]], vecs: list[list[Fraction]]) -> int | None:

@@ -5,10 +5,14 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import zip_longest
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -122,6 +126,34 @@ def test_text_format_renders_exponents(capsys):
     assert code == 0
     assert "x^2 y" in out
     assert "verdict: pass" in out
+
+
+def test_text_reports_print_str_of_each_polynomial(capsys):
+    code, out = run(capsys, "basis", "--weights", "3..6", "--format", "text")
+    assert code == 0
+    printed = [line for line in out.splitlines() if line.startswith("  ")]
+    assert printed == [f"  {f}" for n in range(3, 7) for f in dshuffle.ds_basis(n).basis]
+    code, out = run(capsys, "bracket", "3", "5", "--format", "text")
+    assert code == 0
+    (f3,), (f5,) = dshuffle.ds_basis(3).basis, dshuffle.ds_basis(5).basis
+    printed = [line for line in out.splitlines() if line.startswith("  ")]
+    assert printed == [f"  {dshuffle.poisson(f3, f5)}"]
+
+
+def test_module_entry_point_runs_uninstalled(capsys):
+    argv = ["basis", "--weight", "3", "--format", "text"]
+    root = Path(__file__).resolve().parents[1]
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dskrv.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, *argv)[1]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -190,10 +190,10 @@ def test_cpoly_subst_renames_match_the_expansion(data, arity, new_arity, ints):
     expected = oracles.expand_cpoly_subst(p, forms, new_arity)
     assert q.arity == new_arity
     assert list(q.terms.items()) == list(expected.terms.items())
-    # a rename gives each kept term one share, and a form entry equal to 1
-    # renames without multiplying, so each coefficient keeps its type
-    kept = [c for e, c in p.terms.items() if all(e[i] == 0 for i, f in enumerate(forms) if not f)]
-    assert [type(c) for c in q.terms.values()] == [type(c) for c in kept]
+    # a rename gives each kept term one share: the int entry 1 keeps its
+    # type, and a Fraction(1) entry makes it a Fraction where the variable
+    # occurs, as the factor-by-factor product does
+    assert [type(c) for c in q.terms.values()] == [type(c) for c in expected.terms.values()]
 
 
 @pytest.mark.parametrize(
@@ -206,6 +206,8 @@ def test_cpoly_subst_renames_match_the_expansion(data, arity, new_arity, ints):
         ({(1, 0): Fraction(2), (0, 1): 1}, [{1: 1}, {0: 1}], 2, {Fraction, int}),
         # int coefficients meet a Fraction form entry in every term
         ({(1, 2): 3, (2, 0): -1}, [{1: Fraction(1, 2)}, {0: 1}], 2, {Fraction}),
+        # the entry Fraction(1) is multiplied in like any other Fraction
+        ({(1, 2): 3, (2, 0): -1}, [{1: Fraction(1)}, {0: 1}], 2, {Fraction}),
     ],
     ids=[
         "two-old-on-one-new",
@@ -213,6 +215,7 @@ def test_cpoly_subst_renames_match_the_expansion(data, arity, new_arity, ints):
         "coefficient-two",
         "integral-fraction",
         "fraction-form-entry",
+        "fraction-one-form-entry",
     ],
 )
 def test_cpoly_subst_near_misses_take_the_general_path(

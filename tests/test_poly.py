@@ -71,9 +71,21 @@ def test_homogeneous_parts_and_depths():
 
 
 def test_string_rendering():
+    # exponent notation, the form text reports print
     f = P(("xxy", 1), ("xyx", -2), ("yxx", Fraction(1, 3)))
-    assert str(f) == "xxy - 2*xyx + 1/3*yxx"
+    assert str(f) == "x^2 y - 2 x y x + 1/3 y x^2"
+    assert repr(f) == "<Poly x^2 y - 2 x y x + 1/3 y x^2>"
     assert str(Poly.zero()) == "0"
+    assert str(Poly.one()) == "1"
+    # the empty word prints as its coefficient alone
+    assert str(Poly.one().scale(3) + P(("xy", 1))) == "3 + x y"
+    assert str(P(("xy", -1), ("", Fraction(-1, 2)))) == "-1/2 -  x y"
+    # a coefficient -1 prints as "- " before its word, so after the lead it
+    # leaves two spaces; text reports have always had that form
+    assert str(P(("yxy", -1), ("xxxy", Fraction(-3, 2)), ("yyyx", -1))) == (
+        "- y x y - 3/2 x^3 y -  y y y x"
+    )
+    assert str(P(("x", -2), ("xxyxxx", Fraction(5, 7)))) == "-2 x + 5/7 x^2 y x^3"
 
 
 def test_reversal_involution():
